@@ -106,8 +106,8 @@ type traceReport struct {
 	// counts trace requests served from the singleflight cache.
 	Captures  int64 `json:"captures"`
 	CacheHits int64 `json:"cache_hits"`
-	// Events and Bytes total the logical events and encoded bytes of all
-	// captured traces.
+	// Events and Bytes total the recorded events and the encoded histogram
+	// bytes of all captured traces.
 	Events int64 `json:"events"`
 	Bytes  int64 `json:"bytes"`
 	// ReplayCells and InterpCells split the timed measurement cells by

@@ -67,8 +67,8 @@ type Stats struct {
 	// interpretation. TraceHits counts trace requests served from the cache
 	// instead.
 	TraceCaptures, TraceHits int64
-	// TraceEvents and TraceBytes total the logical events and encoded bytes
-	// of all captured traces.
+	// TraceEvents and TraceBytes total the recorded events and the encoded
+	// histogram bytes of all captured traces.
 	TraceEvents, TraceBytes int64
 	// ReplayCells and InterpCells split Measures by simulation backend.
 	ReplayCells, InterpCells int64

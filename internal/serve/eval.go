@@ -112,7 +112,6 @@ type EvalStats struct {
 	FuelExhausted    int64 `json:"fuel_exhausted"`
 	DeadlineExceeded int64 `json:"deadline_exceeded"`
 	FaultsInjected   int64 `json:"faults_injected"`
-	TierUps          int64 `json:"tier_ups"`
 }
 
 // evalPlan is a validated request: everything an evaluation needs.
@@ -128,12 +127,14 @@ type evalPlan struct {
 }
 
 // key returns the single-flight identity: two requests with equal keys
-// compute the identical deterministic result. The deadline is excluded — it
-// bounds the computation, it doesn't change it.
+// compute the identical deterministic result. The bench name is part of that
+// result, so a suite benchmark and the same text submitted as source never
+// share a flight. The deadline is excluded — it bounds the computation, it
+// doesn't change it.
 func (p *evalPlan) key() string {
 	h := sha256.Sum256([]byte(p.bench.Source))
-	return fmt.Sprintf("%s|%s|%d|%s|%d|%t",
-		hex.EncodeToString(h[:8]), p.kind, p.memLat, p.execName, p.fuel, p.lint)
+	return fmt.Sprintf("%s|%s|%s|%d|%s|%d|%t",
+		p.bench.Name, hex.EncodeToString(h[:8]), p.kind, p.memLat, p.execName, p.fuel, p.lint)
 }
 
 // plan validates the request against the server's limits.
@@ -415,7 +416,6 @@ func evalStats(p *evalPlan, st exper.Stats, elapsed time.Duration) EvalStats {
 		FuelExhausted:    st.FuelExhausted,
 		DeadlineExceeded: st.DeadlineExceeded,
 		FaultsInjected:   st.FaultsInjected,
-		TierUps:          st.TierUps,
 	}
 }
 

@@ -37,7 +37,6 @@ type metrics struct {
 	fuelExhausted    atomic.Int64
 	deadlineExceeded atomic.Int64
 	faultsInjected   atomic.Int64
-	tierUps          atomic.Int64
 }
 
 // absorb folds one finished request's engine counters into the server
@@ -53,7 +52,6 @@ func (m *metrics) absorb(st exper.Stats) {
 	m.fuelExhausted.Add(st.FuelExhausted)
 	m.deadlineExceeded.Add(st.DeadlineExceeded)
 	m.faultsInjected.Add(st.FaultsInjected)
-	m.tierUps.Add(st.TierUps)
 }
 
 // Metrics is the /metrics document.
@@ -128,7 +126,9 @@ func (s *Server) Snapshot() *Metrics {
 	out.Degradation.FuelExhausted = s.met.fuelExhausted.Load()
 	out.Degradation.DeadlineExceeded = s.met.deadlineExceeded.Load()
 	out.Degradation.FaultsInjected = s.met.faultsInjected.Load()
-	out.Degradation.TierUps = s.met.tierUps.Load()
+	// Tier-ups are counted where promotion happens: in the shared caches'
+	// counters, not in any request's private Runner.
+	out.Degradation.TierUps = s.ctrs.TierUps.Load()
 
 	out.Cache.Compiled = s.ctrs.Compiled.Load()
 	out.Cache.Hits = s.ctrs.Hits.Load()

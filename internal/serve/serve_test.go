@@ -458,6 +458,45 @@ func TestFlightGroup(t *testing.T) {
 	}
 }
 
+// TestDedupKeyIncludesBenchName pins that the single-flight key covers every
+// input of the deterministic result, the bench name included: a suite
+// benchmark and the same text submitted as source price identically but
+// answer under different names, so they must never share a flight.
+func TestDedupKeyIncludesBenchName(t *testing.T) {
+	s := New(Config{})
+	plan := func(req EvalRequest) *evalPlan {
+		t.Helper()
+		p, apiErr := s.plan(&req)
+		if apiErr != nil {
+			t.Fatalf("plan(%+v): %v", req, apiErr)
+		}
+		return p
+	}
+	src := bench.ByName("fft").Source
+	byName := plan(EvalRequest{Bench: "fft", Pipeline: "SPEC", MemLat: 2})
+	bySrc := plan(EvalRequest{Source: src, Pipeline: "SPEC", MemLat: 2})
+	if byName.key() == bySrc.key() {
+		t.Fatalf("bench %q and source %q share the flight key %q", byName.bench.Name, bySrc.bench.Name, byName.key())
+	}
+	if again := plan(EvalRequest{Source: src, Pipeline: "SPEC", MemLat: 2}); again.key() != bySrc.key() {
+		t.Fatalf("identical source requests got different keys: %q vs %q", again.key(), bySrc.key())
+	}
+}
+
+// TestMetricsCountTierUps checks /metrics reports adaptive-tiering
+// promotions, which happen in the shared compiled-code caches rather than in
+// any request's private engine.
+func TestMetricsCountTierUps(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	status, _, resp := postEval(t, ts.URL, EvalRequest{Bench: "perm", Pipeline: "SPEC", MemLat: 2, Exec: "native"})
+	if status != http.StatusOK {
+		t.Fatalf("status %d (%+v)", status, resp.Error)
+	}
+	if m := s.Snapshot(); m.Degradation.TierUps <= 0 {
+		t.Fatalf("degradation.tier_ups = %d after a native perm request, want > 0", m.Degradation.TierUps)
+	}
+}
+
 // TestDedupSharesResult exercises the HTTP dedup path: identical concurrent
 // requests produce byte-identical results, and at least one response in a
 // saturated burst is served from the shared flight.

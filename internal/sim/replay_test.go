@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -128,16 +129,25 @@ void main() {
 	}
 }
 
-// TestReplayRejectsCorruptTrace checks decode errors surface from Replay.
+// TestReplayRejectsCorruptTrace checks integrity errors surface from Replay
+// as trace.ErrCorrupt, while an empty but intact trace replays cleanly.
 func TestReplayRejectsCorruptTrace(t *testing.T) {
 	prog, err := compile.Compile(`void main() { print(1); }`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rp := &sim.Replayer{Prog: prog, Plans: stdPlans(t, prog, 2)}
-	var tr trace.Trace
-	if _, err := rp.Replay(&tr); err != nil {
+	if _, err := rp.Replay(trace.NewRecorder().Finish(0, 0)); err != nil {
 		t.Fatalf("empty trace must replay cleanly, got %v", err)
+	}
+	var footerless trace.Trace
+	if _, err := rp.Replay(&footerless); !errors.Is(err, trace.ErrCorrupt) {
+		t.Fatalf("footerless trace: Replay error = %v, want trace.ErrCorrupt", err)
+	}
+	flipped := trace.NewRecorder().Finish(0, 0)
+	flipped.FlipByte(0)
+	if _, err := rp.Replay(flipped); !errors.Is(err, trace.ErrCorrupt) {
+		t.Fatalf("flipped trace: Replay error = %v, want trace.ErrCorrupt", err)
 	}
 }
 

@@ -151,9 +151,9 @@ type Runner struct {
 	// Prof, when non-nil, collects profiling statistics (and updates arc
 	// alias counters on the program).
 	Prof *Profile
-	// Rec, when non-nil, records the run's execution trace — every tree
-	// execution's (PIdx, taken exit, guard-commit bits) plus call framing —
-	// for later replay pricing (see Replayer). The caller owns the recorder
+	// Rec, when non-nil, records the run's execution trace — the count of
+	// every (PIdx, taken exit, guard-commit bits) pattern the run executed,
+	// plus its calls and returns — for later replay pricing (see Replayer). The caller owns the recorder
 	// and finishes it with the run's Ops/Committed totals.
 	Rec *trace.Recorder
 	// MaxOps is the run's fuel: the hard dynamic-operation budget that turns
@@ -205,7 +205,7 @@ type Runner struct {
 	planTabs   [][]planEntry // per plan: dense comp tables by tree PIdx
 	profTree   []int64       // per-tree execution counts, flushed into Prof
 	fnIdx      map[string]int
-	mainIdx    int // Program.Order index of main, for trace call framing
+	mainIdx    int // Program.Order index of main, for the trace's call record
 	framePool  [][]ir.Value
 	argPool    [][]ir.Value
 	maxFrame   int // widest register frame in the program (see Run)
@@ -669,8 +669,8 @@ func (r *Runner) putArgs(a []ir.Value) {
 }
 
 // call runs one function invocation. fnOrd is fn's Program.Order index,
-// resolved by the caller (treeCtx.calleeIdx) so call framing never hashes a
-// function name.
+// resolved by the caller (treeCtx.calleeIdx) so recording a call never hashes
+// a function name.
 func (r *Runner) call(fn *ir.Function, fnOrd int, args []ir.Value) (ir.Value, error) {
 	regs := r.getFrame(fn.NumRegs)
 	defer r.putFrame(regs)

@@ -25,7 +25,7 @@ import (
 const (
 	VersionBCode  = 1
 	VersionNative = 2 // v2: window fusion added Fused and Windows
-	VersionTrace  = 1
+	VersionTrace  = 2 // v2: the payload is the pattern histogram, not an event stream
 	VersionPrep   = 1
 	VersionMeas   = 1
 )
@@ -209,9 +209,9 @@ func DecodeMeas(payload []byte) (*MeasCell, error) {
 
 // ---- Execution trace -----------------------------------------------------
 
-// EncodeTrace encodes a captured trace payload (the trace's own sealed CRC
-// footer rides along inside the body, so a persisted trace is
-// double-protected).
+// EncodeTrace encodes a captured trace payload: its totals and histogram
+// (the trace's own sealed CRC footer rides along inside the body, so a
+// persisted trace is double-protected).
 func EncodeTrace(t *trace.Trace) []byte {
 	enc := t.Marshal()
 	buf := header(make([]byte, 0, len(enc)+8), KindTrace, VersionTrace)

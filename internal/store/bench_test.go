@@ -5,8 +5,9 @@ import (
 	"testing"
 )
 
-// Benchmark payloads at the store's two working sizes: a prepare summary
-// (~20 B) and a captured-trace artifact (~200 KB, the suite's largest).
+// Benchmark payloads bracketing the store's working sizes: a prepare summary
+// (~20 B) and 200 KB, far above the suite's largest artifact (a ~1.7 KB
+// compiled bytecode program).
 var benchSizes = []int{24, 200 << 10}
 
 func BenchmarkStorePut(b *testing.B) {

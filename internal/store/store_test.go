@@ -2,6 +2,9 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -433,10 +436,26 @@ func TestTraceRoundtrip(t *testing.T) {
 		t.Fatalf("totals differ: got %+v, want %+v", got, tr)
 	}
 	if !bytes.Equal(got.Bytes(), tr.Bytes()) {
-		t.Fatal("event stream differs after roundtrip")
+		t.Fatal("histogram differs after roundtrip")
 	}
 	if err := got.Verify(); err != nil {
 		t.Fatal(err)
+	}
+
+	// The same run persisted as a version-1 artifact — totals, a sealed
+	// flag, and the sealed varint event stream — must read as corrupt, so a
+	// store written before the histogram format drops and recomputes it.
+	stream := []byte{3<<2 | 0, 1, 1, 0b101, 2<<2 | 1, 0xF0, 0x15, 0, 0, 2}
+	v1 := header(nil, KindTrace, 1)
+	for _, v := range []int64{tr.Events, tr.TreeExecs, tr.Ops, tr.Committed} {
+		v1 = binary.AppendVarint(v1, v)
+	}
+	v1 = append(append(v1, 1), stream...)
+	v1 = append(v1, 0xF5, 'T', 'R', 'C')
+	v1 = binary.LittleEndian.AppendUint32(v1, uint32(len(stream)))
+	v1 = binary.LittleEndian.AppendUint32(v1, crc32.ChecksumIEEE(stream))
+	if _, err := DecodeTrace(v1); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("DecodeTrace(v1 artifact) error = %v, want ErrCorrupt", err)
 	}
 }
 

@@ -26,7 +26,7 @@ func synthTrace(rec *Recorder) int64 {
 }
 
 // BenchmarkTraceRecord times the recording hot path: the per-event cost a
-// profiling interpretation pays to capture a trace.
+// profiling interpretation pays to capture a trace, histogram included.
 func BenchmarkTraceRecord(b *testing.B) {
 	events := synthTrace(NewRecorder())
 	b.ResetTimer()
@@ -41,37 +41,9 @@ func BenchmarkTraceRecord(b *testing.B) {
 	b.ReportMetric(float64(events), "events/op")
 }
 
-// BenchmarkTraceReplay times the trace side of replay: streaming every
-// event of a recorded trace back out of the wire format.
-func BenchmarkTraceReplay(b *testing.B) {
-	rec := NewRecorder()
-	synthTrace(rec)
-	tr := rec.Finish(0, 0)
-	b.SetBytes(int64(tr.Size()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rd := NewReader(tr)
-		var ev Event
-		var n int64
-		for {
-			ok, err := rd.Next(&ev)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !ok {
-				break
-			}
-			n += ev.Count
-		}
-		if n != tr.Events {
-			b.Fatalf("decoded %d events, want %d", n, tr.Events)
-		}
-	}
-}
-
-// BenchmarkTraceHist times histogram aggregation — the once-per-trace cost
-// replay pricing amortizes across every machine model and pipeline sharing
-// the trace.
+// BenchmarkTraceHist times decoding a sealed histogram payload — the
+// once-per-trace cost replay pricing amortizes across every machine model
+// and pipeline sharing the trace.
 func BenchmarkTraceHist(b *testing.B) {
 	rec := NewRecorder()
 	synthTrace(rec)
@@ -79,7 +51,7 @@ func BenchmarkTraceHist(b *testing.B) {
 	b.SetBytes(int64(tr.Size()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h, err := buildHist(tr.Bytes())
+		h, err := decodeHist(tr.Bytes())
 		if err != nil {
 			b.Fatal(err)
 		}

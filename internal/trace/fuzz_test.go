@@ -4,226 +4,117 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"math"
 	"testing"
 )
 
-// FuzzReaderArbitrary feeds arbitrary bytes to the reader and histogram
-// builder: decoding must terminate without panicking, yield at most one event
-// per input byte, and fail only with errors wrapping ErrCorrupt. Whatever
-// decodes cleanly must re-encode (via a Recorder) to a stream that decodes to
-// the same events — the decoder accepts nothing a recorder couldn't have
-// meant.
-func FuzzReaderArbitrary(f *testing.F) {
+// FuzzHistDecode feeds arbitrary payloads to the histogram decoder: it must
+// never panic, every error must wrap ErrCorrupt, and whatever decodes cleanly
+// must re-encode to exactly the input bytes — the decoder accepts one
+// encoding per histogram, the one a Recorder writes.
+func FuzzHistDecode(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0x00, 0x00, 0x00})
-	f.Add([]byte{0x80})
-	f.Add([]byte{0x03})
+	f.Add([]byte{0x00})
+	f.Add([]byte{0x80, 0x00})
+	f.Add([]byte{0x00, 0x00, 0x00, 0x00, 0x01})
 	r := NewRecorder()
 	r.Call(1)
 	r.Tree(3, 1, []byte{0b101})
 	r.Tree(3, 1, []byte{0b101})
+	r.Tree(9, 1<<13, []byte{1, 2, 3, 4, 5, 6, 7})
 	r.Ret()
 	f.Add(r.Finish(0, 0).Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rd := NewBytesReader(data)
-		var ev Event
-		var evs []Event
-		for {
-			ok, err := rd.Next(&ev)
-			if err != nil {
-				if !errors.Is(err, ErrCorrupt) {
-					t.Fatalf("error does not wrap ErrCorrupt: %v", err)
-				}
-				if _, err2 := rd.Next(&ev); !errors.Is(err2, ErrCorrupt) {
-					t.Fatalf("error not sticky: %v", err2)
-				}
-				return
+		h, err := decodeHist(data)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("error does not wrap ErrCorrupt: %v", err)
 			}
-			if !ok {
-				break
-			}
-			if len(evs) > len(data) {
-				t.Fatalf("more events than input bytes")
-			}
-			e := ev
-			e.Bits = append([]byte(nil), ev.Bits...)
-			evs = append(evs, e)
+			return
 		}
-		// Clean decode: histogram must agree, and re-encoding must round-trip.
-		if _, err := (&Trace{data: data}).Hist(); err != nil && !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("Hist error does not wrap ErrCorrupt: %v", err)
-		}
-		// Normalize as a recorder would: a decoder accepts adjacent identical
-		// tree events a recorder always merges.
-		var norm []Event
-		var total int64
-		for _, e := range evs {
-			if e.Kind == KindTree {
-				total += e.Count
-				if total > 1<<16 || total < 0 {
-					return // don't spin re-recording huge repeat counts
-				}
-				if len(norm) > 0 {
-					p := &norm[len(norm)-1]
-					if p.Kind == KindTree && p.Idx == e.Idx && p.Exit == e.Exit && bytes.Equal(p.Bits, e.Bits) {
-						p.Count += e.Count
-						continue
-					}
-				}
-			}
-			norm = append(norm, e)
-		}
-		re := NewRecorder()
-		for _, e := range norm {
-			switch e.Kind {
-			case KindTree:
-				for i := int64(0); i < e.Count; i++ {
-					re.Tree(e.Idx, e.Exit, e.Bits)
-				}
-			case KindCall:
-				re.Call(e.Idx)
-			case KindRet:
-				re.Ret()
-			}
-		}
-		rd2 := NewBytesReader(re.Finish(0, 0).Bytes())
-		for i := 0; ; i++ {
-			ok, err := rd2.Next(&ev)
-			if err != nil {
-				t.Fatalf("re-encoded stream corrupt: %v", err)
-			}
-			if !ok {
-				if i != len(norm) {
-					t.Fatalf("re-encoded stream has %d events, want %d", i, len(norm))
-				}
-				return
-			}
-			if i >= len(norm) {
-				t.Fatalf("re-encoded stream has extra events")
-			}
-			w := norm[i]
-			if ev.Kind != w.Kind || ev.Idx != w.Idx || ev.Exit != w.Exit || ev.Count != w.Count || !bytes.Equal(ev.Bits, w.Bits) {
-				t.Fatalf("re-encoded event %d = %+v, want %+v", i, ev, w)
-			}
+		if got := appendHist(nil, h); !bytes.Equal(got, data) {
+			t.Fatalf("decoded %+v re-encodes to %x, want %x", h, got, data)
 		}
 	})
 }
 
 // FuzzRecorderRoundTrip drives a recorder with a fuzz-derived event script
-// and checks the decoded stream reproduces it exactly, including run-length
-// counts and the Events/TreeExecs totals.
+// and checks the sealed trace's histogram against a direct tally of the
+// script — patterns in first-appearance order, their counts, MaxFn — plus
+// the Events/TreeExecs totals, directly and through Marshal/Unmarshal.
 func FuzzRecorderRoundTrip(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 0, 3})
 	f.Add([]byte{10, 10, 10, 10})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		r := NewRecorder()
-		type rec struct {
-			kind Kind
-			idx  int
-			exit int
-			bits []byte
+		key := func(idx, exit int, bits []byte) string {
+			k := binary.AppendUvarint(nil, uint64(idx))
+			k = binary.AppendUvarint(k, uint64(exit))
+			return string(append(k, bits...))
 		}
-		var want []rec
-		var wantTrees int64
-		depth := 0
+		tally := map[string]int64{}
+		var order []string
+		var events, trees int64
+		maxFn := -1
 		for i := 0; i+1 < len(script); i += 2 {
 			a, b := script[i], script[i+1]
+			events++
 			switch a % 4 {
-			case 0, 1: // tree, bits derived from b
-				nb := int(b % 4)
-				bits := make([]byte, nb)
+			case 0, 1: // tree; a%4 == 1 pushes some exits past the packed-key limit
+				bits := make([]byte, b%8)
 				for j := range bits {
 					bits[j] = b ^ byte(j*13)
 				}
-				idx, exit := int(a)*3+int(b%7), int(b%5)
+				idx, exit := int(a)*3+int(b%7), int(b%5)+int(a%4)*int(b)<<6
 				r.Tree(idx, exit, bits)
-				want = append(want, rec{KindTree, idx, exit, bits})
-				wantTrees++
+				k := key(idx, exit, bits)
+				if tally[k] == 0 {
+					order = append(order, k)
+				}
+				tally[k]++
+				trees++
 			case 2:
 				r.Call(int(b))
-				want = append(want, rec{kind: KindCall, idx: int(b)})
-				depth++
+				maxFn = max(maxFn, int(b))
 			default:
-				if depth == 0 {
-					continue // keep call framing balanced: Hist rejects stray rets
-				}
 				r.Ret()
-				want = append(want, rec{kind: KindRet})
-				depth--
 			}
 		}
 		tr := r.Finish(7, 5)
-		if tr.Events != int64(len(want)) || tr.TreeExecs != wantTrees {
-			t.Fatalf("Events, TreeExecs = %d, %d, want %d, %d", tr.Events, tr.TreeExecs, len(want), wantTrees)
+		if tr.Events != events || tr.TreeExecs != trees {
+			t.Fatalf("Events, TreeExecs = %d, %d, want %d, %d", tr.Events, tr.TreeExecs, events, trees)
 		}
-
-		rd := NewReader(tr)
-		var ev Event
-		pos := 0
-		for {
-			ok, err := rd.Next(&ev)
-			if err != nil {
-				t.Fatalf("Next at event %d: %v", pos, err)
-			}
-			if !ok {
-				break
-			}
-			for n := int64(0); n < ev.Count; n++ {
-				if pos >= len(want) {
-					t.Fatalf("decoded more than %d events", len(want))
-				}
-				w := want[pos]
-				if ev.Kind != w.kind || ev.Idx != w.idx || ev.Exit != w.exit || !bytes.Equal(ev.Bits, w.bits) {
-					t.Fatalf("event %d = %+v, want %+v", pos, ev, w)
-				}
-				pos++
-			}
-		}
-		if pos != len(want) {
-			t.Fatalf("decoded %d logical events, want %d", pos, len(want))
-		}
-
-		// The histogram's counts must total the tree executions and agree
-		// with a direct tally.
-		h, err := tr.Hist()
+		back, err := Unmarshal(tr.Marshal())
 		if err != nil {
 			t.Fatal(err)
 		}
-		tally := map[string]int64{}
-		var key []byte
-		for _, w := range want {
-			if w.kind != KindTree {
-				continue
+		if back.Events != events || back.TreeExecs != trees || back.Ops != 7 || back.Committed != 5 {
+			t.Fatalf("Unmarshal totals = %+v", back)
+		}
+		for _, got := range []*Trace{tr, back} {
+			h, err := got.Hist()
+			if err != nil {
+				t.Fatal(err)
 			}
-			key = binary.AppendUvarint(key[:0], uint64(w.idx))
-			key = binary.AppendUvarint(key, uint64(w.exit))
-			key = append(key, w.bits...)
-			tally[string(key)]++
-		}
-		if len(h.Entries) != len(tally) {
-			t.Fatalf("hist has %d entries, want %d", len(h.Entries), len(tally))
-		}
-		var total int64
-		for _, e := range h.Entries {
-			key = binary.AppendUvarint(key[:0], uint64(e.Idx))
-			key = binary.AppendUvarint(key, uint64(e.Exit))
-			key = append(key, e.Bits...)
-			if tally[string(key)] != e.Count {
-				t.Fatalf("entry %+v count %d, want %d", e, e.Count, tally[string(key)])
+			if h.MaxFn != maxFn {
+				t.Fatalf("MaxFn = %d, want %d", h.MaxFn, maxFn)
 			}
-			total += e.Count
-		}
-		if total != wantTrees {
-			t.Fatalf("hist total %d, want %d", total, wantTrees)
+			if len(h.Entries) != len(order) {
+				t.Fatalf("hist has %d entries, want %d", len(h.Entries), len(order))
+			}
+			for i, e := range h.Entries {
+				if k := key(e.Idx, e.Exit, e.Bits); k != order[i] || e.Count != tally[k] {
+					t.Fatalf("entry %d = %+v, want key %x count %d", i, e, order[i], tally[order[i]])
+				}
+			}
 		}
 	})
 }
 
-// FuzzTruncation checks every prefix of a valid stream either decodes
-// cleanly (truncation fell on an event boundary) or fails with ErrCorrupt —
-// never a panic, never garbage events beyond the prefix.
+// FuzzTruncation cuts a sealed trace anywhere: verification must fail with
+// ErrTruncated and Hist with ErrCorrupt — never a panic, never a histogram
+// from damaged bytes. A bare prefix of the payload, which no footer guards,
+// may decode only to a prefix of the histogram.
 func FuzzTruncation(f *testing.F) {
 	f.Add(int64(1), 5)
 	f.Add(int64(99), 0)
@@ -237,34 +128,44 @@ func FuzzTruncation(f *testing.F) {
 		for i := 0; i < 30; i++ {
 			switch next(4) {
 			case 0, 1:
-				bits := []byte{byte(next(256))}
-				r.Tree(next(50), next(4), bits)
+				r.Tree(next(50), next(4), []byte{byte(next(256))})
 			case 2:
 				r.Call(next(10))
 			default:
 				r.Ret()
 			}
 		}
-		data := r.Finish(0, 0).Bytes()
-		if len(data) == 0 {
+		tr := r.Finish(0, 0)
+		cut = int(uint(cut) % uint(len(tr.data)))
+		short := &Trace{data: tr.data[:cut:cut]}
+		if err := short.Verify(); !errors.Is(err, ErrTruncated) {
+			t.Fatalf("Verify after cutting at %d = %v, want ErrTruncated", cut, err)
+		}
+		if _, err := short.Hist(); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Hist after cutting at %d = %v, want ErrCorrupt", cut, err)
+		}
+
+		full, err := tr.Hist()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cut > tr.Size() {
 			return
 		}
-		cut = int(uint(cut) % uint(len(data)))
-		rd := NewBytesReader(data[:cut])
-		var ev Event
-		for {
-			ok, err := rd.Next(&ev)
-			if err != nil {
-				if !errors.Is(err, ErrCorrupt) {
-					t.Fatalf("prefix error does not wrap ErrCorrupt: %v", err)
-				}
-				return
+		h, err := decodeHist(tr.Bytes()[:cut])
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("prefix error does not wrap ErrCorrupt: %v", err)
 			}
-			if !ok {
-				return
-			}
-			if ev.Count < 1 || ev.Count > math.MaxInt64/2 {
-				t.Fatalf("implausible count %d from truncated stream", ev.Count)
+			return
+		}
+		if len(h.Entries) > len(full.Entries) {
+			t.Fatalf("prefix decoded to %d entries, the full trace has %d", len(h.Entries), len(full.Entries))
+		}
+		for i, e := range h.Entries {
+			w := full.Entries[i]
+			if e.Idx != w.Idx || e.Exit != w.Exit || !bytes.Equal(e.Bits, w.Bits) {
+				t.Fatalf("prefix entry %d = %+v, want pattern of %+v", i, e, w)
 			}
 		}
 	})

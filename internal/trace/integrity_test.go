@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// sealedTrace records a small but non-trivial stream and seals it.
+// sealedTrace records a small but non-trivial histogram and seals it.
 func sealedTrace() *Trace {
 	r := NewRecorder()
 	r.Call(0)
@@ -46,16 +46,18 @@ func TestBitFlipDetected(t *testing.T) {
 		if _, err := tr.Hist(); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("Hist on flipped trace = %v, want ErrCorrupt", err)
 		}
-		var ev Event
-		if _, err := NewReader(tr).Next(&ev); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("NewReader on flipped trace decoded: %v", err)
-		}
 	}
+}
+
+// truncate drops the payload to n bytes, keeping the footer in place — a
+// short write.
+func truncate(tr *Trace, n int) {
+	tr.data = append(append([]byte(nil), tr.data[:n]...), tr.data[len(tr.data)-footerSize:]...)
 }
 
 func TestTruncationDetected(t *testing.T) {
 	tr := sealedTrace()
-	tr.Truncate(tr.Size() / 2)
+	truncate(tr, tr.Size()/2)
 	err := tr.Verify()
 	if !errors.Is(err, ErrTruncated) {
 		t.Fatalf("Verify on truncated trace = %v, want ErrTruncated", err)
@@ -74,6 +76,17 @@ func TestTruncationDetected(t *testing.T) {
 	tr3.data[len(tr3.data)-footerSize] ^= 0xFF // smash the magic
 	if err := tr3.Verify(); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("Verify with bad magic = %v, want ErrTruncated", err)
+	}
+	// A trace with no footer at all — the zero Trace — never verifies.
+	var zero Trace
+	if err := zero.Verify(); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("Verify on the zero Trace = %v, want ErrTruncated", err)
+	}
+	if _, err := zero.Hist(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Hist on the zero Trace = %v, want ErrCorrupt", err)
+	}
+	if _, err := Unmarshal(zero.Marshal()); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("Unmarshal of a footerless trace = %v, want ErrTruncated", err)
 	}
 }
 
@@ -96,25 +109,18 @@ func TestCloneIsIndependent(t *testing.T) {
 	}
 }
 
-func TestUnsealedTraceSkipsIntegrity(t *testing.T) {
-	// Raw traces (tests, fuzzing) have no footer; Verify is trivially nil
-	// and decoding is validated event by event as before.
-	raw := &Trace{data: []byte{0x00, 0x00, 0x00}} // tree 0, exit 0, no bits
-	if err := raw.Verify(); err != nil {
-		t.Fatalf("unsealed Verify = %v, want nil", err)
-	}
-	h, err := raw.Hist()
-	if err != nil || len(h.Entries) != 1 {
-		t.Fatalf("unsealed Hist = %+v, %v", h, err)
-	}
-}
-
 func TestEmptySealedTrace(t *testing.T) {
 	tr := NewRecorder().Finish(0, 0)
 	if err := tr.Verify(); err != nil {
 		t.Fatalf("empty sealed trace fails verification: %v", err)
 	}
-	if tr.Size() != 0 {
-		t.Fatalf("empty trace payload size = %d, want 0", tr.Size())
+	// The empty histogram is the single header varint: no calls.
+	if !bytes.Equal(tr.Bytes(), []byte{0}) {
+		t.Fatalf("empty trace payload = %x, want 00", tr.Bytes())
+	}
+	// FlipByte still has a payload byte to corrupt.
+	tr.FlipByte(0)
+	if err := tr.Verify(); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("flipped empty trace: Verify = %v, want ErrChecksum", err)
 	}
 }

@@ -1,33 +1,26 @@
 package trace
 
 // Persistence codec: a self-contained encoding of a trace — the
-// whole-execution totals followed by the event stream with its integrity
-// footer — so traces can live in the on-disk artifact store
-// (internal/store) and warm-start later sweeps without a capture run.
+// whole-execution totals followed by the sealed histogram payload — so
+// traces can live in the on-disk artifact store (internal/store) and
+// warm-start later sweeps without a capture run.
 
 import (
 	"encoding/binary"
 	"fmt"
 )
 
-// Marshal returns a self-contained encoding of the trace: its totals,
-// a sealed flag, and the event stream (including the integrity footer for
-// sealed traces). The inverse of Unmarshal.
+// Marshal returns a self-contained encoding of the trace: its totals, then
+// the histogram payload with its integrity footer. The inverse of Unmarshal.
 func (t *Trace) Marshal() []byte {
-	buf := make([]byte, 0, len(t.data)+5*binary.MaxVarintLen64)
-	buf = binary.AppendVarint(buf, t.Events)
-	buf = binary.AppendVarint(buf, t.TreeExecs)
-	buf = binary.AppendVarint(buf, t.Ops)
-	buf = binary.AppendVarint(buf, t.Committed)
-	if t.sealed {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
+	buf := make([]byte, 0, len(t.data)+4*binary.MaxVarintLen64)
+	for _, v := range [...]int64{t.Events, t.TreeExecs, t.Ops, t.Committed} {
+		buf = binary.AppendVarint(buf, v)
 	}
 	return append(buf, t.data...)
 }
 
-// Unmarshal reconstructs a trace from Marshal's encoding. A sealed trace is
+// Unmarshal reconstructs a trace from Marshal's encoding. The trace is
 // integrity-checked before it is returned, so corruption of the persisted
 // bytes surfaces here as ErrTruncated/ErrChecksum (both wrapping
 // ErrCorrupt), never as garbage cycle counts downstream.
@@ -44,11 +37,7 @@ func Unmarshal(data []byte) (*Trace, error) {
 		*dst = v
 		data = data[n:]
 	}
-	if len(data) == 0 {
-		return nil, fmt.Errorf("%w: missing sealed flag", ErrCorrupt)
-	}
-	t.sealed = data[0] != 0
-	t.data = append([]byte(nil), data[1:]...)
+	t.data = append([]byte(nil), data...)
 	if err := t.Verify(); err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
-// Package trace defines a compact execution-trace format for decision-tree
-// programs: the exact information cycle pricing consumes from an
-// interpretation — which tree executed, which exit it took, and which guarded
-// operations committed — plus call framing, and nothing else.
+// Package trace records the exact information cycle pricing consumes from an
+// interpretation of a decision-tree program — which tree executed, which exit
+// it took, and which guarded operations committed — and nothing else.
 //
 // A simulator records one trace per program interpretation; any number of
 // machine models can then be priced by replaying the trace against their
@@ -9,26 +8,24 @@
 // format is the classic trace-driven-simulation split of a functional pass
 // from the timing passes it feeds.
 //
-// # Wire format
+// Cycle counts are schedule lengths weighted by how often each path ran, so
+// event order never influences a price. The Recorder therefore aggregates as
+// it records: a trace is a histogram with one count per distinct (tree, exit,
+// commit bits) pattern — a few thousand entries standing in for millions of
+// tree executions.
 //
-// A trace is a stream of varint-encoded events (encoding/binary unsigned
-// varints). Every event starts with a header varint h whose low two bits are
-// the event kind and whose remaining bits are the kind's payload:
+// # Payload format
 //
-//	kind 0 (tree)   payload = tree PIdx; followed by the taken exit index
-//	                (varint), the number of guard-commit-bit bytes (varint),
-//	                and that many raw bytes. Bit k (byte k/8, bit k%8) is the
-//	                commit bit of the tree's k-th guarded op in Seq order.
-//	kind 1 (call)   payload = callee's function index in Program.Order.
-//	kind 2 (ret)    payload must be zero.
-//	kind 3 (repeat) payload = n: the immediately preceding tree event
-//	                executed n additional times (loop framing). Recorders
-//	                emit at most one repeat per tree event; readers fold any
-//	                run of them into the event's Count.
+// A trace's payload is a sequence of encoding/binary unsigned varints, each
+// in its minimal encoding:
 //
-// Consecutive identical tree executions — a loop body whose guards resolve
-// the same way every iteration, the common case — therefore cost one tree
-// event plus one repeat event regardless of trip count.
+//	MaxFn+1                   largest function index called, plus one (0: no calls)
+//	per pattern, in first-appearance order:
+//	  Idx Exit len(Bits) Bits Count
+//
+// Bits are len(Bits) raw bytes: bit k (byte k/8, bit k%8) is the commit bit
+// of the tree's k-th guarded op in Seq order. Count is at least 1. Every
+// payload is sealed with an integrity footer (see Trace).
 package trace
 
 import (
@@ -41,50 +38,16 @@ import (
 	"sync"
 )
 
-// Kind classifies a decoded event.
-type Kind uint8
-
-// Event kinds. Repeat events are folded into KindTree events by the Reader
-// and never surface.
-const (
-	KindTree Kind = iota
-	KindCall
-	KindRet
-)
-
-// Wire-format kind codes (low two bits of an event header).
-const (
-	wireTree   = 0
-	wireCall   = 1
-	wireRet    = 2
-	wireRepeat = 3
-)
-
-func (k Kind) String() string {
-	switch k {
-	case KindTree:
-		return "tree"
-	case KindCall:
-		return "call"
-	case KindRet:
-		return "ret"
-	}
-	return fmt.Sprintf("kind(%d)", int(k))
-}
-
-// Trace is one recorded interpretation: the encoded event stream plus the
-// run's whole-execution totals, which replay reports without re-deriving.
+// Trace is one recorded interpretation: the sealed histogram payload plus
+// the run's whole-execution totals, which replay reports without re-deriving.
 //
-// Traces built by Recorder.Finish are sealed: the event payload is followed
-// by a fixed integrity footer (magic, payload length, CRC32), and every
-// consumer — Hist, NewReader — verifies it before decoding, so truncation or
-// bit corruption surfaces as a typed error (ErrTruncated / ErrChecksum)
-// instead of garbage cycle counts. Raw traces assembled directly from bytes
-// (tests, fuzzing) are unsealed and skip the integrity check.
+// The payload is followed by a fixed integrity footer (magic, payload
+// length, CRC32), and Hist verifies it before decoding, so truncation or bit
+// corruption surfaces as a typed error (ErrTruncated / ErrChecksum) instead
+// of garbage cycle counts. Traces come from Recorder.Finish or Unmarshal; the
+// zero Trace has no footer and fails verification.
 type Trace struct {
-	// Events counts logical events (tree executions, calls, returns) with
-	// repeat runs expanded — the number of events a Reader yields, weighted
-	// by Count.
+	// Events counts recorded events: tree executions, calls and returns.
 	Events int64
 	// TreeExecs counts tree executions (the priced events) out of Events.
 	TreeExecs int64
@@ -92,9 +55,8 @@ type Trace struct {
 	// (sim.Result.Ops / sim.Result.Committed).
 	Ops, Committed int64
 
-	// data is the event payload, followed by the footer when sealed.
-	data   []byte
-	sealed bool
+	// data is the histogram payload followed by the footer.
+	data []byte
 
 	histOnce sync.Once
 	hist     *Hist
@@ -102,23 +64,25 @@ type Trace struct {
 }
 
 // Integrity footer layout: 4 magic bytes, then the payload length and the
-// payload's IEEE CRC32 as little-endian uint32s. The magic's first byte can
-// never begin a footer-less comparison accident: it is just a marker — the
-// footer is located by position (the last footerSize bytes), never scanned
-// for, so no payload byte pattern can be confused with it.
+// payload's IEEE CRC32 as little-endian uint32s. The magic is just a marker —
+// the footer is located by position (the last footerSize bytes), never
+// scanned for, so no payload byte pattern can be confused with it.
 var footerMagic = [4]byte{0xF5, 'T', 'R', 'C'}
 
 const footerSize = 12
 
-// Integrity errors. Both wrap ErrCorrupt, so existing corrupt-stream
-// handling catches them; they are additionally distinguishable for tests and
+// ErrCorrupt is wrapped by every error reporting a damaged or malformed
+// trace, so callers can distinguish it from their own validation failures.
+var ErrCorrupt = errors.New("trace: corrupt trace")
+
+// Integrity errors. Both wrap ErrCorrupt, so existing corrupt-trace handling
+// catches them; they are additionally distinguishable for tests and
 // degradation accounting.
 var (
-	// ErrTruncated marks a sealed trace whose payload length no longer
-	// matches its footer (bytes lost or a footer destroyed).
+	// ErrTruncated marks a trace whose payload length no longer matches its
+	// footer (bytes lost or a footer destroyed).
 	ErrTruncated = fmt.Errorf("%w: payload truncated or footer missing", ErrCorrupt)
-	// ErrChecksum marks a sealed trace whose payload fails its CRC (bit
-	// corruption).
+	// ErrChecksum marks a trace whose payload fails its CRC (bit corruption).
 	ErrChecksum = fmt.Errorf("%w: payload checksum mismatch", ErrCorrupt)
 )
 
@@ -129,30 +93,26 @@ func (t *Trace) seal() {
 	binary.LittleEndian.PutUint32(foot[4:8], uint32(len(t.data)))
 	binary.LittleEndian.PutUint32(foot[8:12], crc32.ChecksumIEEE(t.data))
 	t.data = append(t.data, foot[:]...)
-	t.sealed = true
 }
 
-// payload returns the event-stream bytes, excluding any integrity footer.
+// payload returns the histogram bytes, excluding the integrity footer (nil
+// when there is no room for a footer).
 func (t *Trace) payload() []byte {
-	if t.sealed && len(t.data) >= footerSize {
-		return t.data[:len(t.data)-footerSize]
-	}
-	return t.data
-}
-
-// Verify checks a sealed trace's integrity footer: the magic must be
-// present, the payload length must match, and the payload CRC must agree.
-// The error (ErrTruncated or ErrChecksum) wraps ErrCorrupt. Unsealed raw
-// traces verify trivially — their decoding is validated event by event.
-func (t *Trace) Verify() error {
-	if !t.sealed {
+	if len(t.data) < footerSize {
 		return nil
 	}
+	return t.data[:len(t.data)-footerSize]
+}
+
+// Verify checks the trace's integrity footer: the magic must be present, the
+// payload length must match, and the payload CRC must agree. The error
+// (ErrTruncated or ErrChecksum) wraps ErrCorrupt.
+func (t *Trace) Verify() error {
 	if len(t.data) < footerSize {
 		return ErrTruncated
 	}
 	foot := t.data[len(t.data)-footerSize:]
-	pay := t.data[:len(t.data)-footerSize]
+	pay := t.payload()
 	if !bytes.Equal(foot[:4], footerMagic[:]) {
 		return ErrTruncated
 	}
@@ -165,12 +125,12 @@ func (t *Trace) Verify() error {
 	return nil
 }
 
-// Bytes returns the encoded event stream (without the integrity footer).
-// The slice is owned by the trace and must not be modified.
+// Bytes returns the encoded histogram (without the integrity footer). The
+// slice is owned by the trace and must not be modified.
 func (t *Trace) Bytes() []byte { return t.payload() }
 
-// Size returns the encoded event-stream length in bytes (without the
-// integrity footer).
+// Size returns the encoded histogram length in bytes (without the integrity
+// footer).
 func (t *Trace) Size() int { return len(t.payload()) }
 
 // Clone returns a deep copy of the trace with its own buffer and a fresh
@@ -183,7 +143,6 @@ func (t *Trace) Clone() *Trace {
 		Ops:       t.Ops,
 		Committed: t.Committed,
 		data:      append([]byte(nil), t.data...),
-		sealed:    t.sealed,
 	}
 }
 
@@ -199,22 +158,6 @@ func (t *Trace) FlipByte(i int) {
 		i = -i
 	}
 	pay[i%len(pay)] ^= 0xFF
-}
-
-// Truncate drops the payload to at most n bytes, keeping the footer in place
-// — a fault-injection helper simulating a short write. The histogram cache
-// must not have been built yet.
-func (t *Trace) Truncate(n int) {
-	pay := t.payload()
-	if n < 0 || n >= len(pay) {
-		return
-	}
-	if t.sealed {
-		foot := t.data[len(t.data)-footerSize:]
-		t.data = append(t.data[:n], foot...)
-	} else {
-		t.data = t.data[:n]
-	}
 }
 
 // HistEntry is one distinct (tree, exit, commit bits) pattern of a trace and
@@ -240,137 +183,108 @@ func (e HistEntry) Bit(k int) bool {
 	return e.Bits[k>>3]&(1<<uint(k&7)) != 0
 }
 
-// Hist is the aggregated view of a trace: one entry per distinct tree
-// execution pattern, in first-appearance order, plus the call-framing facts a
-// replayer validates. Because cycle pricing is a pure function of the pattern
-// and trace order never influences totals (int64 sums commute), replaying the
-// histogram prices each distinct pattern exactly once — typically thousands
-// of entries standing in for millions of events.
+// Hist is the decoded view of a trace: one entry per distinct tree
+// execution pattern, in first-appearance order, plus the largest function
+// index called, which a replayer validates. Because cycle pricing is a pure
+// function of the pattern and int64 sums commute, replaying the histogram
+// prices each distinct pattern exactly once.
 type Hist struct {
 	Entries []HistEntry
-	// Calls counts call events; MaxFn is the largest function index called
-	// (-1 when Calls is zero).
-	Calls int64
+	// MaxFn is the largest function index called (-1 when nothing was).
 	MaxFn int
 }
 
-// Hist returns the trace's aggregated view, decoding and validating the
-// stream on first use and caching the result; safe for concurrent use. The
-// error, if any, wraps ErrCorrupt. Sealed traces are integrity-checked
-// first, so corruption surfaces as ErrTruncated/ErrChecksum even when the
-// damaged bytes still decode as a well-formed event stream.
+// Hist returns the trace's histogram, verifying the integrity footer and
+// decoding the payload on first use and caching the result; safe for
+// concurrent use. The error, if any, wraps ErrCorrupt.
 func (t *Trace) Hist() (*Hist, error) {
 	t.histOnce.Do(func() {
 		if err := t.Verify(); err != nil {
 			t.histErr = err
 			return
 		}
-		t.hist, t.histErr = buildHist(t.payload())
+		t.hist, t.histErr = decodeHist(t.payload())
 	})
 	return t.hist, t.histErr
 }
 
-func buildHist(data []byte) (*Hist, error) {
-	h := &Hist{MaxFn: -1}
-	// Patterns are looked up once per encoded tree event, so the key
-	// representation is hot. Small patterns — bits ≤ 48 and a 16-bit exit,
-	// i.e. essentially all of them — pack into a uint64 keyed per tree
-	// (integer hashing is several times cheaper than hashing a byte string);
-	// anything larger falls back to a byte-string key.
-	var fast []map[uint64]int32 // by tree idx: packed pattern -> Entries index
-	var idx map[string]int32    // oversized patterns -> Entries index
-	var key []byte
-	rd := NewBytesReader(data)
-	var ev Event
-	depth := 0
-	for {
-		ok, err := rd.Next(&ev)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return h, nil
-		}
-		switch ev.Kind {
-		case KindTree:
-			var slot *HistEntry
-			if ev.Idx < 1<<16 && ev.Exit < 1<<16 && len(ev.Bits) <= 6 {
-				k := uint64(ev.Exit) << 48
-				for i, b := range ev.Bits {
-					k |= uint64(b) << (8 * i)
-				}
-				for ev.Idx >= len(fast) {
-					fast = append(fast, nil)
-				}
-				m := fast[ev.Idx]
-				if m == nil {
-					m = map[uint64]int32{}
-					fast[ev.Idx] = m
-				}
-				if i, ok := m[k]; ok {
-					slot = &h.Entries[i]
-				} else {
-					m[k] = int32(len(h.Entries))
-				}
-			} else {
-				// Varints are self-delimiting, so the key cannot collide
-				// across patterns with different bit lengths.
-				key = binary.AppendUvarint(key[:0], uint64(ev.Idx))
-				key = binary.AppendUvarint(key, uint64(ev.Exit))
-				key = append(key, ev.Bits...)
-				if idx == nil {
-					idx = map[string]int32{}
-				}
-				if i, ok := idx[string(key)]; ok {
-					slot = &h.Entries[i]
-				} else {
-					idx[string(key)] = int32(len(h.Entries))
-				}
-			}
-			if slot != nil {
-				if ev.Count > math.MaxInt64-slot.Count {
-					return nil, fmt.Errorf("%w: pattern count overflow", ErrCorrupt)
-				}
-				slot.Count += ev.Count
-			} else {
-				h.Entries = append(h.Entries, HistEntry{
-					Idx: ev.Idx, Exit: ev.Exit, Bits: ev.Bits, Count: ev.Count,
-				})
-			}
-		case KindCall:
-			h.Calls++
-			if ev.Idx > h.MaxFn {
-				h.MaxFn = ev.Idx
-			}
-			depth++
-		case KindRet:
-			if depth--; depth < 0 {
-				return nil, fmt.Errorf("%w: ret event without a call", ErrCorrupt)
-			}
-		}
+// appendHist appends the payload encoding of h to buf.
+func appendHist(buf []byte, h *Hist) []byte {
+	buf = binary.AppendUvarint(buf, uint64(h.MaxFn+1))
+	for _, e := range h.Entries {
+		buf = binary.AppendUvarint(buf, uint64(e.Idx))
+		buf = binary.AppendUvarint(buf, uint64(e.Exit))
+		buf = binary.AppendUvarint(buf, uint64(len(e.Bits)))
+		buf = append(buf, e.Bits...)
+		buf = binary.AppendUvarint(buf, uint64(e.Count))
 	}
+	return buf
 }
 
-// Recorder builds a trace incrementally. The zero value is not ready;
-// use NewRecorder.
-type Recorder struct {
-	data   []byte
-	events int64
-	trees  int64
+// decodeHist decodes a payload, accepting exactly what appendHist produces:
+// minimal varints, indices that fit an int32 and positive counts. Errors wrap
+// ErrCorrupt.
+func decodeHist(data []byte) (*Hist, error) {
+	var err error
+	// next decodes one varint no larger than max; once decoding has failed
+	// it returns 0.
+	next := func(what string, max uint64) uint64 {
+		if err != nil {
+			return 0
+		}
+		v, n := binary.Uvarint(data)
+		switch {
+		case n <= 0:
+			err = fmt.Errorf("%w: bad %s varint", ErrCorrupt, what)
+		case n > 1 && data[n-1] == 0:
+			err = fmt.Errorf("%w: non-minimal %s varint", ErrCorrupt, what)
+		case v > max:
+			err = fmt.Errorf("%w: %s %d out of range", ErrCorrupt, what, v)
+		default:
+			data = data[n:]
+			return v
+		}
+		return 0
+	}
+	h := &Hist{MaxFn: int(next("function index", math.MaxInt32+1)) - 1}
+	for err == nil && len(data) > 0 {
+		e := HistEntry{Idx: int(next("tree index", math.MaxInt32)), Exit: int(next("exit", math.MaxInt32))}
+		nb := next("bits length", math.MaxInt32)
+		if nb > uint64(len(data)) {
+			return nil, fmt.Errorf("%w: %d bit bytes but only %d left", ErrCorrupt, nb, len(data))
+		}
+		e.Bits, data = data[:nb:nb], data[nb:]
+		if e.Count = int64(next("count", math.MaxInt64)); err == nil && e.Count == 0 {
+			err = fmt.Errorf("%w: zero pattern count", ErrCorrupt)
+		}
+		h.Entries = append(h.Entries, e)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return h, nil
+}
 
-	// Pending run of identical tree events, flushed lazily so consecutive
-	// repeats collapse into one repeat event.
-	havePending bool
-	pendPIdx    int
-	pendExit    int
-	pendBits    []byte
-	pendCount   int64
+// Recorder builds a trace's histogram as the interpretation runs. The zero
+// value is not ready; use NewRecorder.
+type Recorder struct {
+	events, trees int64
+	maxFn         int
+	entries       []HistEntry
+
+	// Patterns are looked up once per tree execution, so the key
+	// representation is hot. Small patterns — a 16-bit tree index, a 13-bit
+	// exit and at most 6 bit bytes, i.e. essentially all of them — pack with
+	// their bit length into a uint64 keyed per tree (integer hashing is
+	// several times cheaper than hashing a byte string); anything larger
+	// falls back to a byte-string key.
+	fast []map[uint64]int32 // by tree idx: packed pattern -> entries index
+	slow map[string]int32   // oversized patterns -> entries index
+	key  []byte
 }
 
 // NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder {
-	return &Recorder{data: make([]byte, 0, 4096)}
-}
+func NewRecorder() *Recorder { return &Recorder{maxFn: -1} }
 
 // Tree records one tree execution: the tree's program-wide index, the taken
 // exit's index, and the packed commit bits of the tree's guarded ops (bit k
@@ -380,20 +294,43 @@ func (r *Recorder) Tree(pidx, exit int, bits []byte) {
 	if pidx < 0 || exit < 0 {
 		panic("trace: negative tree or exit index")
 	}
-	if r.havePending && r.pendPIdx == pidx && r.pendExit == exit && bytes.Equal(r.pendBits, bits) {
-		r.pendCount++
-		r.events++
-		r.trees++
-		return
-	}
-	r.flush()
-	r.havePending = true
-	r.pendPIdx = pidx
-	r.pendExit = exit
-	r.pendBits = append(r.pendBits[:0], bits...)
-	r.pendCount = 1
 	r.events++
 	r.trees++
+	next := int32(len(r.entries))
+	if pidx < 1<<16 && exit < 1<<13 && len(bits) <= 6 {
+		k := uint64(exit)<<51 | uint64(len(bits))<<48
+		for i, b := range bits {
+			k |= uint64(b) << (8 * i)
+		}
+		for pidx >= len(r.fast) {
+			r.fast = append(r.fast, nil)
+		}
+		m := r.fast[pidx]
+		if m == nil {
+			m = map[uint64]int32{}
+			r.fast[pidx] = m
+		}
+		if i, ok := m[k]; ok {
+			r.entries[i].Count++
+			return
+		}
+		m[k] = next
+	} else {
+		// Varints are self-delimiting, so the key cannot collide across
+		// patterns with different bit lengths.
+		r.key = binary.AppendUvarint(r.key[:0], uint64(pidx))
+		r.key = binary.AppendUvarint(r.key, uint64(exit))
+		r.key = append(r.key, bits...)
+		if i, ok := r.slow[string(r.key)]; ok {
+			r.entries[i].Count++
+			return
+		}
+		if r.slow == nil {
+			r.slow = map[string]int32{}
+		}
+		r.slow[string(r.key)] = next
+	}
+	r.entries = append(r.entries, HistEntry{Idx: pidx, Exit: exit, Bits: append([]byte(nil), bits...), Count: 1})
 }
 
 // Call records entry into the function with the given Program.Order index.
@@ -401,209 +338,24 @@ func (r *Recorder) Call(fn int) {
 	if fn < 0 {
 		panic("trace: negative function index")
 	}
-	r.flush()
-	r.data = binary.AppendUvarint(r.data, uint64(fn)<<2|wireCall)
 	r.events++
+	r.maxFn = max(r.maxFn, fn)
 }
 
 // Ret records a function return.
-func (r *Recorder) Ret() {
-	r.flush()
-	r.data = append(r.data, wireRet)
-	r.events++
-}
+func (r *Recorder) Ret() { r.events++ }
 
-func (r *Recorder) flush() {
-	if !r.havePending {
-		return
-	}
-	// Assemble the whole event in a stack buffer when the bits fit (they
-	// always do for trees with ≤ 24·8 guarded ops) so the hot path is one
-	// append.
-	var buf [4 * binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], uint64(r.pendPIdx)<<2|wireTree)
-	n += binary.PutUvarint(buf[n:], uint64(r.pendExit))
-	n += binary.PutUvarint(buf[n:], uint64(len(r.pendBits)))
-	if len(r.pendBits) <= len(buf)-n {
-		n += copy(buf[n:], r.pendBits)
-		r.data = append(r.data, buf[:n]...)
-	} else {
-		r.data = append(r.data, buf[:n]...)
-		r.data = append(r.data, r.pendBits...)
-	}
-	if r.pendCount > 1 {
-		r.data = binary.AppendUvarint(r.data, uint64(r.pendCount-1)<<2|wireRepeat)
-	}
-	r.havePending = false
-}
-
-// Finish seals the recorder into a trace, attaching the recorded run's
-// dynamic operation totals and appending the integrity footer. The recorder
-// must not be used afterwards.
+// Finish encodes the recorded histogram into a sealed trace, attaching the
+// recorded run's dynamic operation totals. The recorder must not be used
+// afterwards.
 func (r *Recorder) Finish(ops, committed int64) *Trace {
-	r.flush()
 	t := &Trace{
 		Events:    r.events,
 		TreeExecs: r.trees,
 		Ops:       ops,
 		Committed: committed,
+		data:      appendHist(nil, &Hist{Entries: r.entries, MaxFn: r.maxFn}),
 	}
-	t.data = r.data
-	r.data = nil
 	t.seal()
 	return t
-}
-
-// Event is one decoded trace event.
-type Event struct {
-	Kind Kind
-	// Idx is the tree PIdx (KindTree) or function index (KindCall).
-	Idx int
-	// Exit is the taken exit index (KindTree only).
-	Exit int
-	// Count is the run length: the event occurred Count times consecutively
-	// (KindTree only; always ≥ 1).
-	Count int64
-	// Bits are the packed guard-commit bits (KindTree only). The slice
-	// aliases the trace's buffer and is valid until the trace is released;
-	// it must not be modified.
-	Bits []byte
-}
-
-// Decoding errors. Reader errors wrap ErrCorrupt so callers can distinguish
-// a malformed stream from their own validation failures.
-var ErrCorrupt = errors.New("trace: corrupt stream")
-
-// Reader decodes a trace's event stream. Each Next call yields one event
-// with repeat runs folded into Count.
-type Reader struct {
-	data []byte
-	pos  int
-	err  error
-}
-
-// NewReader returns a reader over the trace's events. A sealed trace that
-// fails its integrity check yields a reader whose first Next reports the
-// integrity error.
-func NewReader(t *Trace) *Reader {
-	if err := t.Verify(); err != nil {
-		return &Reader{err: err}
-	}
-	return NewBytesReader(t.Bytes())
-}
-
-// NewBytesReader returns a reader over a raw encoded stream (as returned by
-// Trace.Bytes); used by tests and fuzzing.
-func NewBytesReader(data []byte) *Reader { return &Reader{data: data} }
-
-func (r *Reader) uvarint(what string) (uint64, bool) {
-	// Fast path: most fields (small indices, bit counts, bits ≤ 127) encode
-	// in one byte.
-	if r.pos < len(r.data) {
-		if b := r.data[r.pos]; b < 0x80 {
-			r.pos++
-			return uint64(b), true
-		}
-	}
-	v, n := binary.Uvarint(r.data[r.pos:])
-	if n <= 0 {
-		r.err = fmt.Errorf("%w: bad %s varint at offset %d", ErrCorrupt, what, r.pos)
-		return 0, false
-	}
-	r.pos += n
-	return v, true
-}
-
-// uintField decodes a varint that must fit in a non-negative int.
-func (r *Reader) uintField(what string) (int, bool) {
-	v, ok := r.uvarint(what)
-	if !ok {
-		return 0, false
-	}
-	if v > math.MaxInt32 {
-		r.err = fmt.Errorf("%w: %s %d out of range at offset %d", ErrCorrupt, what, v, r.pos)
-		return 0, false
-	}
-	return int(v), true
-}
-
-// Next decodes the next event into ev. It returns false with a nil error at
-// the end of the stream, and false with a non-nil error (wrapping
-// ErrCorrupt) on a malformed stream; once it fails it keeps failing.
-func (r *Reader) Next(ev *Event) (bool, error) {
-	if r.err != nil {
-		return false, r.err
-	}
-	if r.pos >= len(r.data) {
-		return false, nil
-	}
-	h, ok := r.uvarint("header")
-	if !ok {
-		return false, r.err
-	}
-	payload := h >> 2
-	switch h & 3 {
-	case wireTree:
-		if payload > math.MaxInt32 {
-			r.err = fmt.Errorf("%w: tree index %d out of range", ErrCorrupt, payload)
-			return false, r.err
-		}
-		ev.Kind = KindTree
-		ev.Idx = int(payload)
-		exit, ok := r.uintField("exit")
-		if !ok {
-			return false, r.err
-		}
-		ev.Exit = exit
-		nb, ok := r.uintField("bits length")
-		if !ok {
-			return false, r.err
-		}
-		if nb > len(r.data)-r.pos {
-			r.err = fmt.Errorf("%w: %d bit bytes but only %d left", ErrCorrupt, nb, len(r.data)-r.pos)
-			return false, r.err
-		}
-		ev.Bits = r.data[r.pos : r.pos+nb : r.pos+nb]
-		r.pos += nb
-		ev.Count = 1
-		// Fold any trailing repeat events into Count.
-		for r.pos < len(r.data) {
-			save := r.pos
-			h2, ok := r.uvarint("repeat header")
-			if !ok {
-				// Surface the truncation on the *next* call: this event is
-				// complete.
-				r.pos, r.err = save, nil
-				break
-			}
-			if h2&3 != wireRepeat {
-				r.pos = save
-				break
-			}
-			extra := h2 >> 2
-			if extra > uint64(math.MaxInt64)-uint64(ev.Count) {
-				r.err = fmt.Errorf("%w: repeat count overflow", ErrCorrupt)
-				return false, r.err
-			}
-			ev.Count += int64(extra)
-		}
-		return true, nil
-	case wireCall:
-		if payload > math.MaxInt32 {
-			r.err = fmt.Errorf("%w: function index %d out of range", ErrCorrupt, payload)
-			return false, r.err
-		}
-		*ev = Event{Kind: KindCall, Idx: int(payload), Count: 1}
-		return true, nil
-	case wireRet:
-		if payload != 0 {
-			r.err = fmt.Errorf("%w: ret event with payload %d", ErrCorrupt, payload)
-			return false, r.err
-		}
-		*ev = Event{Kind: KindRet, Count: 1}
-		return true, nil
-	default: // wireRepeat
-		r.err = fmt.Errorf("%w: repeat event without a preceding tree event", ErrCorrupt)
-		return false, r.err
-	}
 }
