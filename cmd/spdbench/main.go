@@ -21,11 +21,9 @@
 //	spdbench -fuel N          # dynamic-op budget per interpretation
 //	spdbench -deadline 30s    # wall-clock deadline for the whole evaluation
 //	spdbench -inject PLAN     # seeded fault injection, e.g. seed=42,rate=0.3
-//	spdbench -store DIR       # persistent artifact store: repeat runs start warm
+//	spdbench -store DIR       # persistent artifact store of prepare summaries,
+//	                          # traces and priced cells: repeat runs start warm
 //	spdbench -store-stats     # print store hit/miss counters to stderr
-//	spdbench -tamper bcode    # debug: semantically corrupt stored bytecode
-//	                          # artifacts first; load-time validation must
-//	                          # drop them and the run must self-repair
 //	spdbench -json            # also write BENCH_spdbench.json with timings
 //	spdbench -cpuprofile f    # write a CPU profile of the run
 //
@@ -159,13 +157,6 @@ type resilienceReport struct {
 	InterpFallbacks int64 `json:"interp_fallbacks"`
 	// FaultsInjected counts cells the -inject plan armed.
 	FaultsInjected int64 `json:"faults_injected"`
-	// ValidationDrops counts store artifacts that decoded cleanly but failed
-	// semantic validation at load time (the translation validator for
-	// bytecode, metadata bounds for the native tier) and were dropped; each
-	// degrades to a recompute and the next put repairs the store. Mirrors
-	// store.invalid_dropped — surfaced here because a validation drop is a
-	// degradation rung, same as the corruption drops above it.
-	ValidationDrops int64 `json:"validation_drops"`
 }
 
 // storeReport is the "store" section of BENCH_spdbench.json.
@@ -178,18 +169,15 @@ type storeReport struct {
 	Misses  int64 `json:"misses"`
 	MemHits int64 `json:"mem_hits"`
 	// Puts counts artifacts persisted; BytesRead and BytesWritten total the
-	// artifact bytes moved (payload + integrity footer).
+	// artifact payload bytes moved (integrity footers excluded).
 	Puts         int64 `json:"puts"`
 	BytesRead    int64 `json:"bytes_read"`
 	BytesWritten int64 `json:"bytes_written"`
 	// Evictions counts in-memory LRU evictions (the on-disk copy remains);
 	// CorruptDropped counts artifacts that failed integrity or decode checks
-	// and were deleted, each degrading to a recompute; InvalidDropped counts
-	// artifacts that decoded cleanly but failed load-time semantic validation
-	// (see internal/verify) and were deleted the same way.
+	// and were deleted, each degrading to a recompute.
 	Evictions      int64 `json:"evictions"`
 	CorruptDropped int64 `json:"corrupt_dropped"`
-	InvalidDropped int64 `json:"invalid_dropped"`
 	// IOShortReads and IOOpenErrors count injected store I/O faults
 	// (-inject kinds=sio): short reads degrade into the corruption path,
 	// transient open errors into a plain miss with the file intact.
@@ -204,27 +192,6 @@ type storeReport struct {
 
 func main() {
 	os.Exit(run())
-}
-
-// tamperBCode semantically corrupts one stored bytecode artifact: it decodes
-// the program, flips the guard polarity of the first guarded instruction —
-// inverting that op's commit mask, the exact bug class the speculation
-// checker exists for — and re-encodes. The store reseals the integrity
-// footer, so the artifact passes every CRC and format check and only the
-// translation validator at load time can reject it; the run must then drop
-// it (invalid_dropped), recompile, and produce byte-identical output.
-func tamperBCode(payload []byte) []byte {
-	p, err := store.DecodeBCode(payload)
-	if err != nil {
-		return nil
-	}
-	for i := range p.Code {
-		if p.Code[i].Guard >= 0 {
-			p.Code[i].GNeg = !p.Code[i].GNeg
-			return store.EncodeBCode(p)
-		}
-	}
-	return nil // no guarded instructions: nothing to corrupt semantically
 }
 
 // run is the whole program; keeping it out of main lets the profile and
@@ -249,9 +216,8 @@ func run() int {
 	fuel := flag.Int64("fuel", defaultFuel, "dynamic-operation budget per interpretation; an exceeding cell fails typed instead of hanging")
 	deadline := flag.Duration("deadline", 0, "wall-clock deadline for the whole evaluation (0 = none); expiry fails in-flight cells typed")
 	inject := flag.String("inject", "", "seeded fault-injection plan, e.g. seed=42,rate=0.3,kinds=panic+fuel+flip+drop,times=1 (chaos mode)")
-	storeDir := flag.String("store", "", "persistent content-addressed artifact store directory: compiled code, traces, summaries and priced cells are reused across runs")
+	storeDir := flag.String("store", "", "persistent content-addressed artifact store directory: prepare summaries, traces and priced cells are reused across runs")
 	storeStats := flag.Bool("store-stats", false, "print artifact-store hit/miss counters to stderr after the run")
-	tamper := flag.String("tamper", "", "debug: semantically corrupt stored artifacts of one kind before the run (requires -store): bcode flips a commit guard's polarity in every stored bytecode program, resealing the integrity footer so only load-time validation can catch it")
 	jsonOut := flag.Bool("json", false, "write BENCH_spdbench.json with per-experiment timings")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
@@ -313,31 +279,6 @@ func run() int {
 				s.ArmIOFaults(plan.Seed, plan.Rate)
 			}
 		}
-	}
-	if *tamper != "" {
-		if r.Store == nil {
-			log.Fatal("-tamper requires a usable -store")
-		}
-		if *tamper != "bcode" {
-			log.Fatalf("unknown -tamper kind %q (want bcode)", *tamper)
-		}
-		n, err := r.Store.TamperArtifacts(store.KindBCode, tamperBCode)
-		if err != nil {
-			log.Fatalf("-tamper: %v", err)
-		}
-		// Clear the derived cells (prepare summaries, priced measurements,
-		// traces) so the warm run recomputes them and actually loads the
-		// tampered compiled code, instead of being served whole cells that
-		// never touch it.
-		deleted := 0
-		for _, k := range []store.Kind{store.KindPrep, store.KindMeas, store.KindTrace} {
-			d, err := r.Store.DeleteKind(k)
-			if err != nil {
-				log.Fatalf("-tamper: %v", err)
-			}
-			deleted += d
-		}
-		fmt.Fprintf(os.Stderr, "spdbench: tampered %d stored bytecode artifact(s), cleared %d derived cell(s)\n", n, deleted)
 	}
 	if *benchName != "" {
 		b := bench.ByName(*benchName)
@@ -505,7 +446,6 @@ func run() int {
 			TraceRecaptures:  st.TraceRecaptures,
 			InterpFallbacks:  st.InterpFallbacks,
 			FaultsInjected:   st.FaultsInjected,
-			ValidationDrops:  sst.InvalidDropped,
 		}
 		if r.Store != nil {
 			report.Store.Dir = *storeDir
@@ -518,7 +458,6 @@ func run() int {
 		report.Store.BytesWritten = sst.BytesWritten
 		report.Store.Evictions = sst.Evictions
 		report.Store.CorruptDropped = sst.CorruptDropped
-		report.Store.InvalidDropped = sst.InvalidDropped
 		report.Store.IOShortReads = sst.IOShortReads
 		report.Store.IOOpenErrors = sst.IOOpenErrors
 		report.Store.PrepsServed = st.StorePreps
@@ -536,9 +475,9 @@ func run() int {
 	// Store counters go to stderr with everything else diagnostic: stdout
 	// must stay byte-identical with and without a store, warm or cold.
 	if *storeStats && r.Store != nil {
-		fmt.Fprintf(os.Stderr, "spdbench: store %s: %d hit(s) (%d in-memory), %d miss(es), %d put(s), %d B read, %d B written, %d eviction(s), %d corrupt dropped, %d invalid dropped; served %d prep(s), %d measure(s), %d trace(s)\n",
+		fmt.Fprintf(os.Stderr, "spdbench: store %s: %d hit(s) (%d in-memory), %d miss(es), %d put(s), %d B read, %d B written, %d eviction(s), %d corrupt dropped; served %d prep(s), %d measure(s), %d trace(s)\n",
 			*storeDir, sst.Hits, sst.MemHits, sst.Misses, sst.Puts, sst.BytesRead, sst.BytesWritten,
-			sst.Evictions, sst.CorruptDropped, sst.InvalidDropped, st.StorePreps, st.StoreMeasures, st.StoreTraces)
+			sst.Evictions, sst.CorruptDropped, st.StorePreps, st.StoreMeasures, st.StoreTraces)
 	}
 
 	// The failure table and degradation summary go to stderr: stdout stays

@@ -18,9 +18,6 @@
 //	-fuel N       dynamic-op budget per lint interpretation; a cell that
 //	              exhausts it (a nonterminating example, say) is skipped
 //	              with a notice, not failed
-//	-store DIR    persistent artifact store shared with spdbench: compiled
-//	              bytecode and native-tier metadata are reused instead of
-//	              recompiled, across cells, programs, and runs
 //	-code         translation-validate the compiled tiers (layer 4): every
 //	              tree's bytecode and native artifacts are re-derived and
 //	              checked against the IR (on by default; -code=false skips)
@@ -61,7 +58,6 @@ import (
 	"specdis/internal/ncode"
 	"specdis/internal/sched"
 	"specdis/internal/sim"
-	"specdis/internal/store"
 )
 
 // target is one MiniC program to lint.
@@ -80,7 +76,6 @@ func main() {
 	code := flag.Bool("code", true, "translation-validate the compiled tiers (layer 4)")
 	schedOn := flag.Bool("sched", true, "audit schedule soundness against the dependence graph (layer 5)")
 	verbose := flag.Bool("v", false, "print per-program checker statistics")
-	storeDir := flag.String("store", "", "persistent artifact store directory (shared with spdbench): reuse compiled code across cells, programs and runs")
 	corrupt := flag.String("corrupt", "", "seed a violation before checking: seq | arc | bmask | nwin | sched")
 	chaos := flag.String("chaos", "", "fault-tolerance self-test: panic (injected crash must become a finding) | fuel (tiny budget must skip cleanly)")
 	flag.Parse()
@@ -95,19 +90,6 @@ func main() {
 	}
 
 	opts := disamb.LintOptions{MemLats: memLats, NumFUs: *fus, MaxOps: *fuel, NoCode: !*code, NoSched: !*schedOn}
-	if *storeDir != "" {
-		s, err := store.Open(*storeDir)
-		if err != nil {
-			// A broken store directory must not block the lint: warn and
-			// compile cold.
-			log.Printf("warning: -store %s unusable (%v); running without a store", *storeDir, err)
-		} else {
-			opts.BCode = bcode.NewCache(nil)
-			opts.BCode.SetBacking(store.BCodeBacking(s))
-			opts.NCode = ncode.NewCache(nil)
-			opts.NCode.SetBacking(store.NCodeBacking(s))
-		}
-	}
 	switch *execMode {
 	case "bcode":
 		opts.Exec = sim.ExecBytecode

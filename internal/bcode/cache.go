@@ -33,7 +33,7 @@ type Counters struct {
 	Evictions atomic.Int64
 }
 
-// Cache memoizes compiled trees by execution content (ir.AppendExecKey): two
+// LRU memoizes compiled trees by execution content (ir.AppendExecKey): two
 // trees that execute identically — clones of one program handed to different
 // benchmark cells, or the same source re-prepared under another
 // disambiguator — share one compiled program no matter their identity or
@@ -43,60 +43,64 @@ type Counters struct {
 // PIdx-plus-pointer scheme guarded against by never hitting across clones at
 // all).
 //
-// A cached Prog may consequently serve trees other than Prog.Tree. That is
-// sound because the executor reads nothing tree-specific beyond the
-// instruction stream: memory bounds come from the Env at run time, and the
-// caller resolves the taken exit's payload, pricing and profiling tables
-// from its own tree. Safe for concurrent use.
-type Cache struct {
-	mu    sync.Mutex
-	ctrs  *Counters
-	back  Backing
-	ents  map[string]*list.Element // nil Prog: compile declined; tree runs on the walker
-	order *list.List               // front = most recently used (holds *cacheEnt)
-	limit int                      // max entries; 0 = unbounded
-	key   []byte                   // scratch for ir.AppendExecKey
+// A cached program may consequently serve trees other than the one it was
+// compiled from. That is sound because the executors read nothing
+// tree-specific beyond the compiled code: memory bounds come from the Env at
+// run time, and the caller resolves the taken exit's payload, pricing and
+// profiling tables from its own tree.
+//
+// One LRU serves both compiled tiers — Cache here and ncode.Cache — around
+// a different compile function. Safe for concurrent use.
+type LRU[P any] struct {
+	mu      sync.Mutex
+	ctrs    *Counters
+	compile func(*ir.Tree, *Counters) *P
+	ents    map[string]*list.Element // nil program: compile declined; tree runs on a fallback engine
+	order   *list.List               // front = most recently used (holds *lruEnt[P])
+	limit   int                      // max entries; 0 = unbounded
+	key     []byte                   // scratch for ir.AppendExecKey
 }
 
-// cacheEnt is one cached compilation, threaded through the LRU order list.
-type cacheEnt struct {
+// lruEnt is one cached compilation, threaded through the LRU order list.
+type lruEnt[P any] struct {
 	key  string
-	prog *Prog
+	prog *P
 }
 
-// Backing is a second-level compiled-program store behind the in-memory
-// cache — the persistent artifact store (internal/store) in production. A
-// loaded program is served exactly like an in-memory hit; compiled programs
-// are offered to the backing for later processes. Implementations must be
-// safe for concurrent use and must return only programs encoded from the
-// same execution content as execKey (content addressing makes the key the
-// whole contract). Load receives the requesting tree so the implementation
-// can validate the decoded program against it (the persistent store runs
-// the translation validator, internal/verify.CheckBCode, and turns a
-// failed validation into a miss).
-type Backing interface {
-	// Load returns the program persisted under the exec key, or false.
-	Load(t *ir.Tree, execKey []byte) (*Prog, bool)
-	// Store persists a freshly compiled program under the exec key.
-	Store(execKey []byte, p *Prog)
+// NewLRU returns an empty cache compiling through compile, which returns
+// nil for a tree outside its repertoire and counts its own work into the
+// Counters it is handed (nil when the cache has none). compile runs under
+// the cache's lock, so each distinct tree compiles once. ctrs may be nil.
+func NewLRU[P any](ctrs *Counters, compile func(*ir.Tree, *Counters) *P) *LRU[P] {
+	return &LRU[P]{ctrs: ctrs, compile: compile, ents: map[string]*list.Element{}, order: list.New()}
 }
 
-// NewCache returns an empty cache. ctrs may be nil.
-func NewCache(ctrs *Counters) *Cache {
-	return &Cache{ctrs: ctrs, ents: map[string]*list.Element{}, order: list.New()}
-}
+// Cache is the bytecode tier's compiled-program cache.
+type Cache = LRU[Prog]
 
-// SetBacking attaches a second-level store consulted on in-memory misses.
-// Must be called before the cache is shared across goroutines.
-func (c *Cache) SetBacking(b Backing) { c.back = b }
+// NewCache returns an empty bytecode cache. ctrs may be nil.
+func NewCache(ctrs *Counters) *Cache { return NewLRU(ctrs, compileCounted) }
+
+// compileCounted is the bytecode tier's compile function for the LRU.
+func compileCounted(t *ir.Tree, ctrs *Counters) *Prog {
+	p, err := Compile(t)
+	if err != nil {
+		return nil
+	}
+	if ctrs != nil {
+		ctrs.Compiled.Add(1)
+		ctrs.Instrs.Add(int64(len(p.Code)))
+	}
+	return p
+}
 
 // SetLimit bounds the cache to n entries, evicting least-recently-used
 // compilations over capacity (0 restores the unbounded default). Long-running
 // multi-tenant services set a limit so one pathological tenant cannot grow
-// the shared cache without bound; an evicted tree simply recompiles (or
-// reloads from the backing store) on its next execution. Safe to call at any
-// time, including while the cache is shared across goroutines.
-func (c *Cache) SetLimit(n int) {
+// the shared cache without bound; an evicted tree simply recompiles on its
+// next execution. Safe to call at any time, including while the cache is
+// shared across goroutines.
+func (c *LRU[P]) SetLimit(n int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.limit = n
@@ -104,17 +108,20 @@ func (c *Cache) SetLimit(n int) {
 }
 
 // Len returns the number of cached compilations.
-func (c *Cache) Len() int {
+func (c *LRU[P]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.ents)
 }
 
+// Counters returns the cache's shared counter set (nil when none was
+// attached) — the simulator's adaptive tiering reports tier-ups through it.
+func (c *LRU[P]) Counters() *Counters { return c.ctrs }
+
 // Get returns the tree's compiled program, compiling on first use of its
-// execution content. A nil result means the tree is outside the bytecode
-// repertoire and must run on the reference tree walker; that outcome is
-// cached too.
-func (c *Cache) Get(t *ir.Tree) *Prog {
+// execution content. A nil result means the tree is outside the tier's
+// repertoire and must run on a fallback engine; that outcome is cached too.
+func (c *LRU[P]) Get(t *ir.Tree) *P {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.key = ir.AppendExecKey(c.key[:0], t)
@@ -123,37 +130,16 @@ func (c *Cache) Get(t *ir.Tree) *Prog {
 		if c.ctrs != nil {
 			c.ctrs.Hits.Add(1)
 		}
-		return el.Value.(*cacheEnt).prog
+		return el.Value.(*lruEnt[P]).prog
 	}
-	if c.back != nil {
-		if p, ok := c.back.Load(t, c.key); ok {
-			// Bind the loaded instruction stream to the requesting tree —
-			// the same aliasing an in-memory hit performs — and serve it as
-			// a cache hit: nothing was compiled.
-			p.Tree = t
-			c.insertLocked(string(c.key), p)
-			if c.ctrs != nil {
-				c.ctrs.Hits.Add(1)
-			}
-			return p
-		}
-	}
-	p := c.compile(t)
-	c.insertLocked(string(c.key), p)
-	if p != nil && c.back != nil {
-		c.back.Store(c.key, p)
-	}
+	p := c.compile(t, c.ctrs)
+	key := string(c.key)
+	c.ents[key] = c.order.PushFront(&lruEnt[P]{key: key, prog: p})
+	c.evictLocked()
 	return p
 }
 
-// insertLocked records a compilation at the front of the LRU order, evicting
-// over capacity. Caller holds the lock.
-func (c *Cache) insertLocked(key string, p *Prog) {
-	c.ents[key] = c.order.PushFront(&cacheEnt{key: key, prog: p})
-	c.evictLocked()
-}
-
-func (c *Cache) evictLocked() {
+func (c *LRU[P]) evictLocked() {
 	if c.limit <= 0 {
 		return
 	}
@@ -163,21 +149,9 @@ func (c *Cache) evictLocked() {
 			return
 		}
 		c.order.Remove(el)
-		delete(c.ents, el.Value.(*cacheEnt).key)
+		delete(c.ents, el.Value.(*lruEnt[P]).key)
 		if c.ctrs != nil {
 			c.ctrs.Evictions.Add(1)
 		}
 	}
-}
-
-func (c *Cache) compile(t *ir.Tree) *Prog {
-	p, err := Compile(t)
-	if err != nil {
-		return nil
-	}
-	if c.ctrs != nil {
-		c.ctrs.Compiled.Add(1)
-		c.ctrs.Instrs.Add(int64(len(p.Code)))
-	}
-	return p
 }

@@ -60,10 +60,10 @@ type LintOptions struct {
 	// process.
 	ChaosPanicAt int64
 	// BCode and NCode, when non-nil, are shared compiled-code caches
-	// threaded into every preparation (cmd/spdlint wires them to the
-	// persistent artifact store via -store): content addressing makes them
-	// safe across cells and target programs, so identical trees compile
-	// once per run — or never, when the store is warm.
+	// threaded into every preparation (the daemon, internal/serve, passes
+	// its server-wide pair): content addressing makes them safe across
+	// cells and target programs, so identical trees compile once. Left nil,
+	// each preparation compiles through private caches.
 	BCode *bcode.Cache
 	NCode *ncode.Cache
 	// NoCode disables layer 4 (the compiled-code translation validator over

@@ -97,10 +97,10 @@ type Runner struct {
 	Inject *resilience.FaultPlan
 
 	// Store, when non-nil, is the persistent content-addressed artifact
-	// store (`spdbench -store=DIR`): prepare summaries, traces, priced
-	// measurement cells, compiled bytecode and native-tier metadata are
-	// served from it when present and persisted when computed, so repeat
-	// sweeps start warm. Bypassed under Verify and Inject; see store.go.
+	// store (`spdbench -store=DIR`): prepare summaries, traces and priced
+	// measurement cells are served from it when present and persisted when
+	// computed, so repeat sweeps start warm. Bypassed under Verify and
+	// Inject; see store.go.
 	Store *store.Store
 
 	base   group[string, *ir.Program]
@@ -146,28 +146,22 @@ type Runner struct {
 }
 
 // caches returns the runner's shared compiled-code caches, creating them on
-// first use wired to the runner's counters — and, when the persistent store
-// is enabled, backed by it, so compiled bytecode and native-tier metadata
-// survive the process.
+// first use wired to the runner's counters.
 func (r *Runner) caches() (*bcode.Cache, *ncode.Cache) {
 	r.cacheOnce.Do(func() {
 		r.bcCache = bcode.NewCache(&r.bcodeCtrs)
 		r.ncCache = ncode.NewCache(&r.bcodeCtrs)
-		if r.storeOK() {
-			r.bcCache.SetBacking(store.BCodeBacking(r.Store))
-			r.ncCache.SetBacking(store.NCodeBacking(r.Store))
-		}
 	})
 	return r.bcCache, r.ncCache
 }
 
 // UseCaches makes the runner share pre-built compiled-code caches instead of
 // creating private ones — the service configuration, where one bounded
-// bcode/ncode cache pair (with its own server-level counters and store
-// backing) serves every request's runner. Must be called before the runner
-// executes any cell; it is a no-op if the private caches already exist. The
-// caches' own counters keep compile/hit/eviction totals at the server level,
-// while the runner's per-request Stats counters stay isolated.
+// bcode/ncode cache pair (with its own server-level counters) serves every
+// request's runner. Must be called before the runner executes any cell; it
+// is a no-op if the private caches already exist. The caches' own counters
+// keep compile/hit/eviction totals at the server level, while the runner's
+// per-request Stats counters stay isolated.
 func (r *Runner) UseCaches(bc *bcode.Cache, nc *ncode.Cache) {
 	r.cacheOnce.Do(func() {
 		r.bcCache = bc

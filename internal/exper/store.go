@@ -1,11 +1,13 @@
 package exper
 
 // Persistent warm-start layer: when Runner.Store is set, every expensive
-// cell artifact — prepare summaries, captured traces, priced measurement
-// cells, and (through the compiled-code caches' backings) bytecode programs
-// and native-tier metadata — is served from the content-addressed on-disk
-// store when present and persisted when computed. A fully warm run renders
-// every report without compiling a single tree or capturing a single trace.
+// cell artifact — prepare summaries, captured traces and priced measurement
+// cells — is served from the content-addressed on-disk store when present
+// and persisted when computed. A fully warm run renders every report from
+// the prepare summaries and priced cells alone, without compiling a single
+// tree or capturing a single trace. Compiled code stays process-local: a
+// warm run never executes, and a cold one recompiles a tree in about the
+// time a disk read of its code would take.
 //
 // Keys hash everything that determines an artifact's content: the
 // benchmark's source text (content addressing — renames don't invalidate),

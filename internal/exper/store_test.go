@@ -56,8 +56,16 @@ func TestWarmRunServesEverythingFromStore(t *testing.T) {
 	if cold.Stats().SimOps != st.SimOps {
 		t.Errorf("warm SimOps %d != cold SimOps %d", st.SimOps, cold.Stats().SimOps)
 	}
-	if ss := warm.StoreStats(); ss.Misses != 0 || ss.Puts != 0 {
-		t.Errorf("warm run missed or wrote: %+v", ss)
+	ws := warm.StoreStats()
+	if ws.Misses != 0 || ws.Puts != 0 {
+		t.Errorf("warm run missed or wrote: %+v", ws)
+	}
+	// The store holds only what can be read back: every artifact the cold
+	// run wrote is a cell the warm run read, or a trace the cold run
+	// captured (read back only when a priced cell must be recomputed).
+	if cs := cold.StoreStats(); cs.Puts != ws.Hits+cold.Stats().TraceCaptures {
+		t.Errorf("cold run wrote %d artifacts; want %d warm hits + %d trace captures",
+			cs.Puts, ws.Hits, cold.Stats().TraceCaptures)
 	}
 }
 

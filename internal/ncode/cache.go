@@ -1,162 +1,33 @@
 package ncode
 
 import (
-	"container/list"
-	"sync"
-
 	"specdis/internal/bcode"
 	"specdis/internal/ir"
 )
 
 // Cache memoizes compiled closure chains by execution content
-// (ir.AppendExecKey), exactly like the bytecode cache: clones of one program
-// share a compiled artifact, and a tree mutated after compilation re-keys
-// and recompiles. Counters are the shared bcode.Counters type so one counter
-// set can report whichever tier a sweep ran (Instrs counts emitted closure
-// steps here). Safe for concurrent use.
-type Cache struct {
-	mu    sync.Mutex
-	ctrs  *bcode.Counters
-	back  Backing
-	ents  map[string]*list.Element // nil Prog: compile declined; tree runs on the walker
-	order *list.List               // front = most recently used (holds *cacheEnt)
-	limit int                      // max entries; 0 = unbounded
-	key   []byte                   // scratch for ir.AppendExecKey
-}
-
-// cacheEnt is one cached compilation, threaded through the LRU order list.
-type cacheEnt struct {
-	key  string
-	prog *Prog
-}
-
-// Meta is the persistable residue of one native compilation. Closure chains
-// are process-bound — they cannot be serialized — but whether a tree's
-// execution content is inside the native repertoire, and how many steps it
-// lowers to, are durable facts keyed by the same content hash.
-type Meta struct {
-	// Declined marks content outside the native repertoire; the tree runs
-	// on the fallback tier and a warm cache skips the compile attempt.
-	Declined bool
-	// Steps is the compiled chain length (0 when declined); Fused counts
-	// the superinstructions of the fusion plan and Windows the wide
-	// (width ≥ 3) ones among them.
-	Steps, Fused, Windows int64
-}
-
-// Backing is a second-level metadata store behind the in-memory cache — the
-// persistent artifact store (internal/store) in production. Implementations
-// must be safe for concurrent use. Load receives the requesting tree so the
-// implementation can bounds-check the persisted metadata against it and
-// turn an implausible record (a stale or tampered artifact) into a miss.
-type Backing interface {
-	// Load returns the metadata persisted under the exec key, or false.
-	Load(t *ir.Tree, execKey []byte) (Meta, bool)
-	// Store persists one compilation's metadata under the exec key.
-	Store(execKey []byte, m Meta)
-}
+// (ir.AppendExecKey) — the bytecode tier's LRU (bcode.LRU) around the native
+// compiler: clones of one program share a compiled artifact, and a tree
+// mutated after compilation re-keys and recompiles. Counters are the shared
+// bcode.Counters type so one counter set can report whichever tier a sweep
+// ran (Instrs counts emitted closure steps here). Safe for concurrent use.
+type Cache = bcode.LRU[Prog]
 
 // NewCache returns an empty cache. ctrs may be nil.
-func NewCache(ctrs *bcode.Counters) *Cache {
-	return &Cache{ctrs: ctrs, ents: map[string]*list.Element{}, order: list.New()}
-}
+func NewCache(ctrs *bcode.Counters) *Cache { return bcode.NewLRU(ctrs, compileCounted) }
 
-// SetBacking attaches a second-level metadata store consulted on in-memory
-// misses. Must be called before the cache is shared across goroutines.
-func (c *Cache) SetBacking(b Backing) { c.back = b }
-
-// SetLimit bounds the cache to n entries, evicting least-recently-used
-// compilations over capacity (0 restores the unbounded default); see
-// bcode.Cache.SetLimit. Safe to call at any time.
-func (c *Cache) SetLimit(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.limit = n
-	c.evictLocked()
-}
-
-// Len returns the number of cached compilations.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.ents)
-}
-
-// Get returns the tree's compiled program, compiling on first use of its
-// execution content. A nil result means the tree is outside the repertoire
-// and must run on the reference tree walker; that outcome is cached too.
-func (c *Cache) Get(t *ir.Tree) *Prog {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.key = ir.AppendExecKey(c.key[:0], t)
-	if el, ok := c.ents[string(c.key)]; ok {
-		c.order.MoveToFront(el)
-		if c.ctrs != nil {
-			c.ctrs.Hits.Add(1)
-		}
-		return el.Value.(*cacheEnt).prog
-	}
-	if c.back != nil {
-		if m, ok := c.back.Load(t, c.key); ok && m.Declined {
-			// A persisted decline: the content is outside the repertoire, so
-			// skip the compile attempt and send the tree to the fallback
-			// tier, exactly as a fresh decline would.
-			c.insertLocked(string(c.key), nil)
-			if c.ctrs != nil {
-				c.ctrs.Hits.Add(1)
-			}
-			return nil
-		}
-	}
+// compileCounted is the native tier's compile function for the LRU.
+func compileCounted(t *ir.Tree, ctrs *bcode.Counters) *Prog {
 	p, err := Compile(t)
 	if err != nil {
-		p = nil
-	} else if c.ctrs != nil {
-		c.ctrs.Compiled.Add(1)
-		c.ctrs.Instrs.Add(int64(p.Steps))
-		c.ctrs.Steps.Add(int64(p.Steps))
-		c.ctrs.Fused.Add(int64(p.Fused))
-		c.ctrs.Windows.Add(int64(p.Windows))
+		return nil
 	}
-	c.insertLocked(string(c.key), p)
-	if c.back != nil {
-		if p == nil {
-			c.back.Store(c.key, Meta{Declined: true})
-		} else {
-			c.back.Store(c.key, Meta{
-				Steps:   int64(p.Steps),
-				Fused:   int64(p.Fused),
-				Windows: int64(p.Windows),
-			})
-		}
+	if ctrs != nil {
+		ctrs.Compiled.Add(1)
+		ctrs.Instrs.Add(int64(p.Steps))
+		ctrs.Steps.Add(int64(p.Steps))
+		ctrs.Fused.Add(int64(p.Fused))
+		ctrs.Windows.Add(int64(p.Windows))
 	}
 	return p
 }
-
-// insertLocked records a compilation at the front of the LRU order, evicting
-// over capacity. Caller holds the lock.
-func (c *Cache) insertLocked(key string, p *Prog) {
-	c.ents[key] = c.order.PushFront(&cacheEnt{key: key, prog: p})
-	c.evictLocked()
-}
-
-func (c *Cache) evictLocked() {
-	if c.limit <= 0 {
-		return
-	}
-	for len(c.ents) > c.limit {
-		el := c.order.Back()
-		if el == nil {
-			return
-		}
-		c.order.Remove(el)
-		delete(c.ents, el.Value.(*cacheEnt).key)
-		if c.ctrs != nil {
-			c.ctrs.Evictions.Add(1)
-		}
-	}
-}
-
-// Counters returns the cache's shared counter set (nil when none was
-// attached) — the simulator's adaptive tiering reports tier-ups through it.
-func (c *Cache) Counters() *bcode.Counters { return c.ctrs }

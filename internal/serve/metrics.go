@@ -98,7 +98,6 @@ type StoreMetrics struct {
 	Puts           int64 `json:"puts"`
 	Evictions      int64 `json:"evictions"`
 	CorruptDropped int64 `json:"corrupt_dropped"`
-	InvalidDropped int64 `json:"invalid_dropped"`
 	IOShortReads   int64 `json:"io_short_reads"`
 	IOOpenErrors   int64 `json:"io_open_errors"`
 }
@@ -145,7 +144,6 @@ func (s *Server) Snapshot() *Metrics {
 			Puts:           st.Puts,
 			Evictions:      st.Evictions,
 			CorruptDropped: st.CorruptDropped,
-			InvalidDropped: st.InvalidDropped,
 			IOShortReads:   st.IOShortReads,
 			IOOpenErrors:   st.IOOpenErrors,
 		}

@@ -76,8 +76,8 @@ type Config struct {
 	// (bcode.Cache.SetLimit); 0 means DefaultCacheLimit, negative disables
 	// the bound.
 	CacheLimit int
-	// Store, when non-nil, is the shared persistent artifact store; it also
-	// backs the shared compiled-code caches.
+	// Store, when non-nil, is the shared persistent artifact store every
+	// request's runner reads and fills.
 	Store *store.Store
 	// Inject is the seeded fault-injection plan threaded into every
 	// request's engine (chaos mode; nil in production). Store-level sio
@@ -157,10 +157,6 @@ func New(cfg Config) *Server {
 	if cfg.CacheLimit > 0 {
 		s.bc.SetLimit(cfg.CacheLimit)
 		s.nc.SetLimit(cfg.CacheLimit)
-	}
-	if cfg.Store != nil {
-		s.bc.SetBacking(store.BCodeBacking(cfg.Store))
-		s.nc.SetBacking(store.NCodeBacking(cfg.Store))
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/eval", s.handleEval)

@@ -6,28 +6,23 @@ package store
 //
 // and the whole payload is sealed with the CRC footer by Store.Put. The
 // decoders are strict: a wrong kind byte, an unknown version word, or a
-// malformed body drops the artifact (Store.DropCorrupt) and reports a miss,
-// so format evolution and corruption both degrade to recompute instead of
-// ever surfacing stale or garbage results.
+// malformed body drops the artifact (Stats.CorruptDropped) and reports a
+// miss, so format evolution and corruption both degrade to recompute instead
+// of ever surfacing stale or garbage results.
 
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
-	"specdis/internal/bcode"
-	"specdis/internal/ir"
 	"specdis/internal/trace"
 )
 
 // Format versions, one per artifact kind. Bump on any body layout change:
 // old artifacts then read as misses and are rewritten on the next cold run.
 const (
-	VersionBCode  = 1
-	VersionNative = 2 // v2: window fusion added Fused and Windows
-	VersionTrace  = 2 // v2: the payload is the pattern histogram, not an event stream
-	VersionPrep   = 1
-	VersionMeas   = 1
+	VersionTrace = 2 // v2: the payload is the pattern histogram, not an event stream
+	VersionPrep  = 1
+	VersionMeas  = 1
 )
 
 // header appends the payload preamble.
@@ -230,128 +225,4 @@ func DecodeTrace(payload []byte) (*trace.Trace, error) {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return t, nil
-}
-
-// ---- Compiled bytecode ---------------------------------------------------
-
-// maxBCodeSlots bounds decoded instruction and constant counts.
-const maxBCodeSlots = 1 << 20
-
-// EncodeBCode encodes a compiled bytecode program. The source tree is not
-// part of the artifact: the executor reads nothing tree-specific beyond the
-// instruction stream, and the cache that loads the artifact binds it to the
-// requesting tree (the same aliasing the in-process cache already performs).
-func EncodeBCode(p *bcode.Prog) []byte {
-	buf := header(make([]byte, 0, 16+20*len(p.Code)), KindBCode, VersionBCode)
-	buf = binary.AppendUvarint(buf, uint64(p.NumGuarded))
-	buf = binary.AppendUvarint(buf, uint64(len(p.Code)))
-	for i := range p.Code {
-		in := &p.Code[i]
-		flags := byte(0)
-		if in.GNeg {
-			flags = 1
-		}
-		buf = append(buf, byte(in.Op), flags)
-		buf = binary.AppendUvarint(buf, uint64(in.GIdx))
-		buf = binary.AppendVarint(buf, int64(in.Guard))
-		buf = binary.AppendVarint(buf, int64(in.A))
-		buf = binary.AppendVarint(buf, int64(in.B))
-		buf = binary.AppendVarint(buf, int64(in.Dest))
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(p.Consts)))
-	for _, c := range p.Consts {
-		buf = binary.AppendVarint(buf, c.I)
-		buf = binary.AppendUvarint(buf, math.Float64bits(c.F))
-	}
-	return buf
-}
-
-// DecodeBCode decodes a compiled bytecode program. Prog.Tree is nil; the
-// caller binds it to the tree the lookup was keyed by.
-func DecodeBCode(payload []byte) (*bcode.Prog, error) {
-	body, err := checkHeader(payload, KindBCode, VersionBCode)
-	if err != nil {
-		return nil, err
-	}
-	d := &dec{b: body}
-	p := &bcode.Prog{NumGuarded: int(d.uvarint("guarded"))}
-	n := d.count("instructions", maxBCodeSlots)
-	p.Code = make([]bcode.Instr, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		if len(d.b) < 2 {
-			d.err = fmt.Errorf("%w: truncated instruction", ErrCorrupt)
-			break
-		}
-		in := bcode.Instr{Op: bcode.Op(d.b[0]), GNeg: d.b[1] != 0}
-		d.b = d.b[2:]
-		in.GIdx = uint16(d.uvarint("gidx"))
-		in.Guard = int32(d.varint("guard"))
-		in.A = int32(d.varint("a"))
-		in.B = int32(d.varint("b"))
-		in.Dest = int32(d.varint("dest"))
-		p.Code = append(p.Code, in)
-	}
-	nc := d.count("constants", maxBCodeSlots)
-	p.Consts = make([]ir.Value, 0, nc)
-	for i := 0; i < nc && d.err == nil; i++ {
-		v := ir.Value{I: d.varint("const int")}
-		v.F = math.Float64frombits(d.uvarint("const float"))
-		p.Consts = append(p.Consts, v)
-	}
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// ---- Native-tier metadata ------------------------------------------------
-
-// NativeMeta is the persistable residue of a native-tier compilation —
-// closure chains themselves are process-bound, but whether a tree's content
-// is inside the native repertoire and how many steps it lowers to are not.
-// A warm native cache skips the compile attempt for known-declined trees
-// and pre-sizes its accounting from Steps.
-type NativeMeta struct {
-	// Declined marks execution content outside the native repertoire: the
-	// tree runs on the fallback tier, and retrying the compile is pointless.
-	Declined bool
-	// Steps is the compiled closure-chain length (0 when declined). Fused
-	// counts the superinstruction heads among those steps; Windows the 3- or
-	// 4-wide window fusions among the heads (both 0 when declined).
-	Steps, Fused, Windows int64
-}
-
-// EncodeNative encodes a native-tier metadata payload.
-func EncodeNative(m *NativeMeta) []byte {
-	buf := header(make([]byte, 0, 16), KindNative, VersionNative)
-	flag := byte(0)
-	if m.Declined {
-		flag = 1
-	}
-	buf = append(buf, flag)
-	buf = binary.AppendVarint(buf, m.Steps)
-	buf = binary.AppendVarint(buf, m.Fused)
-	return binary.AppendVarint(buf, m.Windows)
-}
-
-// DecodeNative decodes a native-tier metadata payload.
-func DecodeNative(payload []byte) (*NativeMeta, error) {
-	body, err := checkHeader(payload, KindNative, VersionNative)
-	if err != nil {
-		return nil, err
-	}
-	if len(body) == 0 {
-		return nil, fmt.Errorf("%w: empty native metadata", ErrCorrupt)
-	}
-	d := &dec{b: body[1:]}
-	m := &NativeMeta{
-		Declined: body[0] != 0,
-		Steps:    d.varint("steps"),
-		Fused:    d.varint("fused"),
-		Windows:  d.varint("windows"),
-	}
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return m, nil
 }

@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// Benchmark payloads bracketing the store's working sizes: a prepare summary
-// (~20 B) and 200 KB, far above the suite's largest artifact (a ~1.7 KB
-// compiled bytecode program).
+// Benchmark payloads bracketing the store's working sizes: 24 B, between a
+// prepare summary (10 B) and a priced cell (35–83 B), and 200 KB, far above
+// the suite's largest artifact (a 564 B trace histogram).
 var benchSizes = []int{24, 200 << 10}
 
 func BenchmarkStorePut(b *testing.B) {

@@ -1,14 +1,14 @@
 // Package store is a persistent, content-addressed artifact store for the
-// evaluation pipeline: compiled bytecode, native-tier metadata, captured
-// execution traces, and priced measurement cells, keyed by cryptographic
-// hashes of everything that determines the artifact (program source,
-// pipeline, latency, transform parameters — the ir.AppendExecKey idea lifted
-// from per-process caches to disk).
+// evaluation pipeline: prepare summaries, captured execution traces, and
+// priced measurement cells, keyed by cryptographic hashes of everything that
+// determines the artifact (program source, pipeline, latency, transform
+// parameters).
 //
 // The store is the warm-start substrate of the sweep grid: a cold
 // `spdbench -store=DIR` run populates it, and a warm run serves every cell
 // from it — zero tree compilations, zero trace captures, byte-identical
-// reports.
+// reports. Compiled code is not persisted: a warm run never executes a tree,
+// and recompiling one costs about what a disk read of it would.
 //
 // # On-disk layout
 //
@@ -56,21 +56,17 @@ import (
 // the kind is also hashed into the key) can never decode as the wrong type.
 type Kind byte
 
-// Artifact kinds.
+// Artifact kinds. Kinds 1 and 2 held compiled bytecode and native-tier
+// metadata in older stores; they are retired, never read, and must not be
+// reused.
 const (
-	KindBCode  Kind = 1 // compiled bytecode program (internal/bcode)
-	KindNative Kind = 2 // native-tier compile metadata (internal/ncode)
-	KindTrace  Kind = 3 // captured execution trace (internal/trace)
-	KindPrep   Kind = 4 // prepare-cell summary (SpD counts, op counts)
-	KindMeas   Kind = 5 // priced measurement cell (cycle counts per model)
+	KindTrace Kind = 3 // captured execution trace (internal/trace)
+	KindPrep  Kind = 4 // prepare-cell summary (SpD counts, op counts)
+	KindMeas  Kind = 5 // priced measurement cell (cycle counts per model)
 )
 
 func (k Kind) String() string {
 	switch k {
-	case KindBCode:
-		return "bcode"
-	case KindNative:
-		return "native"
 	case KindTrace:
 		return "trace"
 	case KindPrep:
@@ -128,15 +124,9 @@ type Stats struct {
 	// Evictions counts entries dropped from the memory front on capacity.
 	Evictions int64
 	// CorruptDropped counts on-disk artifacts deleted because they failed
-	// the footer, kind, or version checks; each one cost its caller a
+	// the footer check or their typed decoder; each one cost its caller a
 	// recompute and was repaired by the subsequent Put.
 	CorruptDropped int64
-	// InvalidDropped counts artifacts that decoded cleanly but failed
-	// semantic validation against the tree they were loaded for (the
-	// translation validator, internal/verify.CheckBCode, or the native
-	// metadata bounds) — a stale or tampered artifact whose CRC still
-	// matches. Dropped and recomputed exactly like corruption.
-	InvalidDropped int64
 	// IOShortReads and IOOpenErrors count injected store I/O faults
 	// (ArmIOFaults): short reads surface as corruption (the footer check
 	// fails, the file is dropped and repaired by the recompute's Put), while
@@ -265,48 +255,67 @@ func (s *Store) path(k Key) string {
 // stored, or a stored artifact that failed its integrity footer — returns
 // false; corrupt files are deleted so the caller's recompute-and-Put
 // repairs the store.
-func (s *Store) Get(k Key) ([]byte, bool) {
-	s.mu.Lock()
-	if el, ok := s.mem[k]; ok {
-		s.order.MoveToFront(el)
-		s.stats.Hits++
-		s.stats.MemHits++
-		payload := el.Value.(*memEntry).payload
-		s.mu.Unlock()
-		return payload, true
-	}
-	s.mu.Unlock()
+func (s *Store) Get(k Key) ([]byte, bool) { return s.get(k, nil) }
 
-	data, err := os.ReadFile(s.path(k))
-	if err != nil {
-		s.note(func(st *Stats) { st.Misses++ })
-		return nil, false
+// get is Get with an optional payload check (the typed decoders): a payload
+// that passes the footer but fails check is dropped like corruption. Either
+// way the Get counts exactly once, as a hit or as a miss.
+func (s *Store) get(k Key, check func([]byte) error) ([]byte, bool) {
+	payload, mem := s.recall(k)
+	if !mem {
+		data, err := os.ReadFile(s.path(k))
+		if err != nil {
+			s.note(func(st *Stats) { st.Misses++ })
+			return nil, false
+		}
+		// Armed I/O faults (ArmIOFaults) fire here, once per key, on a read
+		// that actually found a file — a short read degrades into the
+		// corruption path below, a transient open error into a plain miss.
+		switch s.ioFaultFor(k) {
+		case ioFaultOpen:
+			s.note(func(st *Stats) {
+				st.Misses++
+				st.IOOpenErrors++
+			})
+			return nil, false
+		case ioFaultShort:
+			s.note(func(st *Stats) { st.IOShortReads++ })
+			data = data[:len(data)/2]
+		}
+		if payload, err = checkFooter(data); err != nil {
+			s.dropCorrupt(k)
+			return nil, false
+		}
 	}
-	// Armed I/O faults (ArmIOFaults) fire here, once per key, on a read that
-	// actually found a file — a short read degrades into the corruption path
-	// below, a transient open error into a plain miss.
-	switch s.ioFaultFor(k) {
-	case ioFaultOpen:
-		s.note(func(st *Stats) {
-			st.Misses++
-			st.IOOpenErrors++
-		})
-		return nil, false
-	case ioFaultShort:
-		s.note(func(st *Stats) { st.IOShortReads++ })
-		data = data[:len(data)/2]
-	}
-	payload, err := checkFooter(data)
-	if err != nil {
+	if check != nil && check(payload) != nil {
 		s.dropCorrupt(k)
 		return nil, false
 	}
 	s.note(func(st *Stats) {
 		st.Hits++
-		st.BytesRead += int64(len(payload))
+		if mem {
+			st.MemHits++
+		} else {
+			st.BytesRead += int64(len(payload))
+		}
 	})
-	s.remember(k, payload)
+	if !mem {
+		s.remember(k, payload)
+	}
 	return payload, true
+}
+
+// recall returns the memory front's copy of key's payload, refreshing its
+// LRU position.
+func (s *Store) recall(k Key) ([]byte, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	el, ok := s.mem[k]
+	if !ok {
+		return nil, false
+	}
+	s.order.MoveToFront(el)
+	return el.Value.(*memEntry).payload, true
 }
 
 // Put stores payload under key, sealing it with the integrity footer and
@@ -348,24 +357,9 @@ func (s *Store) Put(k Key, payload []byte) error {
 	return nil
 }
 
-// DropCorrupt removes the artifact stored under key and counts it as
-// corruption-dropped. The typed decoders call it when a payload passes the
-// footer but fails its kind or version word.
-func (s *Store) DropCorrupt(k Key) { s.drop(k, &s.stats.CorruptDropped) }
-
-// DropInvalid removes the artifact stored under key and counts it as
-// validation-dropped: the payload decoded cleanly but the decoded artifact
-// failed semantic validation against the tree it was loaded for. The load
-// adapters (backing.go) call it when the translation validator rejects a
-// loaded program.
-func (s *Store) DropInvalid(k Key) { s.drop(k, &s.stats.InvalidDropped) }
-
-func (s *Store) dropCorrupt(k Key) { s.drop(k, &s.stats.CorruptDropped) }
-
-// drop removes key from disk and the memory front and counts the Get that
-// led here as a miss, bumping ctr (a field of s.stats, mutated under the
-// lock) to make the repair observable.
-func (s *Store) drop(k Key, ctr *int64) {
+// dropCorrupt removes key from disk and the memory front, counting the Get
+// that led here as a miss and the artifact as corruption-dropped.
+func (s *Store) dropCorrupt(k Key) {
 	os.Remove(s.path(k))
 	s.mu.Lock()
 	if el, ok := s.mem[k]; ok {
@@ -374,7 +368,7 @@ func (s *Store) drop(k Key, ctr *int64) {
 		delete(s.mem, k)
 	}
 	s.stats.Misses++
-	*ctr++
+	s.stats.CorruptDropped++
 	s.mu.Unlock()
 }
 

@@ -11,8 +11,6 @@ import (
 	"sync"
 	"testing"
 
-	"specdis/internal/bcode"
-	"specdis/internal/ir"
 	"specdis/internal/trace"
 )
 
@@ -387,39 +385,6 @@ func TestMeasRoundtrip(t *testing.T) {
 	}
 }
 
-func TestNativeRoundtrip(t *testing.T) {
-	for _, m := range []*NativeMeta{{Declined: true}, {Steps: 42}} {
-		got, err := DecodeNative(EncodeNative(m))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if *got != *m {
-			t.Fatalf("roundtrip = %+v, want %+v", got, m)
-		}
-	}
-}
-
-func TestBCodeRoundtrip(t *testing.T) {
-	p := &bcode.Prog{
-		NumGuarded: 2,
-		Code: []bcode.Instr{
-			{Op: 1, GNeg: true, GIdx: 3, Guard: -1, A: 10, B: -20, Dest: 5},
-			{Op: 7, Guard: 2, A: 0, B: 1, Dest: -3},
-		},
-		Consts: []ir.Value{{I: -7, F: 3.25}, {I: 0, F: -0.5}},
-	}
-	got, err := DecodeBCode(EncodeBCode(p))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Tree != nil {
-		t.Error("decoded Prog.Tree must be nil (caller binds it)")
-	}
-	if got.NumGuarded != p.NumGuarded || !reflect.DeepEqual(got.Code, p.Code) || !reflect.DeepEqual(got.Consts, p.Consts) {
-		t.Fatalf("roundtrip = %+v, want %+v", got, p)
-	}
-}
-
 func TestTraceRoundtrip(t *testing.T) {
 	rec := trace.NewRecorder()
 	rec.Tree(3, 1, []byte{0b101})
@@ -461,7 +426,7 @@ func TestTraceRoundtrip(t *testing.T) {
 
 // TestTypedGetDropsUndecodable pins the getTyped contract end to end over
 // the store: a payload that passes the CRC footer but fails the codec is
-// dropped and counted.
+// dropped and counted, and its Get counts once, as a miss.
 func TestTypedGetDropsUndecodable(t *testing.T) {
 	s := openTemp(t)
 	k := NewKey(KindMeas, []byte("m"))
@@ -473,8 +438,8 @@ func TestTypedGetDropsUndecodable(t *testing.T) {
 	if _, ok := GetMeas(s, k); ok {
 		t.Fatal("undecodable artifact served")
 	}
-	if st := s.Stats(); st.CorruptDropped != 1 {
-		t.Errorf("CorruptDropped = %d, want 1", st.CorruptDropped)
+	if st := s.Stats(); st.CorruptDropped != 1 || st.Hits != 0 || st.Misses != 1 {
+		t.Errorf("stats = %+v; want 1 corrupt drop, 0 hits, 1 miss", st)
 	}
 	// Nil-store safety.
 	if _, ok := GetMeas(nil, k); ok {

@@ -45,19 +45,16 @@ func PutTrace(s *Store, k Key, t *trace.Trace) {
 	}
 }
 
-// getTyped is the shared hit path: raw get, decode, drop-on-corrupt.
+// getTyped is the shared hit path: a raw get whose payload check is the
+// decoder, so an undecodable artifact is dropped and counted as one miss.
 func getTyped[T any](s *Store, k Key, decode func([]byte) (*T, error)) (*T, bool) {
 	if s == nil {
 		return nil, false
 	}
-	payload, ok := s.Get(k)
-	if !ok {
-		return nil, false
-	}
-	v, err := decode(payload)
-	if err != nil {
-		s.DropCorrupt(k)
-		return nil, false
-	}
-	return v, true
+	var v *T
+	_, ok := s.get(k, func(payload []byte) (err error) {
+		v, err = decode(payload)
+		return err
+	})
+	return v, ok
 }
