@@ -120,20 +120,19 @@ type execReport struct {
 	// "bcode" or "tree".
 	Mode string `json:"mode"`
 	// TreesCompiled counts decision trees lowered to bytecode or native
-	// closure chains; Instrs their total instruction words (closure steps
-	// for the native tier); CacheHits the compiled-program lookups served
-	// from the runner's shared content-addressed cache.
+	// closure chains (a tree promoted by -tierup counts once per tier);
+	// Instrs their total instruction words (closure steps for the native
+	// tier); CacheHits the compiled-program lookups served from the runner's
+	// shared content-addressed caches.
 	TreesCompiled int64 `json:"trees_compiled"`
 	Instrs        int64 `json:"instrs"`
 	CacheHits     int64 `json:"cache_hits"`
-	// Steps, Fused and Windows describe the native tier's compiled closure
-	// chains (zero on the other backends): chain steps after window fusion,
-	// superinstruction heads among them, and 3-/4-wide window fusions among
-	// the heads. TierUps counts trees promoted from the bytecode rung by
-	// adaptive tiering (-tierup).
+	// Steps and Fused describe the native tier's compiled closure chains
+	// (zero on the other backends): chain steps after pair fusion, and the
+	// superinstructions among them. TierUps counts trees promoted from the
+	// bytecode rung by adaptive tiering (-tierup).
 	Steps   int64 `json:"steps"`
 	Fused   int64 `json:"fused"`
-	Windows int64 `json:"windows"`
 	TierUps int64 `json:"tier_ups"`
 }
 
@@ -211,7 +210,7 @@ func run() int {
 	minGain := flag.Float64("mingain", -1, "override SpD MinGain")
 	par := flag.Int("par", 0, "evaluation-cell worker pool width (0 = GOMAXPROCS, 1 = sequential)")
 	traceMode := flag.String("trace", "replay", "timed-simulation backend: replay (capture a trace once, price every model by replay) or interp (interpret every timed run)")
-	execMode := flag.String("exec", "native", "execution backend: native (compile trees to closure-threaded window-fused chains), bcode (compile trees to register-machine bytecode), or tree (reference tree-walking interpreter)")
+	execMode := flag.String("exec", "native", "execution backend: native (compile trees to closure-threaded chains with fused superinstructions), bcode (compile trees to register-machine bytecode), or tree (reference tree-walking interpreter)")
 	tierUp := flag.Int64("tierup", exper.DefaultTierUp, "adaptive tiering under -exec=native: a tree starts on the bytecode rung and is promoted to the native tier at its Nth execution of a run (0 = compile every tree eagerly)")
 	fuel := flag.Int64("fuel", defaultFuel, "dynamic-operation budget per interpretation; an exceeding cell fails typed instead of hanging")
 	deadline := flag.Duration("deadline", 0, "wall-clock deadline for the whole evaluation (0 = none); expiry fails in-flight cells typed")
@@ -432,7 +431,6 @@ func run() int {
 			CacheHits:     st.BCodeCacheHits,
 			Steps:         st.NativeSteps,
 			Fused:         st.NativeFused,
-			Windows:       st.NativeWindows,
 			TierUps:       st.TierUps,
 		}
 		report.Resilience = resilienceReport{

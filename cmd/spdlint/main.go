@@ -28,9 +28,9 @@
 //	-corrupt KIND seed a violation before checking (debug: proves the
 //	              checkers catch it): seq | arc | bmask (flip a commit
 //	              guard's polarity in the compiled bytecode; layer 4 must
-//	              catch it) | nwin (gap a native window-fusion plan; layer
-//	              4's tiling check must catch it) | sched (swap two issue
-//	              slots in the timeline; layer 5 must catch it)
+//	              catch it) | nfuse (gap a native fusion plan; layer 4's
+//	              tiling check must catch it) | sched (swap two issue slots
+//	              in the timeline; layer 5 must catch it)
 //	-chaos KIND   self-test the lint engine's fault tolerance: panic (an
 //	              injected crash in every dynamic check must surface as a
 //	              lint/run-failed finding, never kill the process) | fuel
@@ -76,7 +76,7 @@ func main() {
 	code := flag.Bool("code", true, "translation-validate the compiled tiers (layer 4)")
 	schedOn := flag.Bool("sched", true, "audit schedule soundness against the dependence graph (layer 5)")
 	verbose := flag.Bool("v", false, "print per-program checker statistics")
-	corrupt := flag.String("corrupt", "", "seed a violation before checking: seq | arc | bmask | nwin | sched")
+	corrupt := flag.String("corrupt", "", "seed a violation before checking: seq | arc | bmask | nfuse | sched")
 	chaos := flag.String("chaos", "", "fault-tolerance self-test: panic (injected crash must become a finding) | fuel (tiny budget must skip cleanly)")
 	flag.Parse()
 
@@ -108,12 +108,12 @@ func main() {
 		opts.Corrupt = corruptArc
 	case "bmask":
 		opts.CorruptBCode = corruptBMask
-	case "nwin":
-		opts.CorruptNCode = corruptNWin
+	case "nfuse":
+		opts.CorruptNCode = corruptNFuse
 	case "sched":
 		opts.CorruptSched = corruptSchedule
 	default:
-		log.Fatalf("unknown -corrupt kind %q (want seq, arc, bmask, nwin or sched)", *corrupt)
+		log.Fatalf("unknown -corrupt kind %q (want seq, arc, bmask, nfuse or sched)", *corrupt)
 	}
 	switch *chaos {
 	case "":
@@ -268,11 +268,11 @@ func corruptBMask(p *bcode.Prog) {
 	}
 }
 
-// corruptNWin gaps the window-fusion plan of a compiled native closure
-// chain: the instruction a fusion head claims to consume is marked unfused,
+// corruptNFuse gaps the fusion plan of a compiled native closure chain: the
+// instruction a superinstruction head claims to consume is marked unfused,
 // so the plan no longer tiles the bytecode stream exactly, and the
 // translation validator's tiling check (layer 4) must flag the gap.
-func corruptNWin(p *ncode.Prog) {
+func corruptNFuse(p *ncode.Prog) {
 	for i := 0; i+1 < len(p.Plan); i++ {
 		if p.Plan[i] != ncode.FuseNone && p.Plan[i] != ncode.FuseConsumed &&
 			p.Plan[i+1] == ncode.FuseConsumed {

@@ -20,10 +20,9 @@ type Counters struct {
 	Compiled, Instrs atomic.Int64
 	// Hits counts Get calls served from the cache without compiling.
 	Hits atomic.Int64
-	// Steps, Fused and Windows are native-tier only: total closure steps
-	// emitted, superinstructions fused, and wide (width ≥ 3) fusion windows
-	// among them.
-	Steps, Fused, Windows atomic.Int64
+	// Steps and Fused are native-tier only: total closure steps emitted and
+	// the superinstructions fused among them.
+	Steps, Fused atomic.Int64
 	// TierUps counts trees the simulator's adaptive tiering promoted from
 	// the bytecode engine to the native tier after crossing the hot
 	// threshold (sim.Runner.TierUp).

@@ -12,9 +12,10 @@ import (
 // fuzzSeeds is the seed corpus for FuzzDisamb. The hand-written entries
 // concentrate on guarded stores — stores under if conditions and through
 // ambiguous subscripts, the shapes SpD must guard correctly — plus WAR and
-// forwarding-RAW patterns, long straight-line chains that tile into 3- and
-// 4-wide native fusion windows, and guard-dense trees where windows must
-// stop at every guarded op; the generated tail adds structural variety.
+// forwarding-RAW patterns, long straight-line chains of unguarded
+// const/ALU/load runs for the native tier's pair fusion, and guard-dense
+// trees where fusion must stop at every guarded op; the generated tail adds
+// structural variety.
 var fuzzSeeds = []string{
 	// Guarded store through an ambiguous subscript (the paper's core shape).
 	`int a[16]; int b[16];
@@ -77,8 +78,8 @@ void main() {
 	print(i);
 }`,
 	// Long straight-line chains: unguarded const/ALU/load runs that the
-	// native tier tiles into 3- and 4-wide fusion windows, mixing integer,
-	// float, shift/mask and array-read elements inside one tree.
+	// native tier tiles into pair superinstructions, mixing integer, float,
+	// shift/mask and array-read elements inside one tree.
 	`int a[16]; float f[4] = {1.5, 2.25, -3.5, 4.0};
 int chain(int k) {
 	int x = k * 3 + 7;
@@ -97,8 +98,8 @@ void main() {
 	print(s);
 }`,
 	// Guard-dense tree: ambiguous stores under alternating conditions split
-	// the straight-line runs, so every window must end before a guarded op
-	// and fusion falls back to narrow pairs between guards.
+	// the straight-line runs, so no superinstruction may cover a guarded op
+	// and fusion is confined to the short runs between guards.
 	`int a[12]; int b[12];
 void main() {
 	for (int k = 0; k < 72; k = k + 1) {

@@ -79,7 +79,7 @@ type LintOptions struct {
 	CorruptBCode func(*bcode.Prog)
 	// CorruptNCode, when non-nil, mutates each tree's freshly compiled
 	// native closure chain before the translation validator sees it (the
-	// -corrupt nwin self-test). Same isolation as CorruptBCode: private to
+	// -corrupt nfuse self-test). Same isolation as CorruptBCode: private to
 	// the check, never executed.
 	CorruptNCode func(*ncode.Prog)
 	// CorruptSched, when non-nil, mutates each built schedule before the

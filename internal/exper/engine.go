@@ -72,17 +72,20 @@ type Stats struct {
 	TraceEvents, TraceBytes int64
 	// ReplayCells and InterpCells split Measures by simulation backend.
 	ReplayCells, InterpCells int64
-	// BCodeCompiled counts decision trees lowered to bytecode across every
-	// preparation (bytecode backend only); BCodeInstrs their total
-	// instruction words; BCodeCacheHits the tree executions' compiled-program
-	// lookups served from a prepared program's shared cache.
+	// BCodeCompiled counts decision trees compiled by either compiled tier
+	// across every preparation, and BCodeInstrs their total size:
+	// instruction words for bytecode, closure steps for native code. Under
+	// the native backend with adaptive tiering a promoted tree is compiled
+	// once per tier, so both tiers' compiles are counted. BCodeCacheHits
+	// counts the tree executions' compiled-program lookups served from a
+	// prepared program's shared caches.
 	BCodeCompiled, BCodeInstrs, BCodeCacheHits int64
-	// NativeSteps, NativeFused, and NativeWindows describe the native tier's
-	// compiled closure chains (native backend only): total chain steps after
-	// fusion, superinstruction heads among them, and how many of those heads
-	// are 3- or 4-wide window fusions. TierUps counts trees adaptive tiering
-	// promoted from the bytecode rung to the native tier (Runner.TierUp).
-	NativeSteps, NativeFused, NativeWindows, TierUps int64
+	// NativeSteps and NativeFused describe the native tier's compiled
+	// closure chains (native backend only): total chain steps after pair
+	// fusion, and the superinstructions among them. TierUps counts trees
+	// adaptive tiering promoted from the bytecode rung to the native tier
+	// (Runner.TierUp).
+	NativeSteps, NativeFused, TierUps int64
 	// CellFailures counts distinct cells that failed after exhausting their
 	// degradation ladder; CellPanics, FuelExhausted, and DeadlineExceeded
 	// split those failures by class (the remainder is corrupt-trace,
@@ -130,7 +133,6 @@ func (r *Runner) Stats() Stats {
 		BCodeCacheHits:   r.bcodeCtrs.Hits.Load(),
 		NativeSteps:      r.bcodeCtrs.Steps.Load(),
 		NativeFused:      r.bcodeCtrs.Fused.Load(),
-		NativeWindows:    r.bcodeCtrs.Windows.Load(),
 		TierUps:          r.bcodeCtrs.TierUps.Load(),
 		CellFailures:     r.nCellFails.Load(),
 		CellPanics:       r.nPanics.Load(),

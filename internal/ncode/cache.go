@@ -27,7 +27,6 @@ func compileCounted(t *ir.Tree, ctrs *bcode.Counters) *Prog {
 		ctrs.Instrs.Add(int64(p.Steps))
 		ctrs.Steps.Add(int64(p.Steps))
 		ctrs.Fused.Add(int64(p.Fused))
-		ctrs.Windows.Add(int64(p.Windows))
 	}
 	return p
 }

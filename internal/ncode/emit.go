@@ -29,10 +29,6 @@ func (e *emitter) emit(plan []FuseKind, profiling bool) []step {
 			s = e.constAlu(pc)
 		case FusePair:
 			s = e.pair(pc, profiling)
-		case FuseWin3:
-			s = e.window(pc, 3, profiling)
-		case FuseWin4:
-			s = e.window(pc, 4, profiling)
 		default:
 			s = e.one(pc, profiling)
 		}

@@ -24,18 +24,18 @@
 //     profiling — so the per-instruction `env.Profiling` test disappears; the
 //     profiling chain has the per-Seq commit and address sampling bound in.
 //
-// On top of that, a window fusion pass (window.go) tiles the stream greedily,
-// widest first, into superinstructions of up to MaxWindow words: runs of
-// unguarded catalog members (constants, moves, integer/float ALU, compares,
-// loads — optionally terminated by an exit) become width-3/4 windows, and
-// what the windows leave behind falls to the measured hot-pair catalog — an
-// unguarded compare feeding the next instruction's guard as an exit
-// (compare+exit), an unguarded constant feeding an ALU or compare operand
-// (const+arith), adjacent unguarded pairs (address arithmetic feeding a load
-// — with the computed address forwarded instead of re-read — load feeding FP
-// arithmetic, FP sequences, back-to-back constants and moves). Loads/stores
-// keep the non-faulting bounds clamp, commit-bit write and profiling address
-// sample folded into the one memory closure.
+// On top of that, a fusion pass tiles the stream greedily with the measured
+// hot-pair catalog of two-word superinstructions: an unguarded compare
+// feeding the next instruction's guard as an exit (compare+exit), an
+// unguarded constant feeding an ALU or compare operand (const+arith), and
+// adjacent unguarded pairs (address arithmetic feeding a load — with the
+// computed address forwarded instead of re-read — load feeding FP
+// arithmetic, FP sequences, back-to-back constants and moves). Each pair is
+// one inlined closure body, so it removes a dispatch. The catalog stops at
+// pairs: a wider superinstruction built by composing its members' closures
+// removes no calls, and measured no faster (docs/PERFORMANCE.md).
+// Loads/stores keep the non-faulting bounds clamp, commit-bit write and
+// profiling address sample folded into the one memory closure.
 //
 // Execution semantics are exactly those of the tree walker and the bytecode
 // engine (guarded write-back, clamped non-faulting memory, non-trapping
@@ -97,9 +97,8 @@ type Prog struct {
 	// NumGuarded is the number of guarded instructions (= commit-bit width).
 	NumGuarded int
 	// Steps counts the closures of one chain; Fused counts the
-	// superinstructions the fusion pass formed (a width-w superinstruction
-	// saves w-1 dispatches); Windows counts the wide (width ≥ 3) ones.
-	Steps, Fused, Windows int
+	// superinstructions the fusion pass formed (each saves one dispatch).
+	Steps, Fused int
 
 	// Src is the bytecode program the chains were lowered through, and Plan
 	// the fusion plan applied to it — retained so the translation validator
@@ -133,26 +132,16 @@ func (p *Prog) Exec(env *Env, profiling bool) (taken, dup int, ncommit int64) {
 // the bytecode stream, so the strictness contract is bcode.Compile's: any
 // tree outside the repertoire errors, and callers fall back to the reference
 // tree walker.
-func Compile(t *ir.Tree) (*Prog, error) { return CompileWidth(t, MaxWindow) }
-
-// CompileWidth is Compile with the maximum fusion window width capped at
-// maxWidth: 1 disables fusion entirely, 2 allows only the pairwise catalog,
-// 3 and 4 enable the wide windows. The width ablation
-// (BenchmarkWindowWidths) sweeps it; everything else uses MaxWindow.
-func CompileWidth(t *ir.Tree, maxWidth int) (*Prog, error) {
+func Compile(t *ir.Tree) (*Prog, error) {
 	bp, err := bcode.Compile(t)
 	if err != nil {
 		return nil, err
 	}
-	plan := fusePlanWidth(bp.Code, maxWidth)
+	plan := fusePlan(bp.Code)
 	p := &Prog{Tree: t, NumGuarded: bp.NumGuarded, Src: bp, Plan: plan}
 	for _, k := range plan {
-		switch k {
-		case FuseCmpExit, FuseConstAlu, FusePair:
+		if k != FuseNone && k != FuseConsumed {
 			p.Fused++
-		case FuseWin3, FuseWin4:
-			p.Fused++
-			p.Windows++
 		}
 	}
 	e := &emitter{code: bp.Code, consts: bp.Consts}
@@ -184,69 +173,32 @@ const (
 	// catalog (address arithmetic feeding a load, ALU and FP sequences,
 	// back-to-back constants or moves) executed by one closure.
 	FusePair
-	// FuseWin3, FuseWin4: a width-3/4 fusion window (window.go) — a run of
-	// unguarded catalog members, optionally exit-terminated, executed by one
-	// closure; the following 2/3 instructions are FuseConsumed.
-	FuseWin3
-	FuseWin4
 )
 
-// fusePlan tiles the bytecode stream with the full window fuser. Fusion
-// never changes semantics — every architectural write of every member still
-// happens, in order — it only removes dispatches.
+// fusePlan is the greedy pairwise tiler: at each pc it tries the compare+exit,
+// const+arith and hot-pair shapes in that order and moves on past whatever it
+// planned, so pairs never overlap and an exit is only ever the consumed half
+// of a compare+exit. Fusion never changes semantics — both architectural
+// writes of a pair still happen, in order — it only removes dispatches.
 func fusePlan(code []bcode.Instr) []FuseKind {
-	return fusePlanWidth(code, MaxWindow)
-}
-
-// fusePlanWidth is the greedy widest-first tiler: at each pc it tries a
-// width-maxWidth window first, then narrower windows down to 3, then the
-// pairwise catalog, and moves on past whatever it planned — so windows cover
-// the stream exactly, never overlap, and never span an exit (an exit may
-// only terminate a window).
-func fusePlanWidth(code []bcode.Instr, maxWidth int) []FuseKind {
 	plan := make([]FuseKind, len(code))
-	if maxWidth > MaxWindow {
-		maxWidth = MaxWindow
-	}
-	pc := 0
-	for pc < len(code) {
-		fusedW := 0
-		for w := maxWidth; w >= 3; w-- {
-			if windowAt(code, pc, w) {
-				fusedW = w
-				break
-			}
-		}
-		if fusedW > 0 {
-			if fusedW == 3 {
-				plan[pc] = FuseWin3
-			} else {
-				plan[pc] = FuseWin4
-			}
-			for i := 1; i < fusedW; i++ {
-				plan[pc+i] = FuseConsumed
-			}
-			pc += fusedW
+	for pc := 0; pc+1 < len(code); pc++ {
+		in, nx := &code[pc], &code[pc+1]
+		if in.Guard >= 0 || in.Dest < 0 {
 			continue
 		}
-		if maxWidth >= 2 && pc+1 < len(code) {
-			in, nx := &code[pc], &code[pc+1]
-			if in.Guard < 0 && in.Dest >= 0 {
-				switch {
-				case isCmp(in.Op) && nx.Op == bcode.Exit && nx.Guard == in.Dest:
-					plan[pc], plan[pc+1] = FuseCmpExit, FuseConsumed
-				case in.Op == bcode.Const && nx.Guard < 0 && nx.Dest >= 0 &&
-					fusableAlu(nx.Op) && (nx.A == in.Dest || nx.B == in.Dest):
-					plan[pc], plan[pc+1] = FuseConstAlu, FuseConsumed
-				case nx.Guard < 0 && nx.Dest >= 0 && pairable(in.Op, nx.Op):
-					plan[pc], plan[pc+1] = FusePair, FuseConsumed
-				}
-				if plan[pc] != FuseNone {
-					pc += 2
-					continue
-				}
-			}
+		switch {
+		case isCmp(in.Op) && nx.Op == bcode.Exit && nx.Guard == in.Dest:
+			plan[pc] = FuseCmpExit
+		case in.Op == bcode.Const && nx.Guard < 0 && nx.Dest >= 0 &&
+			fusableAlu(nx.Op) && (nx.A == in.Dest || nx.B == in.Dest):
+			plan[pc] = FuseConstAlu
+		case nx.Guard < 0 && nx.Dest >= 0 && pairable(in.Op, nx.Op):
+			plan[pc] = FusePair
+		default:
+			continue
 		}
+		plan[pc+1] = FuseConsumed
 		pc++
 	}
 	return plan

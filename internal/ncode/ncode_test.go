@@ -114,9 +114,11 @@ func diff(t *testing.T, tr *ir.Tree, regs, mem []ir.Value) *state {
 	return plain
 }
 
-// TestFusionPlan pins the fusion tiler on a tree whose leading run
-// (const, const, add, compare) tiles as one width-4 window, leaving the two
-// guarded exits as single closures.
+// TestFusionPlan pins the pairwise tiler on a tree that exercises the plan
+// shapes in order: the two leading constants fuse as a const+const pair, the
+// add (whose next instruction is a compare, outside the hot-pair catalog)
+// stays single, the compare fuses with the exit its result guards, and the
+// negated exit is left alone.
 func TestFusionPlan(t *testing.T) {
 	fn, tr := newTree()
 	r0 := constOp(fn, tr, iv(10))
@@ -124,7 +126,7 @@ func TestFusionPlan(t *testing.T) {
 	r2 := fn.NewReg()
 	tr.NewOp(ir.OpAdd, []ir.Reg{r0, r1}, r2)
 	r3 := fn.NewReg()
-	tr.NewOp(ir.OpCmpLT, []ir.Reg{r2, r0}, r3) // window ends here
+	tr.NewOp(ir.OpCmpLT, []ir.Reg{r2, r0}, r3)
 	exTrue := tr.NewOp(ir.OpExit, nil, ir.NoReg)
 	exTrue.Exit, exTrue.Guard = ir.ExitRet, r3
 	exFalse := tr.NewOp(ir.OpExit, nil, ir.NoReg)
@@ -134,12 +136,19 @@ func TestFusionPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Fused != 1 || p.Windows != 1 {
-		t.Errorf("Fused = %d, Windows = %d, want 1, 1 (one width-4 window)", p.Fused, p.Windows)
+	// const+const, the add alone, cmplt+exit, the negated exit alone.
+	want := []ncode.FuseKind{
+		ncode.FusePair, ncode.FuseConsumed,
+		ncode.FuseNone,
+		ncode.FuseCmpExit, ncode.FuseConsumed,
+		ncode.FuseNone,
 	}
-	// 6 instructions, 3 consumed by the window: 3 closures.
-	if p.Steps != 3 {
-		t.Errorf("Steps = %d, want 3", p.Steps)
+	if fmt.Sprint(p.Plan) != fmt.Sprint(want) {
+		t.Errorf("Plan = %v, want %v", p.Plan, want)
+	}
+	// 6 instructions, 2 consumed by the pairs: 4 closures.
+	if p.Fused != 2 || p.Steps != 4 {
+		t.Errorf("Fused = %d, Steps = %d, want 2, 4", p.Fused, p.Steps)
 	}
 
 	// 10+3 < 10 is false: the negated exit commits.
@@ -152,160 +161,134 @@ func TestFusionPlan(t *testing.T) {
 	}
 }
 
-// TestWindowWidths sweeps CompileWidth over a straight 8-op integer chain
-// (plus the unguarded exit, which may terminate a window) and pins how the
-// greedy tiler degrades: width 4 tiles two full windows, width 3 covers
-// everything — exit included — in three windows, width 2 falls back to the
-// pairwise catalog, and width 1 disables fusion entirely. Every width must
-// execute identically.
-func TestWindowWidths(t *testing.T) {
-	build := func() (*ir.Function, *ir.Tree, ir.Reg) {
-		fn, tr := newTree()
-		r0 := constOp(fn, tr, iv(7))
-		r1 := constOp(fn, tr, iv(5))
-		acc := r0
-		for _, k := range []ir.OpKind{ir.OpAdd, ir.OpMul, ir.OpSub, ir.OpAdd, ir.OpSub, ir.OpMul} {
-			d := fn.NewReg()
-			tr.NewOp(k, []ir.Reg{acc, r1}, d)
-			acc = d
-		}
-		ex := tr.NewOp(ir.OpExit, nil, ir.NoReg)
-		ex.Exit = ir.ExitRet
-		return fn, tr, acc
-	}
-
-	want := map[int]struct{ fused, windows int }{
-		1: {0, 0},
-		2: {4, 0}, // const+const, add+mul, sub+add, sub+mul pairs
-		3: {3, 3}, // [cc,add] [mul,sub,add] [sub,mul,exit]
-		4: {2, 2}, // [cc,add,mul] [sub,add,sub,mul], exit alone
-	}
-	var ref *state
-	for _, w := range []int{4, 3, 2, 1} {
-		fn, tr, acc := build()
-		p, err := ncode.CompileWidth(tr, w)
-		if err != nil {
-			t.Fatalf("width %d: %v", w, err)
-		}
-		if p.Fused != want[w].fused || p.Windows != want[w].windows {
-			t.Errorf("width %d: Fused = %d, Windows = %d, want %d, %d",
-				w, p.Fused, p.Windows, want[w].fused, want[w].windows)
-		}
-		s := diff(t, tr, make([]ir.Value, fn.NumRegs), make([]ir.Value, 8))
-		if s.regs[acc].I == 0 {
-			t.Fatalf("width %d: chain result unexpectedly zero", w)
-		}
-		if ref == nil {
-			ref = s
-		} else if render(ref) != render(s) {
-			t.Errorf("width %d diverged from width 4:\n%+v\n%+v", w, s, ref)
-		}
-	}
-}
-
-// TestWindowExit proves a window may end in an exit — the guard register is
-// read after every member lands, so a compare inside the window legally feeds
-// the window's own exit — and that both polarities and the double-exit
-// duplicate report survive the fusion.
-func TestWindowExit(t *testing.T) {
+// TestCmpExitFusion proves the compare+exit superinstruction resolves the
+// exit exactly as the unfused stream would — the guard is read after the
+// compare's result lands — under both guard polarities, and that a second
+// committed exit after the fused one is still reported as a duplicate.
+func TestCmpExitFusion(t *testing.T) {
 	fn, tr := newTree()
 	r0 := constOp(fn, tr, iv(4))
 	r1 := fn.NewReg()
 	tr.NewOp(ir.OpAdd, []ir.Reg{r0, r0}, r1)
 	r2 := fn.NewReg()
-	tr.NewOp(ir.OpCmpGT, []ir.Reg{r1, r0}, r2) // 8 > 4: true
+	cmp := tr.NewOp(ir.OpCmpGT, []ir.Reg{r1, r0}, r2) // 8 > 4: true
 	ex := tr.NewOp(ir.OpExit, nil, ir.NoReg)
 	ex.Exit, ex.Guard = ir.ExitRet, r2
 	exTail := tr.NewOp(ir.OpExit, nil, ir.NoReg)
 	exTail.Exit = ir.ExitRet
 
-	p, err := ncode.Compile(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Windows != 1 || p.Fused != 1 {
-		t.Errorf("Fused = %d, Windows = %d, want 1, 1 (exit-terminated window)", p.Fused, p.Windows)
-	}
-	s := diff(t, tr, make([]ir.Value, fn.NumRegs), make([]ir.Value, 8))
-	if s.taken != ex.Seq || s.dup != exTail.Seq {
-		t.Errorf("taken=%d dup=%d, want taken=%d dup=%d", s.taken, s.dup, ex.Seq, exTail.Seq)
-	}
-
-	// Flip the guard polarity: the fused exit squashes and the tail commits.
-	ex.GuardNeg = true
-	s = diff(t, tr, make([]ir.Value, fn.NumRegs), make([]ir.Value, 8))
-	if s.taken != exTail.Seq || s.dup != -1 {
-		t.Errorf("negated: taken=%d dup=%d, want taken=%d dup=-1", s.taken, s.dup, exTail.Seq)
-	}
-}
-
-// TestWindowAddressForwarding exercises the specialized width-3
-// const+ALU+load window where the load consumes the ALU result as its address
-// — the closure forwards the computed address without a register round trip —
-// including the profiling variant's address sample. A Div prefix (outside the
-// window catalog) and a trailing store pin the tiler to exactly that shape:
-// a width-4 window can neither start at the Div nor swallow the store.
-func TestWindowAddressForwarding(t *testing.T) {
-	for _, sub := range []bool{false, true} {
-		fn, tr := newTree()
-		rA := constOp(fn, tr, iv(21))
-		rB := constOp(fn, tr, iv(6))
-		base := fn.NewReg()
-		tr.NewOp(ir.OpDiv, []ir.Reg{rA, rB}, base) // 3; Div never joins a window
-		off := constOp(fn, tr, iv(2))
-		addr := fn.NewReg()
-		kind := ir.OpAdd
-		if sub {
-			kind = ir.OpSub
-		}
-		tr.NewOp(kind, []ir.Reg{base, off}, addr)
-		rd := fn.NewReg()
-		ld := tr.NewOp(ir.OpLoad, []ir.Reg{addr}, rd)
-		tr.NewOp(ir.OpStore, []ir.Reg{rB, rd}, ir.NoReg) // keeps the exit out of the window
-		ex := tr.NewOp(ir.OpExit, nil, ir.NoReg)
-		ex.Exit = ir.ExitRet
-
+	for _, neg := range []bool{false, true} {
+		ex.GuardNeg = neg
 		p, err := ncode.Compile(tr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// const+const pair up front, then the width-3 const+ALU+load window.
-		if p.Fused != 2 || p.Windows != 1 {
-			t.Errorf("sub=%v: Fused = %d, Windows = %d, want 2, 1", sub, p.Fused, p.Windows)
+		if p.Plan[cmp.Seq] != ncode.FuseCmpExit || p.Plan[ex.Seq] != ncode.FuseConsumed {
+			t.Fatalf("neg=%v: Plan = %v, want compare+exit at instr %d", neg, p.Plan, cmp.Seq)
 		}
-		mem := make([]ir.Value, 8)
-		for i := range mem {
-			mem[i] = iv(int64(100 + i))
+		s := diff(t, tr, make([]ir.Value, fn.NumRegs), make([]ir.Value, 8))
+		if !neg && (s.taken != ex.Seq || s.dup != exTail.Seq) {
+			// The fused exit commits, so the unguarded tail is a duplicate.
+			t.Errorf("taken=%d dup=%d, want taken=%d dup=%d", s.taken, s.dup, ex.Seq, exTail.Seq)
 		}
-		s := diff(t, tr, make([]ir.Value, fn.NumRegs), mem)
-		wantAddr := int64(5)
-		if sub {
-			wantAddr = 1
-		}
-		if s.regs[rd].I != 100+wantAddr {
-			t.Errorf("sub=%v: loaded %d, want %d", sub, s.regs[rd].I, 100+wantAddr)
-		}
-		nc := execNC(t, tr, make([]ir.Value, fn.NumRegs), mem, true)
-		if nc.addrs[ld.Seq] != wantAddr {
-			t.Errorf("sub=%v: profiled addr = %d, want %d", sub, nc.addrs[ld.Seq], wantAddr)
+		if neg && (s.taken != exTail.Seq || s.dup != -1) {
+			// The fused exit squashes and the tail commits.
+			t.Errorf("negated: taken=%d dup=%d, want taken=%d dup=-1", s.taken, s.dup, exTail.Seq)
 		}
 	}
 }
 
-// TestWindowLongChain tiles a 40-op float/int chain and proves the greedy
-// tiler covers it with maximal windows while both engines agree bit for bit.
-func TestWindowLongChain(t *testing.T) {
+// TestPairAddressForwarding exercises the add/sub + load superinstruction
+// (aluLoad), with the load both consuming the computed sum as its address —
+// the closure forwards it without a register round trip — and reading an
+// unrelated address register, including the profiling chain's address
+// sample. The offset constant precedes a Div (outside every catalog), so it
+// cannot fuse into the add as const+arith and the add is free to pair with
+// the load.
+func TestPairAddressForwarding(t *testing.T) {
+	for _, sub := range []bool{false, true} {
+		for _, forward := range []bool{false, true} {
+			fn, tr := newTree()
+			rA := constOp(fn, tr, iv(21))
+			rB := constOp(fn, tr, iv(6))
+			off := constOp(fn, tr, iv(2))
+			base := fn.NewReg()
+			tr.NewOp(ir.OpDiv, []ir.Reg{rA, rB}, base) // 3
+			addr := fn.NewReg()
+			kind := ir.OpAdd
+			if sub {
+				kind = ir.OpSub
+			}
+			alu := tr.NewOp(kind, []ir.Reg{base, off}, addr)
+			from := base
+			if forward {
+				from = addr
+			}
+			rd := fn.NewReg()
+			ld := tr.NewOp(ir.OpLoad, []ir.Reg{from}, rd)
+			tr.NewOp(ir.OpStore, []ir.Reg{rB, rd}, ir.NoReg)
+			ex := tr.NewOp(ir.OpExit, nil, ir.NoReg)
+			ex.Exit = ir.ExitRet
+
+			p, err := ncode.Compile(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// const+const pair up front, then the ALU+load pair.
+			if p.Fused != 2 || p.Plan[alu.Seq] != ncode.FusePair || p.Plan[ld.Seq] != ncode.FuseConsumed {
+				t.Errorf("sub=%v forward=%v: Fused = %d, Plan = %v, want 2 with an ALU+load pair at instr %d",
+					sub, forward, p.Fused, p.Plan, alu.Seq)
+			}
+			mem := make([]ir.Value, 8)
+			for i := range mem {
+				mem[i] = iv(int64(100 + i))
+			}
+			s := diff(t, tr, make([]ir.Value, fn.NumRegs), mem)
+			wantAddr := int64(3)
+			switch {
+			case forward && sub:
+				wantAddr = 1
+			case forward:
+				wantAddr = 5
+			}
+			if s.regs[rd].I != 100+wantAddr {
+				t.Errorf("sub=%v forward=%v: loaded %d, want %d", sub, forward, s.regs[rd].I, 100+wantAddr)
+			}
+			nc := execNC(t, tr, make([]ir.Value, fn.NumRegs), mem, true)
+			if nc.addrs[ld.Seq] != wantAddr {
+				t.Errorf("sub=%v forward=%v: profiled addr = %d, want %d", sub, forward, nc.addrs[ld.Seq], wantAddr)
+			}
+		}
+	}
+}
+
+// TestPairLongChain tiles a 40-op chain that cycles through the integer and
+// floating-point shapes of the hot-pair catalog, each pair feeding its own
+// accumulator, and proves the tiler covers it with pairs end to end while
+// both engines agree bit for bit.
+func TestPairLongChain(t *testing.T) {
 	fn, tr := newTree()
 	ri := constOp(fn, tr, iv(3))
 	rf := constOp(fn, tr, fv(1.5))
 	ai, af := ri, rf
-	for i := 0; i < 19; i++ {
-		d := fn.NewReg()
-		tr.NewOp(ir.OpAdd, []ir.Reg{ai, ri}, d)
-		ai = d
-		e := fn.NewReg()
-		tr.NewOp(ir.OpFMul, []ir.Reg{af, rf}, e)
-		af = e
+	shapes := [][2]ir.OpKind{
+		{ir.OpAdd, ir.OpSub}, {ir.OpFMul, ir.OpFAdd},
+		{ir.OpSub, ir.OpMul}, {ir.OpFSub, ir.OpFMul},
+		{ir.OpAdd, ir.OpAdd}, {ir.OpFAdd, ir.OpFSub},
+		{ir.OpSub, ir.OpAdd}, {ir.OpFMul, ir.OpFMul},
+		{ir.OpAdd, ir.OpMul}, {ir.OpFSub, ir.OpFAdd},
+	}
+	for i := 0; i < 20; i++ {
+		for _, k := range shapes[i%len(shapes)] {
+			d := fn.NewReg()
+			if i%2 == 0 {
+				tr.NewOp(k, []ir.Reg{ai, ri}, d)
+				ai = d
+			} else {
+				tr.NewOp(k, []ir.Reg{af, rf}, d)
+				af = d
+			}
+		}
 	}
 	ex := tr.NewOp(ir.OpExit, nil, ir.NoReg)
 	ex.Exit = ir.ExitRet
@@ -314,16 +297,15 @@ func TestWindowLongChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 40 fusable ops followed by an unguarded exit: the exit joins the final
-	// window, so 41 ops tile as ten width-4 windows plus a final pair or
-	// window — at minimum ten windows.
-	if p.Windows < 10 {
-		t.Errorf("Windows = %d, want >= 10 over a 40-op chain", p.Windows)
+	// The constant pair, twenty chain pairs, and the exit alone: 43
+	// instructions in 22 closures.
+	if p.Fused != 21 || p.Steps != 22 {
+		t.Errorf("Fused = %d, Steps = %d, want 21, 22", p.Fused, p.Steps)
 	}
-	if p.Steps >= len(tr.Ops)/2 {
-		t.Errorf("Steps = %d, want < %d (wide windows should dominate)", p.Steps, len(tr.Ops)/2)
+	s := diff(t, tr, make([]ir.Value, fn.NumRegs), make([]ir.Value, 8))
+	if s.regs[ai].I == 0 || s.regs[af].F == 0 {
+		t.Errorf("chain results unexpectedly zero: int %d, float %g", s.regs[ai].I, s.regs[af].F)
 	}
-	diff(t, tr, make([]ir.Value, fn.NumRegs), make([]ir.Value, 8))
 }
 
 // TestFusionSkipsGuardedAndDiv pins the fusion pass's exclusions: guarded

@@ -13,7 +13,7 @@ type ExecMode uint8
 // Execution backends. The zero value is the bytecode engine: every tree is
 // lowered once to a flat register-machine program (internal/bcode) and run
 // by a tight dispatch loop. The native engine lowers further, to chains of
-// pre-bound closures with window-fused superinstructions (internal/ncode) —
+// pre-bound closures with fused pair superinstructions (internal/ncode) —
 // the fastest tier and the CLIs' default, optionally entered adaptively per
 // tree via Runner.TierUp. The tree walker is the reference interpreter both
 // compiled engines are differentially tested against; it also serves as the

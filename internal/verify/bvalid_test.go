@@ -1,6 +1,7 @@
 package verify_test
 
 import (
+	"fmt"
 	"testing"
 
 	"specdis/internal/bcode"
@@ -212,10 +213,11 @@ func TestNCodeValidatorCatchesBadPlan(t *testing.T) {
 	wantFinding(t, verify.CheckNCode(badTree, bad), "nvalid/fuse-unconsumed", "does not consume")
 }
 
-// windowTree builds one synthetic single-block tree from an op-kind recipe so
-// the window-negative cases below control the exact instruction stream; ops
-// are wired into a simple chain off two leading constants.
-func windowTree(kinds []ir.OpKind) (*ir.Function, *ir.Tree) {
+// planTree builds one synthetic single-block tree from an op-kind recipe so
+// the plan-negative cases below control the exact instruction stream: a
+// leading constant r0, then the recipe's ops wired into a simple chain off
+// it. guardAdd puts every add under r0's guard.
+func planTree(kinds []ir.OpKind, guardAdd bool) *ir.Tree {
 	fn := &ir.Function{Name: "w"}
 	tr := &ir.Tree{Fn: fn, Name: "w.t0"}
 	tr.NewBlock(-1, ir.NoReg, false)
@@ -238,76 +240,147 @@ func windowTree(kinds []ir.OpKind) (*ir.Function, *ir.Tree) {
 			tr.NewOp(ir.OpStore, []ir.Reg{r0, prev}, ir.NoReg)
 		default:
 			d := fn.NewReg()
-			tr.NewOp(k, []ir.Reg{prev, r0}, d)
+			op := tr.NewOp(k, []ir.Reg{prev, r0}, d)
+			if guardAdd && k == ir.OpAdd {
+				op.Guard = r0
+			}
 			prev = d
 		}
 	}
-	return fn, tr
+	return tr
 }
 
-// TestNCodeValidatorWindowNegative corrupts fusion plans in the three ways
-// the window-tiling invariants forbid — a gapped tiling (a window head that
-// does not consume its span), a window spanning an interior exit, and a
-// non-catalog member (a store, then a guarded op) smuggled into a window —
-// and requires the validator to name each.
+// TestNCodeValidatorWindowNegative corrupts the fusion plan's windows — the
+// adjacent instructions each superinstruction covers — once per rule of the
+// native validator, and requires the validator to name each. The pair rules
+// are what stops fusion from lifting a store or a guarded op out from under
+// its guard, so each case first pins the clean plan the compiler produced,
+// then applies one corruption to it.
 func TestNCodeValidatorWindowNegative(t *testing.T) {
-	compile := func(t *testing.T, tr *ir.Tree) *ncode.Prog {
-		t.Helper()
-		np, err := ncode.Compile(tr)
-		if err != nil {
-			t.Fatalf("ncode.Compile: %v", err)
-		}
-		wantClean(t, verify.CheckNCode(tr, np))
-		return np
+	const (
+		none = ncode.FuseNone
+		cons = ncode.FuseConsumed
+		cmpx = ncode.FuseCmpExit
+		calu = ncode.FuseConstAlu
+		pair = ncode.FusePair
+		// The plan bytes the retired 3- and 4-wide window kinds used: a
+		// stale plan carrying them must not validate.
+		win3 = ncode.FusePair + 1
+		win4 = ncode.FusePair + 2
+	)
+	// [const r0, const, add, mul, exit] tiles as const+const, add+mul.
+	chain := []ir.OpKind{ir.OpConst, ir.OpAdd, ir.OpMul, ir.OpExit}
+	cases := []struct {
+		name     string
+		recipe   []ir.OpKind
+		guardAdd bool
+		clean    []ncode.FuseKind
+		corrupt  func(p *ncode.Prog)
+		check    string
+		substr   string
+	}{
+		{
+			name: "gapped-tiling", recipe: chain,
+			clean:   []ncode.FuseKind{pair, cons, pair, cons, none},
+			corrupt: func(p *ncode.Prog) { p.Plan[1] = none },
+			check:   "nvalid/fuse-unconsumed", substr: "head at instr 0 does not consume instr 1",
+		},
+		{
+			name: "orphan-slot", recipe: chain,
+			clean:   []ncode.FuseKind{pair, cons, pair, cons, none},
+			corrupt: func(p *ncode.Prog) { p.Plan[4] = cons },
+			check:   "nvalid/fuse-orphan", substr: "instr 4 marked consumed",
+		},
+		{
+			// A squashable head would execute unconditionally.
+			name: "guarded-head", recipe: chain, guardAdd: true,
+			clean:   []ncode.FuseKind{pair, cons, none, none, none},
+			corrupt: func(p *ncode.Prog) { p.Plan[2], p.Plan[3] = pair, cons },
+			check:   "nvalid/fuse-guarded", substr: "instr 2 (add) is guarded",
+		},
+		{
+			// A store's architectural side effect must never join a pair.
+			name: "store-in-window", recipe: []ir.OpKind{ir.OpConst, ir.OpStore, ir.OpExit},
+			clean:   []ncode.FuseKind{pair, cons, none, none},
+			corrupt: func(p *ncode.Prog) { p.Plan[0], p.Plan[1], p.Plan[2] = none, pair, cons },
+			check:   "nvalid/fuse-illegal", substr: "fuses store at instr 2",
+		},
+		{
+			// A guarded partner would write its destination even when
+			// squashed.
+			name: "guarded-op-in-window", recipe: []ir.OpKind{ir.OpConst, ir.OpAdd, ir.OpExit}, guardAdd: true,
+			clean:   []ncode.FuseKind{pair, cons, none, none},
+			corrupt: func(p *ncode.Prog) { p.Plan[0], p.Plan[1], p.Plan[2] = none, calu, cons },
+			check:   "nvalid/fuse-illegal", substr: "fuses add at instr 2",
+		},
+		{
+			// A compare+exit whose exit is not guarded by the compare.
+			name: "cmp-exit-unguarded", recipe: []ir.OpKind{ir.OpCmpEQ, ir.OpExit},
+			clean:   []ncode.FuseKind{calu, cons, none},
+			corrupt: func(p *ncode.Prog) { p.Plan[0], p.Plan[1], p.Plan[2] = none, cmpx, cons },
+			check:   "nvalid/fuse-illegal", substr: "cmpeq does not feed the guard of exit",
+		},
+		{
+			// A stale 4-wide window spanning the first exit.
+			name: "window-spans-exit", recipe: []ir.OpKind{ir.OpCmpEQ, ir.OpExit, ir.OpExit},
+			clean: []ncode.FuseKind{calu, cons, none, none},
+			corrupt: func(p *ncode.Prog) {
+				p.Plan[0], p.Plan[1], p.Plan[2], p.Plan[3] = win4, cons, cons, cons
+			},
+			check: "nvalid/fuse-kind", substr: "instr 0 has unknown fusion kind 6",
+		},
+		{
+			name: "stale-3-wide-window", recipe: []ir.OpKind{ir.OpAdd, ir.OpMul, ir.OpExit},
+			clean:   []ncode.FuseKind{calu, cons, none, none},
+			corrupt: func(p *ncode.Prog) { p.Plan[0], p.Plan[1], p.Plan[2] = win3, cons, cons },
+			check:   "nvalid/fuse-kind", substr: "instr 0 has unknown fusion kind 5",
+		},
+		{
+			name: "step-count", recipe: chain,
+			clean:   []ncode.FuseKind{pair, cons, pair, cons, none},
+			corrupt: func(p *ncode.Prog) { p.Steps++ },
+			check:   "nvalid/step-count", substr: "declares 4 steps, plan emits 3",
+		},
+		{
+			name: "fused-count", recipe: chain,
+			clean:   []ncode.FuseKind{pair, cons, pair, cons, none},
+			corrupt: func(p *ncode.Prog) { p.Fused-- },
+			check:   "nvalid/fused-count", substr: "declares 1 superinstructions, plan holds 2",
+		},
+		{
+			name: "guard-count", recipe: chain, guardAdd: true,
+			clean:   []ncode.FuseKind{pair, cons, none, none, none},
+			corrupt: func(p *ncode.Prog) { p.NumGuarded = 0 },
+			check:   "nvalid/guard-count", substr: "declares 0 guarded steps, bytecode source has 1",
+		},
+		{
+			name: "plan-length", recipe: chain,
+			clean:   []ncode.FuseKind{pair, cons, pair, cons, none},
+			corrupt: func(p *ncode.Prog) { p.Plan = p.Plan[:4] },
+			check:   "nvalid/plan-length", substr: "covers 4 slots for 5 instructions",
+		},
+		{
+			name: "no-src", recipe: chain,
+			clean:   []ncode.FuseKind{pair, cons, pair, cons, none},
+			corrupt: func(p *ncode.Prog) { p.Src = nil },
+			check:   "nvalid/no-src", substr: "retains no bytecode source",
+		},
 	}
-
-	t.Run("gapped-tiling", func(t *testing.T) {
-		_, tr := windowTree([]ir.OpKind{ir.OpConst, ir.OpAdd, ir.OpMul, ir.OpExit})
-		np := compile(t, tr)
-		if np.Plan[0] != ncode.FuseWin4 {
-			t.Fatalf("plan[0] = %d, want a width-4 window head", np.Plan[0])
-		}
-		np.Plan[1] = ncode.FuseNone // the head no longer covers its span
-		wantFinding(t, verify.CheckNCode(tr, np), "nvalid/fuse-unconsumed", "does not consume")
-	})
-
-	t.Run("window-spans-exit", func(t *testing.T) {
-		_, tr := windowTree([]ir.OpKind{ir.OpCmpEQ, ir.OpExit, ir.OpExit})
-		np := compile(t, tr)
-		// Claim a width-4 window over [const, cmp, exit, exit]: the first
-		// exit sits at an interior position.
-		np.Plan[0], np.Plan[1], np.Plan[2], np.Plan[3] =
-			ncode.FuseWin4, ncode.FuseConsumed, ncode.FuseConsumed, ncode.FuseConsumed
-		wantFinding(t, verify.CheckNCode(tr, np), "nvalid/win-exit", "spans the exit")
-	})
-
-	t.Run("store-in-window", func(t *testing.T) {
-		_, tr := windowTree([]ir.OpKind{ir.OpConst, ir.OpStore, ir.OpExit})
-		np := compile(t, tr)
-		// Claim a width-3 window over [const, const, store]: the store's
-		// architectural side effect must never join a window.
-		np.Plan[0], np.Plan[1], np.Plan[2] =
-			ncode.FuseWin3, ncode.FuseConsumed, ncode.FuseConsumed
-		wantFinding(t, verify.CheckNCode(tr, np), "nvalid/win-member", "non-member store")
-	})
-
-	t.Run("guarded-op-in-window", func(t *testing.T) {
-		fn, tr := windowTree([]ir.OpKind{ir.OpConst, ir.OpAdd, ir.OpExit})
-		// Guard the add: a squashable op inside a window would execute
-		// unconditionally, lifting its write out from under the guard.
-		var guarded *ir.Op
-		for _, op := range tr.Ops {
-			if op != nil && op.Kind == ir.OpAdd {
-				guarded = op
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := planTree(tc.recipe, tc.guardAdd)
+			np, err := ncode.Compile(tr)
+			if err != nil {
+				t.Fatalf("ncode.Compile: %v", err)
 			}
-		}
-		guarded.Guard = ir.Reg(0)
-		_ = fn
-		np := compile(t, tr)
-		np.Plan[0], np.Plan[1], np.Plan[2] =
-			ncode.FuseWin3, ncode.FuseConsumed, ncode.FuseConsumed
-		wantFinding(t, verify.CheckNCode(tr, np), "nvalid/win-member", "non-member")
-	})
+			wantClean(t, verify.CheckNCode(tr, np))
+			if fmt.Sprint(np.Plan) != fmt.Sprint(tc.clean) {
+				t.Fatalf("clean plan = %v, want %v", np.Plan, tc.clean)
+			}
+			tc.corrupt(np)
+			wantFinding(t, verify.CheckNCode(tr, np), tc.check, tc.substr)
+		})
+	}
 }
 
 // TestAuditScheduleNegative corrupts list schedules in three precise ways —

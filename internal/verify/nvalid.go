@@ -2,26 +2,25 @@ package verify
 
 // This file is verification layer 4b: the translation validator for the
 // native tier. A native program is closure chains lowered through the
-// bytecode stream under a fusion plan — pairwise superinstructions and wide
-// (width 3/4) fusion windows — so validation has two halves: the retained
-// bytecode source is validated against the tree with CheckBCode, and the
-// plan's tiling legality is re-derived instruction by instruction from an
-// independent copy of the fusion catalog. The tiling invariants:
+// bytecode stream under a fusion plan of pairwise superinstructions, so
+// validation has two halves: the retained bytecode source is validated
+// against the tree with CheckBCode, and the plan's tiling legality is
+// re-derived instruction by instruction from an independent copy of the
+// fusion catalog. The tiling invariants:
 //
-//   - windows and pairs cover the word stream exactly — every head consumes
-//     exactly width-1 following slots, every consumed slot follows a head;
-//   - a window never spans an exit — an exit may only terminate a window
-//     (the window's exit logic re-reads the guard after every member lands,
-//     which is why a terminal exit is sound and an interior one is not);
-//   - every window member comes from the element catalog: unguarded,
-//     destination-writing constants, moves, integer/float ALU, compares and
-//     loads — never a store, print or guarded op, so fusion can never lift an
-//     alias-side side effect out from under its guard.
+//   - pairs cover the word stream exactly — every head consumes exactly the
+//     following slot, every consumed slot follows a head;
+//   - every head is unguarded and destination-writing, and every pair is in
+//     the catalog: a compare feeding the guard of the exit it consumes, a
+//     constant feeding an operand of an unguarded ALU or compare, or an
+//     unguarded hot pair — never a store, print or guarded op as a partner,
+//     so fusion can never lift an alias-side side effect out from under its
+//     guard.
 //
 // A plan entry the catalog cannot justify means the emitter built a closure
-// whose semantics nobody proved. The chain lengths the executor, the fuel
-// accounting and the artifact store rely on (Steps, Fused, Windows,
-// NumGuarded) are recomputed from the plan and compared.
+// whose semantics nobody proved. The chain lengths the cache counters report
+// (Steps, Fused) and the commit-bit width (NumGuarded) are recomputed from
+// the plan and compared.
 
 import (
 	"fmt"
@@ -65,79 +64,40 @@ func CheckNCode(t *ir.Tree, p *ncode.Prog) []Finding {
 		return c.out
 	}
 
-	steps, fused, windows := 0, 0, 0
+	steps, fused := 0, 0
 	for pc := 0; pc < len(p.Plan); pc++ {
-		k := p.Plan[pc]
-		w := headWidth(k)
-		switch {
-		case k == ncode.FuseNone:
+		switch k := p.Plan[pc]; k {
+		case ncode.FuseNone:
 			// An unguarded nop emits no closure; everything else emits one.
 			if !(code[pc].Op == bcode.Nop && code[pc].Guard < 0) {
 				steps++
 			}
-		case k == ncode.FuseConsumed:
+		case ncode.FuseConsumed:
 			c.fail("nvalid/fuse-orphan", "instr %d marked consumed without a preceding superinstruction head", pc)
-		case w > 0:
+		case ncode.FuseCmpExit, ncode.FuseConstAlu, ncode.FusePair:
 			steps++
 			fused++
-			if k == ncode.FuseWin3 || k == ncode.FuseWin4 {
-				windows++
-			}
-			// The head must consume exactly w-1 following slots: a gap is a
+			// The head must consume the following slot: a gap is a
 			// mis-tiled plan (the emitter and the plan disagree about which
 			// instructions the closure executes). On a gap, resume at the
-			// first slot the head did not actually consume.
-			adv := w - 1
-			gapped := false
-			for i := 1; i < w; i++ {
-				if pc+i >= len(code) || p.Plan[pc+i] != ncode.FuseConsumed {
-					c.fail("nvalid/fuse-unconsumed", "superinstruction head at instr %d does not consume instr %d", pc, pc+i)
-					adv, gapped = i-1, true
-					break
-				}
+			// slot the head did not consume.
+			if pc+1 >= len(code) || p.Plan[pc+1] != ncode.FuseConsumed {
+				c.fail("nvalid/fuse-unconsumed", "superinstruction head at instr %d does not consume instr %d", pc, pc+1)
+				continue
 			}
-			if !gapped {
-				if w > 2 {
-					c.checkWindow(pc, w)
-				} else {
-					c.checkFusion(pc, k)
-				}
-			}
-			pc += adv
+			c.checkFusion(pc, k)
+			pc++
 		default:
 			c.fail("nvalid/fuse-kind", "instr %d has unknown fusion kind %d", pc, int(k))
 		}
 	}
 	if p.Steps != steps {
-		c.fail("nvalid/step-count", "native program declares %d steps, plan emits %d (fuel and cache metadata wrong)", p.Steps, steps)
+		c.fail("nvalid/step-count", "native program declares %d steps, plan emits %d", p.Steps, steps)
 	}
 	if p.Fused != fused {
 		c.fail("nvalid/fused-count", "native program declares %d superinstructions, plan holds %d", p.Fused, fused)
 	}
-	if p.Windows != windows {
-		c.fail("nvalid/window-count", "native program declares %d fusion windows, plan holds %d", p.Windows, windows)
-	}
 	return c.out
-}
-
-// checkWindow re-derives the legality of one width-3/4 fusion window from the
-// validator's own copy of the element catalog: every member must be a catalog
-// element, except that the final one may be an exit (any guard polarity — the
-// window re-reads the guard register after all members land).
-func (c *bcodeChecker) checkWindow(pc, w int) {
-	code := c.p.Code
-	for i := 0; i < w; i++ {
-		in := &code[pc+i]
-		if in.Op == bcode.Exit {
-			if i != w-1 {
-				c.fail("nvalid/win-exit", "fusion window at instr %d spans the exit at instr %d; an exit may only terminate a window", pc, pc+i)
-			}
-			continue
-		}
-		if !vWinElem(in) {
-			c.fail("nvalid/win-member", "fusion window at instr %d holds non-member %s at instr %d (guarded, side-effecting or outside the element catalog)", pc, in.Op, pc+i)
-		}
-	}
 }
 
 // checkFusion re-derives the legality of one pairwise superinstruction head
@@ -149,58 +109,32 @@ func (c *bcodeChecker) checkFusion(pc int, k ncode.FuseKind) {
 		c.fail("nvalid/fuse-guarded", "superinstruction head at instr %d (%s) is guarded or has no destination", pc, in.Op)
 		return
 	}
-	switch k {
-	case ncode.FuseCmpExit:
+	if k == ncode.FuseCmpExit {
 		if !vIsCmp(in.Op) || nx.Op != bcode.Exit || nx.Guard != in.Dest {
 			c.fail("nvalid/fuse-illegal", "compare+exit fusion at instr %d: %s does not feed the guard of %s", pc, in.Op, nx.Op)
 		}
+		return
+	}
+	// Any other partner is unguarded and writes a destination: a store, a
+	// print or a guarded op never executes inside a superinstruction.
+	if nx.Guard >= 0 || nx.Dest < 0 {
+		c.fail("nvalid/fuse-illegal", "superinstruction at instr %d fuses %s at instr %d, which is guarded or has no destination", pc, nx.Op, pc+1)
+		return
+	}
+	switch k {
 	case ncode.FuseConstAlu:
-		if in.Op != bcode.Const || nx.Guard >= 0 || nx.Dest < 0 ||
-			!vFusableAlu(nx.Op) || (nx.A != in.Dest && nx.B != in.Dest) {
+		if in.Op != bcode.Const || !vFusableAlu(nx.Op) || (nx.A != in.Dest && nx.B != in.Dest) {
 			c.fail("nvalid/fuse-illegal", "const+arith fusion at instr %d: %s does not feed an operand of %s", pc, in.Op, nx.Op)
 		}
 	case ncode.FusePair:
-		if nx.Guard >= 0 || nx.Dest < 0 || !vPairable(in.Op, nx.Op) {
+		if !vPairable(in.Op, nx.Op) {
 			c.fail("nvalid/fuse-illegal", "pair fusion at instr %d: %s/%s is not in the hot-pair catalog", pc, in.Op, nx.Op)
 		}
 	}
 }
 
-// headWidth maps a superinstruction head kind to the number of instruction
-// words it covers (0 for non-heads).
-func headWidth(k ncode.FuseKind) int {
-	switch k {
-	case ncode.FuseCmpExit, ncode.FuseConstAlu, ncode.FusePair:
-		return 2
-	case ncode.FuseWin3:
-		return 3
-	case ncode.FuseWin4:
-		return 4
-	default:
-		return 0
-	}
-}
-
-// vWinElem, vIsCmp, vFusableAlu and vPairable are the validator's independent
-// copies of the fusion catalog (see the file comment on re-derivation).
-
-func vWinElem(in *bcode.Instr) bool {
-	if in.Guard >= 0 || in.Dest < 0 {
-		return false
-	}
-	switch in.Op {
-	case bcode.Const, bcode.Move,
-		bcode.Add, bcode.Sub, bcode.Mul, bcode.And, bcode.Or, bcode.Xor,
-		bcode.Shl, bcode.Shr,
-		bcode.FAdd, bcode.FSub, bcode.FMul, bcode.FDiv,
-		bcode.CmpEQ, bcode.CmpNE, bcode.CmpLT, bcode.CmpLE, bcode.CmpGT, bcode.CmpGE,
-		bcode.FCmpEQ, bcode.FCmpNE, bcode.FCmpLT, bcode.FCmpLE, bcode.FCmpGT, bcode.FCmpGE,
-		bcode.Load:
-		return true
-	default:
-		return false
-	}
-}
+// vIsCmp, vFusableAlu and vPairable are the validator's independent copies
+// of the fusion catalog (see the file comment on re-derivation).
 
 func vIsCmp(op bcode.Op) bool {
 	switch op {
