@@ -9,7 +9,9 @@
 package specdis_test
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 	"testing"
@@ -36,49 +38,25 @@ func emit(name string, f func()) {
 
 // ---- The paper's tables and figures --------------------------------------
 
-func BenchmarkTable63(b *testing.B) {
+// benchReport runs one streaming renderer on a fresh runner per iteration
+// and prints its output once.
+func benchReport(b *testing.B, name string, stream func(*exper.Runner, io.Writer) error) {
 	for i := 0; i < b.N; i++ {
-		r := exper.New()
-		rows, err := r.Table63()
-		if err != nil {
+		var buf bytes.Buffer
+		if err := stream(exper.New(), &buf); err != nil {
 			b.Fatal(err)
 		}
-		emit("table63", func() { exper.RenderTable63(os.Stdout, rows) })
+		emit(name, func() { os.Stdout.Write(buf.Bytes()) })
 	}
 }
 
-func BenchmarkFigure62(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := exper.New()
-		rows, err := r.Figure62()
-		if err != nil {
-			b.Fatal(err)
-		}
-		emit("fig62", func() { exper.RenderFigure62(os.Stdout, rows) })
-	}
-}
+func BenchmarkTable63(b *testing.B) { benchReport(b, "table63", (*exper.Runner).StreamTable63) }
 
-func BenchmarkFigure63(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := exper.New()
-		rows, err := r.Figure63()
-		if err != nil {
-			b.Fatal(err)
-		}
-		emit("fig63", func() { exper.RenderFigure63(os.Stdout, rows) })
-	}
-}
+func BenchmarkFigure62(b *testing.B) { benchReport(b, "fig62", (*exper.Runner).StreamFigure62) }
 
-func BenchmarkFigure64(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := exper.New()
-		rows, err := r.Figure64()
-		if err != nil {
-			b.Fatal(err)
-		}
-		emit("fig64", func() { exper.RenderFigure64(os.Stdout, rows) })
-	}
-}
+func BenchmarkFigure63(b *testing.B) { benchReport(b, "fig63", (*exper.Runner).StreamFigure63) }
+
+func BenchmarkFigure64(b *testing.B) { benchReport(b, "fig64", (*exper.Runner).StreamFigure64) }
 
 // ---- Ablations (DESIGN.md §5) ---------------------------------------------
 

@@ -21,8 +21,8 @@
 //	spdbench -fuel N          # dynamic-op budget per interpretation
 //	spdbench -deadline 30s    # wall-clock deadline for the whole evaluation
 //	spdbench -inject PLAN     # seeded fault injection, e.g. seed=42,rate=0.3
-//	spdbench -store DIR       # persistent artifact store of prepare summaries,
-//	                          # traces and priced cells: repeat runs start warm
+//	spdbench -store DIR       # persistent artifact store of prepare summaries
+//	                          # and priced cells: repeat runs start warm
 //	spdbench -store-stats     # print store hit/miss counters to stderr
 //	spdbench -json            # also write BENCH_spdbench.json with timings
 //	spdbench -cpuprofile f    # write a CPU profile of the run
@@ -182,11 +182,10 @@ type storeReport struct {
 	// transient open errors into a plain miss with the file intact.
 	IOShortReads int64 `json:"io_short_reads"`
 	IOOpenErrors int64 `json:"io_open_errors"`
-	// PrepsServed, MeasuresServed and TracesServed count whole evaluation
-	// cells served from the store instead of computed.
+	// PrepsServed and MeasuresServed count whole evaluation cells served
+	// from the store instead of computed.
 	PrepsServed    int64 `json:"preps_served"`
 	MeasuresServed int64 `json:"measures_served"`
-	TracesServed   int64 `json:"traces_served"`
 }
 
 func main() {
@@ -215,7 +214,7 @@ func run() int {
 	fuel := flag.Int64("fuel", defaultFuel, "dynamic-operation budget per interpretation; an exceeding cell fails typed instead of hanging")
 	deadline := flag.Duration("deadline", 0, "wall-clock deadline for the whole evaluation (0 = none); expiry fails in-flight cells typed")
 	inject := flag.String("inject", "", "seeded fault-injection plan, e.g. seed=42,rate=0.3,kinds=panic+fuel+flip+drop,times=1 (chaos mode)")
-	storeDir := flag.String("store", "", "persistent content-addressed artifact store directory: prepare summaries, traces and priced cells are reused across runs")
+	storeDir := flag.String("store", "", "persistent content-addressed artifact store directory: prepare summaries and priced cells are reused across runs")
 	storeStats := flag.Bool("store-stats", false, "print artifact-store hit/miss counters to stderr after the run")
 	jsonOut := flag.Bool("json", false, "write BENCH_spdbench.json with per-experiment timings")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -340,8 +339,7 @@ func run() int {
 		fmt.Fprintln(out)
 	}
 	// The four computed reports stream: each row prints the moment its cells
-	// resolve (later cells still warming on the work-stealing pool), with
-	// output byte-identical to the batch renderers.
+	// resolve, while later cells are still warming on the worker queue.
 	if want("table63") {
 		timed("table63", func() error {
 			if err := r.StreamTable63(out); err != nil {
@@ -460,7 +458,6 @@ func run() int {
 		report.Store.IOOpenErrors = sst.IOOpenErrors
 		report.Store.PrepsServed = st.StorePreps
 		report.Store.MeasuresServed = st.StoreMeasures
-		report.Store.TracesServed = st.StoreTraces
 		data, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {
 			log.Fatal(err)
@@ -473,9 +470,9 @@ func run() int {
 	// Store counters go to stderr with everything else diagnostic: stdout
 	// must stay byte-identical with and without a store, warm or cold.
 	if *storeStats && r.Store != nil {
-		fmt.Fprintf(os.Stderr, "spdbench: store %s: %d hit(s) (%d in-memory), %d miss(es), %d put(s), %d B read, %d B written, %d eviction(s), %d corrupt dropped; served %d prep(s), %d measure(s), %d trace(s)\n",
+		fmt.Fprintf(os.Stderr, "spdbench: store %s: %d hit(s) (%d in-memory), %d miss(es), %d put(s), %d B read, %d B written, %d eviction(s), %d corrupt dropped; served %d prep(s), %d measure(s)\n",
 			*storeDir, sst.Hits, sst.MemHits, sst.Misses, sst.Puts, sst.BytesRead, sst.BytesWritten,
-			sst.Evictions, sst.CorruptDropped, st.StorePreps, st.StoreMeasures, st.StoreTraces)
+			sst.Evictions, sst.CorruptDropped, st.StorePreps, st.StoreMeasures)
 	}
 
 	// The failure table and degradation summary go to stderr: stdout stays

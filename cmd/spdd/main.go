@@ -22,7 +22,6 @@ import (
 	"syscall"
 	"time"
 
-	"specdis/internal/exper"
 	"specdis/internal/resilience"
 	"specdis/internal/serve"
 	"specdis/internal/store"
@@ -43,7 +42,6 @@ func run() int {
 	drainTimeout := flag.Duration("drain-timeout", serve.DefaultDrainTimeout, "how long in-flight requests get to finish after SIGTERM")
 	cacheLimit := flag.Int("cache-limit", serve.DefaultCacheLimit, "entry bound of each shared compiled-code cache (negative = unbounded)")
 	execMode := flag.String("exec", "native", "default execution backend: native, bcode, or tree (requests may select their own)")
-	tierUp := flag.Int64("tierup", exper.DefaultTierUp, "adaptive tiering under the native tier (0 = compile every tree eagerly)")
 	storeDir := flag.String("store", "", "persistent content-addressed artifact store directory shared by every request")
 	inject := flag.String("inject", "", "seeded fault-injection plan threaded into every request's engine, e.g. seed=7,rate=1,kinds=bpanic+flip (chaos mode)")
 	flag.Parse()
@@ -57,7 +55,6 @@ func run() int {
 		DeadlineCap:    *deadlineCap,
 		DrainTimeout:   *drainTimeout,
 		CacheLimit:     *cacheLimit,
-		TierUp:         *tierUp,
 	}
 	switch *execMode {
 	case "native", "bcode", "tree":

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"specdis/internal/bench"
 	"specdis/internal/disamb"
@@ -102,12 +103,12 @@ type Stats struct {
 	// FaultsInjected counts cells the runner's fault-injection plan armed.
 	// Zero unless the runner was built with a non-empty Inject plan.
 	FaultsInjected int64
-	// StorePreps, StoreMeasures, and StoreTraces count cells served whole
-	// from the persistent artifact store (Runner.Store) instead of being
-	// computed: prepare summaries, priced measurement cells, and captured
-	// traces respectively. A fully warm run has Prepares == Measures ==
-	// TraceCaptures == 0 with all the work accounted here.
-	StorePreps, StoreMeasures, StoreTraces int64
+	// StorePreps and StoreMeasures count cells served whole from the
+	// persistent artifact store (Runner.Store) instead of being computed:
+	// prepare summaries and priced measurement cells respectively. A fully
+	// warm run has Prepares == Measures == TraceCaptures == 0 with all the
+	// work accounted here.
+	StorePreps, StoreMeasures int64
 }
 
 // Stats returns a snapshot of the runner's work counters. Safe to call
@@ -145,7 +146,6 @@ func (r *Runner) Stats() Stats {
 		FaultsInjected:   r.nInjected.Load(),
 		StorePreps:       r.nStorePreps.Load(),
 		StoreMeasures:    r.nStoreMeasures.Load(),
-		StoreTraces:      r.nStoreTraces.Load(),
 	}
 }
 
@@ -190,7 +190,7 @@ func (c warmCell) run(r *Runner) {
 	}
 }
 
-// cost estimates the cell's relative wall time for shard balancing. The
+// cost estimates the cell's relative wall time for queue ordering. The
 // absolute scale is meaningless; only ratios matter. Timed measurement
 // dominates preparation by more than an order of magnitude (one cell prices
 // 9–18 machine models), longer sources interpret proportionally longer, and
@@ -206,24 +206,21 @@ func (c warmCell) cost() int64 {
 	return cost
 }
 
-// warm fans the given cells out across the work-stealing pool and waits for
-// all of them; see warmAsync.
+// warm runs the given cells on the worker pool and waits for all of them;
+// see warmAsync.
 func (r *Runner) warm(cells []warmCell) { r.warmAsync(cells)() }
 
-// warmAsync starts warming the given cells on the work-stealing pool and
-// returns a wait function that blocks until every cell has been run. With an
-// effective pool width of one it is a no-op (the caller's assembly loop does
-// the work itself; warming would just push every cell through the cache path
-// twice).
+// warmAsync starts warming the given cells on min(Par, len(cells)) workers
+// and returns a wait function that blocks until every worker has exited.
+// With an effective pool width of one it is a no-op (the caller's assembly
+// loop does the work itself; warming would just push every cell through the
+// cache path twice).
 //
 // Callers may begin consuming cells before wait returns: the singleflight
 // layer under Prepared/Measure/Summary coalesces the consumer onto the
 // warming computation, so rows stream out as their cells complete.
 func (r *Runner) warmAsync(cells []warmCell) (wait func()) {
-	workers := r.par()
-	if workers > len(cells) {
-		workers = len(cells)
-	}
+	workers := min(r.par(), len(cells))
 	if workers <= 1 {
 		return func() {}
 	}
@@ -235,137 +232,42 @@ func (r *Runner) warmAsync(cells []warmCell) (wait func()) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		runStealing(ctx, workers, costs, func(i int) { cells[i].run(r) })
-	}()
-	return func() { <-done }
+	return startQueue(ctx, workers, costs, func(i int) { cells[i].run(r) })
 }
 
-// stealDeque is one worker's task queue: indices into the shared task slice,
-// highest estimated cost first. The owner pops from the front (finishing big
-// tasks early bounds the makespan); thieves split off the back half.
-type stealDeque struct {
-	mu    sync.Mutex
-	tasks []int
-}
-
-// pop removes and returns the front task.
-func (d *stealDeque) pop() (int, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.tasks) == 0 {
-		return 0, false
-	}
-	t := d.tasks[0]
-	d.tasks = d.tasks[1:]
-	return t, true
-}
-
-// stealHalf removes and returns the back half (at least one task) of the
-// deque, or nil if it is empty.
-func (d *stealDeque) stealHalf() []int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	n := len(d.tasks)
-	if n == 0 {
-		return nil
-	}
-	keep := n / 2
-	stolen := append([]int(nil), d.tasks[keep:]...)
-	d.tasks = d.tasks[:keep]
-	return stolen
-}
-
-// push appends tasks to the back of the deque.
-func (d *stealDeque) push(tasks []int) {
-	d.mu.Lock()
-	d.tasks = append(d.tasks, tasks...)
-	d.mu.Unlock()
-}
-
-// runStealing executes every task index in [0, len(costs)) exactly once
-// across a pool of workers, sharding by estimated cost and rebalancing by
-// work stealing.
+// startQueue starts workers goroutines that run every task index in
+// [0, len(costs)) at most once, highest estimated cost first, and returns a
+// wait function that blocks until every worker has exited. The tasks are
+// sorted once; each worker claims the next one from a single atomic cursor
+// until the cursor runs off the end. Starting the biggest tasks first bounds
+// the makespan, and a worker that finishes early simply claims the next
+// task, so no load needs rebalancing.
 //
-// Sharding is greedy LPT: tasks sorted by descending cost, each assigned to
-// the least-loaded shard, so the static split is already near-balanced. When
-// a worker drains its own deque it steals the back half of the first
-// non-empty victim deque (scanning round-robin from its right neighbor) —
-// cost estimates are only estimates, and stealing in bulk amortizes the
-// synchronization while keeping the victim's biggest tasks local to it.
-//
-// Termination: tasks move between deques only by stealing and leave the
-// system only by being claimed for execution; a claimed task always
-// completes (tasks that block in the singleflight layer wait on a
-// computation whose owner runs it inline). A worker that finds every deque
-// empty therefore exits; tasks a thief holds mid-transfer are invisible to
-// that scan but remain owned by a live worker, so every task still runs.
-//
-// Cancellation: once a worker observes ctx done it exits, abandoning its
-// queued tasks instead of executing them — a cancelled request's cells must
-// be skipped, not run and discarded (the engines would fail them with typed
-// deadline errors anyway, but only after burning a full interpretation
-// each). In-flight tasks finish; no task starts after its worker observes
-// the cancellation. See TestStealingCancelSkipsQueued.
-func runStealing(ctx context.Context, workers int, costs []int64, run func(task int)) {
-	n := len(costs)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				return
-			}
-			run(i)
-		}
-		return
-	}
-	order := make([]int, n)
+// Cancellation: a worker checks ctx before every claim and exits once it is
+// done, so a cancelled request's unstarted cells are skipped rather than run
+// and discarded (the engines would fail them with typed deadline errors
+// anyway, but only after burning a full interpretation each). In-flight
+// tasks finish. See TestQueueCancelSkipsQueued.
+func startQueue(ctx context.Context, workers int, costs []int64, run func(task int)) (wait func()) {
+	order := make([]int, len(costs))
 	for i := range order {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool { return costs[order[a]] > costs[order[b]] })
-	deques := make([]stealDeque, workers)
-	load := make([]int64, workers)
-	for _, t := range order {
-		w := 0
-		for i := 1; i < workers; i++ {
-			if load[i] < load[w] {
-				w = i
-			}
-		}
-		deques[w].tasks = append(deques[w].tasks, t)
-		load[w] += costs[t]
-	}
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(self int) {
+	for w := 0; w < min(workers, len(order)); w++ {
+		wg.Add(1)
+		go func() {
 			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
+			for ctx.Err() == nil {
+				i := next.Add(1) - 1
+				if i >= int64(len(order)) {
 					return
 				}
-				t, ok := deques[self].pop()
-				if !ok {
-					stolen := []int(nil)
-					for i := 1; i < workers; i++ {
-						if stolen = deques[(self+i)%workers].stealHalf(); stolen != nil {
-							break
-						}
-					}
-					if stolen == nil {
-						return
-					}
-					deques[self].push(stolen)
-					continue
-				}
-				run(t)
+				run(order[i])
 			}
-		}(w)
+		}()
 	}
-	wg.Wait()
+	return wg.Wait
 }

@@ -2,21 +2,27 @@ package exper
 
 import (
 	"context"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
-// TestRunStealingRunsEveryTaskOnce drives the scheduler with heavily skewed
-// costs — one shard gets the giant tasks, forcing idle workers to steal —
+// runQueue runs the queue to completion.
+func runQueue(ctx context.Context, workers int, costs []int64, run func(task int)) {
+	startQueue(ctx, workers, costs, run)()
+}
+
+// TestQueueRunsEveryTaskOnce drives the queue with heavily skewed costs at
+// every pool width, including more workers than tasks and no tasks at all,
 // and requires every task to run exactly once.
-func TestRunStealingRunsEveryTaskOnce(t *testing.T) {
+func TestQueueRunsEveryTaskOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 16} {
 		for _, n := range []int{0, 1, 7, 100} {
 			costs := make([]int64, n)
 			for i := range costs {
-				// A few huge tasks and a long tail of tiny ones: LPT packs
-				// the giants onto separate shards, the tail gets stolen.
+				// A few huge tasks and a long tail of tiny ones.
 				if i%17 == 0 {
 					costs[i] = 1_000_000
 				} else {
@@ -24,7 +30,7 @@ func TestRunStealingRunsEveryTaskOnce(t *testing.T) {
 				}
 			}
 			ran := make([]atomic.Int32, n)
-			runStealing(context.Background(), workers, costs, func(i int) {
+			runQueue(context.Background(), workers, costs, func(i int) {
 				ran[i].Add(1)
 			})
 			for i := range ran {
@@ -36,53 +42,67 @@ func TestRunStealingRunsEveryTaskOnce(t *testing.T) {
 	}
 }
 
-// TestRunStealingStealsUnderSkew pins that stealing actually happens: with
-// every task's cost on one shard-dominating scale, at least two workers
-// must end up running tasks (the static LPT split plus work stealing spread
-// the load), exercised under the race detector.
-func TestRunStealingStealsUnderSkew(t *testing.T) {
-	const n = 64
+// TestQueueClaimsByDescendingCost pins the claim order: one worker runs the
+// tasks in descending cost order, ties in index order; and with every worker
+// parked inside its first task, the tasks started are exactly the costliest
+// ones.
+func TestQueueClaimsByDescendingCost(t *testing.T) {
+	const n = 100
 	costs := make([]int64, n)
 	for i := range costs {
-		costs[i] = 1 // uniform: LPT spreads them evenly
+		costs[i] = int64(i * 37 % n / 4) // shuffled, four tasks per cost
 	}
-	var mu sync.Mutex
-	seen := map[int]bool{} // distinct goroutines that ran tasks
-	var barrier sync.WaitGroup
-	barrier.Add(2)
-	first := true
-	runStealing(context.Background(), 2, costs, func(i int) {
-		mu.Lock()
-		if first {
-			first = false
-			mu.Unlock()
-			// Park the first task long enough that its shard's remaining
-			// tasks must be stolen by the other worker.
-			barrier.Done()
-			barrier.Wait()
+	want := make([]int, n)
+	for i := range want {
+		want[i] = i
+	}
+	sort.SliceStable(want, func(a, b int) bool { return costs[want[a]] > costs[want[b]] })
+
+	var got []int
+	runQueue(context.Background(), 1, costs, func(i int) { got = append(got, i) })
+	if !slices.Equal(got, want) {
+		t.Fatalf("one worker ran %v, want %v", got, want)
+	}
+
+	for _, workers := range []int{2, 4} {
+		release := make(chan struct{})
+		var entered sync.WaitGroup
+		entered.Add(workers)
+		var mu sync.Mutex
+		var first []int
+		wait := startQueue(context.Background(), workers, costs, func(i int) {
 			mu.Lock()
-		}
-		seen[i] = true
-		if len(seen) == n-1 {
-			// Every other task finished while the first was parked.
-			barrier.Done()
-		}
+			parked := len(first) < workers
+			if parked {
+				first = append(first, i)
+			}
+			mu.Unlock()
+			if parked {
+				entered.Done()
+				<-release
+			}
+		})
+		entered.Wait() // every worker is inside its first task
+		mu.Lock()
+		slices.Sort(first)
+		top := slices.Clone(want[:workers])
+		slices.Sort(top)
 		mu.Unlock()
-	})
-	mu.Lock()
-	defer mu.Unlock()
-	if len(seen) != n {
-		t.Fatalf("ran %d of %d tasks", len(seen), n)
+		if !slices.Equal(first, top) {
+			t.Errorf("workers=%d started %v first, want the costliest %v", workers, first, top)
+		}
+		close(release)
+		wait()
 	}
 }
 
-// TestStealingCancelSkipsQueued pins the cancellation contract: once a
-// worker observes the context cancelled, it exits without executing its
-// queued tasks — a cancelled request's cells are skipped, not run and
-// discarded. Both workers are parked inside in-flight tasks when the cancel
-// lands, so any further task start would be a task started strictly after
-// its worker could observe the cancellation.
-func TestStealingCancelSkipsQueued(t *testing.T) {
+// TestQueueCancelSkipsQueued pins the cancellation contract: once a worker
+// observes the context cancelled, it exits without claiming another task —
+// a cancelled request's cells are skipped, not run and discarded. Both
+// workers are parked inside in-flight tasks when the cancel lands, so any
+// further task start would be a task started strictly after its worker
+// could observe the cancellation.
+func TestQueueCancelSkipsQueued(t *testing.T) {
 	const n = 64
 	costs := make([]int64, n)
 	for i := range costs {
@@ -94,68 +114,31 @@ func TestStealingCancelSkipsQueued(t *testing.T) {
 	var entered sync.WaitGroup
 	entered.Add(2)
 	var started atomic.Int32
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		runStealing(ctx, 2, costs, func(i int) {
-			if started.Add(1) <= 2 {
-				entered.Done()
-			}
-			<-release
-		})
-	}()
+	wait := startQueue(ctx, 2, costs, func(i int) {
+		if started.Add(1) <= 2 {
+			entered.Done()
+		}
+		<-release
+	})
 	entered.Wait() // both workers are mid-task
-	cancel()       // cancellation is observable before any next pop
+	cancel()       // cancellation is observable before any next claim
 	close(release)
-	<-done
+	wait()
 	if got := started.Load(); got != 2 {
 		t.Fatalf("%d tasks started; want exactly the 2 in-flight ones (queued tasks must be skipped)", got)
 	}
 
-	// The sequential path (one worker) honors a pre-cancelled context too.
+	// A single worker honors a pre-cancelled context too.
 	pre, stop := context.WithCancel(context.Background())
 	stop()
 	ran := 0
-	runStealing(pre, 1, costs, func(i int) { ran++ })
+	runQueue(pre, 1, costs, func(i int) { ran++ })
 	if ran != 0 {
-		t.Fatalf("sequential path ran %d tasks under a cancelled context", ran)
+		t.Fatalf("one worker ran %d tasks under a cancelled context", ran)
 	}
 }
 
-// BenchmarkRunStealingSkewed drives the scheduler with a pathological cost
-// split — one shard's static assignment holds nearly all the simulated work
-// — so throughput depends on idle workers stealing the tail. Simulated work
-// is a calibrated spin, keeping the benchmark hermetic.
-func BenchmarkRunStealingSkewed(b *testing.B) {
-	const n = 256
-	costs := make([]int64, n)
-	for i := range costs {
-		if i < 8 {
-			costs[i] = 10_000 // giants: LPT pins one per shard
-		} else {
-			costs[i] = 100 // the stealable tail
-		}
-	}
-	spin := func(units int64) int64 {
-		var acc int64
-		for j := int64(0); j < units*50; j++ {
-			acc += j ^ (acc << 1)
-		}
-		return acc
-	}
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(map[int]string{1: "workers=1", 4: "workers=4", 8: "workers=8"}[workers], func(b *testing.B) {
-			var sink atomic.Int64
-			for i := 0; i < b.N; i++ {
-				runStealing(context.Background(), workers, costs, func(t int) {
-					sink.Add(spin(costs[t]))
-				})
-			}
-		})
-	}
-}
-
-// TestWarmCellCost sanity-checks the shard-balancing cost model's ordering:
+// TestWarmCellCost sanity-checks the queue-ordering cost model:
 // measurement cells dominate prepares, longer sources cost more.
 func TestWarmCellCost(t *testing.T) {
 	r := New()

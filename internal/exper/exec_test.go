@@ -57,15 +57,13 @@ func TestSharedCompileCacheHits(t *testing.T) {
 func TestExecModesProduceIdenticalReports(t *testing.T) {
 	render := func(mode sim.ExecMode) string {
 		r, _ := execRunner(mode)
-		rows, err := r.Figure62()
-		if err != nil {
+		var sb strings.Builder
+		if err := r.StreamFigure62(&sb); err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
 		if st := r.Stats(); st.CellFailures != 0 || st.BCodeFallbacks != 0 || st.NCodeFallbacks != 0 {
 			t.Fatalf("%v: clean run degraded: %+v", mode, st)
 		}
-		var sb strings.Builder
-		exper.RenderFigure62(&sb, rows)
 		return sb.String()
 	}
 	ref := render(sim.ExecBytecode)

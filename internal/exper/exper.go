@@ -97,7 +97,7 @@ type Runner struct {
 	Inject *resilience.FaultPlan
 
 	// Store, when non-nil, is the persistent content-addressed artifact
-	// store (`spdbench -store=DIR`): prepare summaries, traces and priced
+	// store (`spdbench -store=DIR`): prepare summaries and priced
 	// measurement cells are served from it when present and persisted when
 	// computed, so repeat sweeps start warm. Bypassed under Verify and
 	// Inject; see store.go.
@@ -132,7 +132,6 @@ type Runner struct {
 	nInjected       atomic.Int64
 	nStorePreps     atomic.Int64
 	nStoreMeasures  atomic.Int64
-	nStoreTraces    atomic.Int64
 	bcodeCtrs       bcode.Counters
 
 	// The compiled-code caches are shared across every cell of the sweep:
@@ -321,19 +320,6 @@ func (r *Runner) traceFor(b *bench.Benchmark, kind disamb.Kind, memLat int) (*tr
 	}
 	r.nTraceReqs.Add(1)
 	return r.traces.Do(key, func() (*trace.Trace, error) {
-		var skey store.Key
-		if r.storeOK() {
-			skey = r.artifactKey(store.KindTrace, b, key.kind, key.memLat, nil)
-			if tr, ok := store.GetTrace(r.Store, skey); ok {
-				// Warm hit: the persisted trace replaces the capture run.
-				// Event and byte totals still accumulate so trace-layer
-				// stats describe the same workload cold and warm.
-				r.nStoreTraces.Add(1)
-				r.nTraceEvents.Add(tr.Events)
-				r.nTraceBytes.Add(int64(tr.Size()))
-				return tr, nil
-			}
-		}
 		p, err := r.Prepared(b, key.kind, memLat)
 		if err != nil {
 			return nil, err
@@ -349,9 +335,6 @@ func (r *Runner) traceFor(b *bench.Benchmark, kind disamb.Kind, memLat int) (*tr
 		}
 		r.nTraceEvents.Add(tr.Events)
 		r.nTraceBytes.Add(int64(tr.Size()))
-		if r.storeOK() {
-			store.PutTrace(r.Store, skey, tr)
-		}
 		return tr, nil
 	})
 }
@@ -473,10 +456,10 @@ func (r *Runner) Table63() ([]Table63Row, error) {
 }
 
 // streamTable63 computes Table 6-3 row by row, emitting each row as soon as
-// its cells resolve. The cells warm asynchronously on the work-stealing
-// pool; the assembly loop coalesces onto in-flight computations through the
-// singleflight layer, so emission order — and therefore rendered output — is
-// identical to a sequential run.
+// its cells resolve. The cells warm asynchronously on the cost-ordered
+// worker queue (warmAsync); the assembly loop coalesces onto in-flight
+// computations through the singleflight layer, so emission order — and
+// therefore rendered output — is identical to a sequential run.
 //
 // Row data comes from prepare summaries (Runner.Summary), not full
 // preparations: on a warm store the table renders without compiling

@@ -173,27 +173,7 @@ func TestRenderers(t *testing.T) {
 	var sb strings.Builder
 	exper.RenderTable61(&sb)
 	exper.RenderTable62(&sb, bench.All())
-	rows63, err := runner.Table63()
-	if err != nil {
-		t.Fatal(err)
-	}
-	exper.RenderTable63(&sb, rows63)
-	rows62, err := runner.Figure62()
-	if err != nil {
-		t.Fatal(err)
-	}
-	exper.RenderFigure62(&sb, rows62)
-	rowsF63, err := runner.Figure63()
-	if err != nil {
-		t.Fatal(err)
-	}
-	exper.RenderFigure63(&sb, rowsF63)
-	rows64, err := runner.Figure64()
-	if err != nil {
-		t.Fatal(err)
-	}
-	exper.RenderFigure64(&sb, rows64)
-	out := sb.String()
+	out := sb.String() + renderAll(t, runner)
 	for _, want := range []string{
 		"Table 6-1", "Table 6-2", "Table 6-3", "Figure 6-2", "Figure 6-3",
 		"Figure 6-4", "TOTAL", "espresso", "5-FU machine",

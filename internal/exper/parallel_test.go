@@ -1,6 +1,7 @@
 package exper_test
 
 import (
+	"io"
 	"strings"
 	"testing"
 
@@ -8,30 +9,16 @@ import (
 	"specdis/internal/exper"
 )
 
-// renderAll runs every §6 experiment on r and renders the full report.
+// renderAll runs every §6 experiment on r and renders the full report
+// through the streaming renderers spdbench prints with.
 func renderAll(t testing.TB, r *exper.Runner) string {
 	t.Helper()
 	var sb strings.Builder
-	rows63, err := r.Table63()
-	if err != nil {
-		t.Fatal(err)
+	for _, stream := range []func(io.Writer) error{r.StreamTable63, r.StreamFigure62, r.StreamFigure63, r.StreamFigure64} {
+		if err := stream(&sb); err != nil {
+			t.Fatal(err)
+		}
 	}
-	exper.RenderTable63(&sb, rows63)
-	rows62, err := r.Figure62()
-	if err != nil {
-		t.Fatal(err)
-	}
-	exper.RenderFigure62(&sb, rows62)
-	rowsF63, err := r.Figure63()
-	if err != nil {
-		t.Fatal(err)
-	}
-	exper.RenderFigure63(&sb, rowsF63)
-	rows64, err := r.Figure64()
-	if err != nil {
-		t.Fatal(err)
-	}
-	exper.RenderFigure64(&sb, rows64)
 	return sb.String()
 }
 

@@ -9,13 +9,11 @@ import (
 	"specdis/internal/machine"
 )
 
-// Each report has three layers: a header printer and a row printer (the
-// formatting, shared verbatim), a batch renderer over precomputed rows
-// (RenderX — kept for tests and programmatic use), and a streaming renderer
-// on the Runner (StreamX — what spdbench uses) that prints each row the
+// Each computed report is a header printer and a row printer, driven by a
+// streaming renderer on the Runner (StreamX) that prints each row the
 // moment its cells resolve, while later cells are still computing on the
-// work-stealing pool. Both renderers drive the same printers over rows in
-// the same order, so their output is byte-identical by construction.
+// worker queue. The rows themselves are available unrendered from the
+// Runner's Table63 and FigureX methods.
 
 // RenderTable62 prints the benchmark listing (Table 6-2).
 func RenderTable62(w io.Writer, benches []*bench.Benchmark) {
@@ -51,17 +49,8 @@ func printTable63Row(w io.Writer, r Table63Row) {
 		r.Program, r.RAW2, r.WAR2, r.WAW2, r.RAW6, r.WAR6, r.WAW6)
 }
 
-// RenderTable63 prints Table 6-3 from precomputed rows.
-func RenderTable63(w io.Writer, rows []Table63Row) {
-	printTable63Header(w)
-	for _, r := range rows {
-		printTable63Row(w, r)
-	}
-}
-
 // StreamTable63 computes and prints Table 6-3, emitting each row as soon as
-// its cells resolve. Output is byte-identical to RenderTable63 over
-// Table63().
+// its cells resolve.
 func (r *Runner) StreamTable63(w io.Writer) error {
 	printTable63Header(w)
 	return r.streamTable63(func(row Table63Row) { printTable63Row(w, row) })
@@ -88,22 +77,7 @@ func printFigure62Row(w io.Writer, r Fig62Row) {
 		r.Program, 100*r.Static, 100*r.Spec, 100*r.Perfect)
 }
 
-// RenderFigure62 prints Figure 6-2 from precomputed rows.
-func RenderFigure62(w io.Writer, rows []Fig62Row) {
-	printFigure62Header(w)
-	for _, memLat := range MemLats {
-		printFigure62Section(w, memLat)
-		for _, r := range rows {
-			if r.MemLat != memLat {
-				continue
-			}
-			printFigure62Row(w, r)
-		}
-	}
-}
-
-// StreamFigure62 computes and prints Figure 6-2 row by row. Output is
-// byte-identical to RenderFigure62 over Figure62().
+// StreamFigure62 computes and prints Figure 6-2 row by row.
 func (r *Runner) StreamFigure62(w io.Writer) error {
 	printFigure62Header(w)
 	memLat := -1
@@ -143,22 +117,7 @@ func printFigure63Row(w io.Writer, r Fig63Row) {
 	fmt.Fprintln(w)
 }
 
-// RenderFigure63 prints Figure 6-3 from precomputed rows.
-func RenderFigure63(w io.Writer, rows []Fig63Row) {
-	printFigure63Header(w)
-	for _, memLat := range MemLats {
-		printFigure63Section(w, memLat)
-		for _, r := range rows {
-			if r.MemLat != memLat {
-				continue
-			}
-			printFigure63Row(w, r)
-		}
-	}
-}
-
-// StreamFigure63 computes and prints Figure 6-3 row by row. Output is
-// byte-identical to RenderFigure63 over Figure63().
+// StreamFigure63 computes and prints Figure 6-3 row by row.
 func (r *Runner) StreamFigure63(w io.Writer) error {
 	printFigure63Header(w)
 	memLat := -1
@@ -188,16 +147,7 @@ func printFigure64Row(w io.Writer, r Fig64Row) {
 		r.Program, r.BeforeOps, r.AfterOps, r.IncreasePct)
 }
 
-// RenderFigure64 prints Figure 6-4 from precomputed rows.
-func RenderFigure64(w io.Writer, rows []Fig64Row) {
-	printFigure64Header(w)
-	for _, r := range rows {
-		printFigure64Row(w, r)
-	}
-}
-
-// StreamFigure64 computes and prints Figure 6-4 row by row. Output is
-// byte-identical to RenderFigure64 over Figure64().
+// StreamFigure64 computes and prints Figure 6-4 row by row.
 func (r *Runner) StreamFigure64(w io.Writer) error {
 	printFigure64Header(w)
 	return r.streamFigure64(func(row Fig64Row) { printFigure64Row(w, row) })

@@ -237,7 +237,9 @@ func TestFailedRowsAreMarked(t *testing.T) {
 		}
 	}
 	var sb strings.Builder
-	exper.RenderFigure62(&sb, rows)
+	if err := r.StreamFigure62(&sb); err != nil {
+		t.Fatal(err)
+	}
 	if !strings.Contains(sb.String(), "FAIL(panic)") {
 		t.Fatalf("rendered figure lacks the FAIL marker:\n%s", sb.String())
 	}

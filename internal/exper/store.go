@@ -1,13 +1,12 @@
 package exper
 
-// Persistent warm-start layer: when Runner.Store is set, every expensive
-// cell artifact — prepare summaries, captured traces and priced measurement
-// cells — is served from the content-addressed on-disk store when present
-// and persisted when computed. A fully warm run renders every report from
-// the prepare summaries and priced cells alone, without compiling a single
-// tree or capturing a single trace. Compiled code stays process-local: a
-// warm run never executes, and a cold one recompiles a tree in about the
-// time a disk read of its code would take.
+// Persistent warm-start layer: when Runner.Store is set, every cell artifact
+// a report reads — prepare summaries and priced measurement cells — is
+// served from the content-addressed on-disk store when present and
+// persisted when computed. A fully warm run renders every report from those
+// alone, without compiling a single tree or capturing a single trace.
+// Traces and compiled code stay process-local: a warm run never reads them,
+// and a cold one recomputes them on the way to the cells it persists.
 //
 // Keys hash everything that determines an artifact's content: the
 // benchmark's source text (content addressing — renames don't invalidate),

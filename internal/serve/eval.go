@@ -486,9 +486,6 @@ func (s *Server) runner(ctx context.Context, exec sim.ExecMode, fuel int64, benc
 	r.Par = s.cfg.Par
 	r.Benchmarks = benches
 	r.Exec = exec
-	if s.cfg.TierUp > 0 {
-		r.TierUp = s.cfg.TierUp
-	}
 	r.Fuel = fuel
 	r.Ctx = ctx
 	r.Inject = s.cfg.Inject

@@ -68,10 +68,9 @@ type Config struct {
 	DrainTimeout time.Duration
 	// Exec is the default execution tier: "native" (also the empty string),
 	// "bcode", or "tree"; requests may select their own. New panics on any
-	// other value — a configuration typo, caught at construction. TierUp is
-	// the adaptive-tiering threshold under the native tier.
-	Exec   string
-	TierUp int64
+	// other value — a configuration typo, caught at construction. The native
+	// tier always runs adaptive tiering at exper.DefaultTierUp.
+	Exec string
 	// CacheLimit bounds each shared compiled-code cache to N entries
 	// (bcode.Cache.SetLimit); 0 means DefaultCacheLimit, negative disables
 	// the bound.

@@ -13,16 +13,13 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
-
-	"specdis/internal/trace"
 )
 
 // Format versions, one per artifact kind. Bump on any body layout change:
 // old artifacts then read as misses and are rewritten on the next cold run.
 const (
-	VersionTrace = 2 // v2: the payload is the pattern histogram, not an event stream
-	VersionPrep  = 1
-	VersionMeas  = 1
+	VersionPrep = 1
+	VersionMeas = 1
 )
 
 // header appends the payload preamble.
@@ -200,29 +197,4 @@ func DecodeMeas(payload []byte) (*MeasCell, error) {
 		return nil, err
 	}
 	return m, nil
-}
-
-// ---- Execution trace -----------------------------------------------------
-
-// EncodeTrace encodes a captured trace payload: its totals and histogram
-// (the trace's own sealed CRC footer rides along inside the body, so a
-// persisted trace is double-protected).
-func EncodeTrace(t *trace.Trace) []byte {
-	enc := t.Marshal()
-	buf := header(make([]byte, 0, len(enc)+8), KindTrace, VersionTrace)
-	return append(buf, enc...)
-}
-
-// DecodeTrace decodes a trace payload, verifying the trace's own integrity
-// footer.
-func DecodeTrace(payload []byte) (*trace.Trace, error) {
-	body, err := checkHeader(payload, KindTrace, VersionTrace)
-	if err != nil {
-		return nil, err
-	}
-	t, err := trace.Unmarshal(body)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return t, nil
 }

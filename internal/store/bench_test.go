@@ -7,7 +7,7 @@ import (
 
 // Benchmark payloads bracketing the store's working sizes: 24 B, between a
 // prepare summary (10 B) and a priced cell (35–83 B), and 200 KB, far above
-// the suite's largest artifact (a 564 B trace histogram).
+// the suite's largest artifact (an 83 B priced cell).
 var benchSizes = []int{24, 200 << 10}
 
 func BenchmarkStorePut(b *testing.B) {

@@ -1,14 +1,13 @@
 // Package store is a persistent, content-addressed artifact store for the
-// evaluation pipeline: prepare summaries, captured execution traces, and
-// priced measurement cells, keyed by cryptographic hashes of everything that
-// determines the artifact (program source, pipeline, latency, transform
-// parameters).
+// evaluation pipeline: prepare summaries and priced measurement cells, keyed
+// by cryptographic hashes of everything that determines the artifact
+// (program source, pipeline, latency, transform parameters).
 //
 // The store is the warm-start substrate of the sweep grid: a cold
 // `spdbench -store=DIR` run populates it, and a warm run serves every cell
 // from it — zero tree compilations, zero trace captures, byte-identical
-// reports. Compiled code is not persisted: a warm run never executes a tree,
-// and recompiling one costs about what a disk read of it would.
+// reports. Traces and compiled code are not persisted: a warm run never
+// executes a tree or replays a trace, so it would never read them.
 //
 // # On-disk layout
 //
@@ -56,19 +55,16 @@ import (
 // the kind is also hashed into the key) can never decode as the wrong type.
 type Kind byte
 
-// Artifact kinds. Kinds 1 and 2 held compiled bytecode and native-tier
-// metadata in older stores; they are retired, never read, and must not be
-// reused.
+// Artifact kinds. Kinds 1, 2 and 3 held compiled bytecode, native-tier
+// metadata and captured traces in older stores; they are retired, never
+// read, and must not be reused.
 const (
-	KindTrace Kind = 3 // captured execution trace (internal/trace)
-	KindPrep  Kind = 4 // prepare-cell summary (SpD counts, op counts)
-	KindMeas  Kind = 5 // priced measurement cell (cycle counts per model)
+	KindPrep Kind = 4 // prepare-cell summary (SpD counts, op counts)
+	KindMeas Kind = 5 // priced measurement cell (cycle counts per model)
 )
 
 func (k Kind) String() string {
 	switch k {
-	case KindTrace:
-		return "trace"
 	case KindPrep:
 		return "prep"
 	case KindMeas:

@@ -2,16 +2,11 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
-	"errors"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
-
-	"specdis/internal/trace"
 )
 
 func openTemp(t *testing.T) *Store {
@@ -230,7 +225,7 @@ func TestIOFaultInjection(t *testing.T) {
 	s.SetMemCap(0) // every Get reads disk: faults are reachable
 	payloads := map[Key][]byte{}
 	for i := byte(0); i < 8; i++ {
-		k := NewKey(KindTrace, []byte{i})
+		k := NewKey(KindMeas, []byte{i})
 		p := bytes.Repeat([]byte{'a' + i}, 64)
 		if err := s.Put(k, p); err != nil {
 			t.Fatal(err)
@@ -285,7 +280,7 @@ func TestIOFaultInjection(t *testing.T) {
 // cache.
 func TestIOFaultKeepsMemFrontClean(t *testing.T) {
 	s := openTemp(t)
-	k := NewKey(KindTrace, []byte("hot"))
+	k := NewKey(KindMeas, []byte("hot"))
 	want := bytes.Repeat([]byte{0xAB}, 128)
 	if err := s.Put(k, want); err != nil {
 		t.Fatal(err)
@@ -382,45 +377,6 @@ func TestMeasRoundtrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, m) {
 		t.Fatalf("roundtrip = %+v, want %+v", got, m)
-	}
-}
-
-func TestTraceRoundtrip(t *testing.T) {
-	rec := trace.NewRecorder()
-	rec.Tree(3, 1, []byte{0b101})
-	rec.Call(2)
-	rec.Tree(700, 0, nil)
-	rec.Ret()
-	tr := rec.Finish(42, 40)
-
-	got, err := DecodeTrace(EncodeTrace(tr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Events != tr.Events || got.Ops != tr.Ops || got.Committed != tr.Committed {
-		t.Fatalf("totals differ: got %+v, want %+v", got, tr)
-	}
-	if !bytes.Equal(got.Bytes(), tr.Bytes()) {
-		t.Fatal("histogram differs after roundtrip")
-	}
-	if err := got.Verify(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The same run persisted as a version-1 artifact — totals, a sealed
-	// flag, and the sealed varint event stream — must read as corrupt, so a
-	// store written before the histogram format drops and recomputes it.
-	stream := []byte{3<<2 | 0, 1, 1, 0b101, 2<<2 | 1, 0xF0, 0x15, 0, 0, 2}
-	v1 := header(nil, KindTrace, 1)
-	for _, v := range []int64{tr.Events, tr.TreeExecs, tr.Ops, tr.Committed} {
-		v1 = binary.AppendVarint(v1, v)
-	}
-	v1 = append(append(v1, 1), stream...)
-	v1 = append(v1, 0xF5, 'T', 'R', 'C')
-	v1 = binary.LittleEndian.AppendUint32(v1, uint32(len(stream)))
-	v1 = binary.LittleEndian.AppendUint32(v1, crc32.ChecksumIEEE(stream))
-	if _, err := DecodeTrace(v1); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("DecodeTrace(v1 artifact) error = %v, want ErrCorrupt", err)
 	}
 }
 

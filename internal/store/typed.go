@@ -6,8 +6,6 @@ package store
 // recompute". All wrappers are nil-store safe (a nil store is simply always
 // a miss), which keeps call sites free of enablement checks.
 
-import "specdis/internal/trace"
-
 // GetPrep returns the prepare summary stored under key.
 func GetPrep(s *Store, k Key) (*PrepSummary, bool) {
 	return getTyped(s, k, DecodePrep)
@@ -29,19 +27,6 @@ func GetMeas(s *Store, k Key) (*MeasCell, bool) {
 func PutMeas(s *Store, k Key, m *MeasCell) {
 	if s != nil {
 		_ = s.Put(k, EncodeMeas(m))
-	}
-}
-
-// GetTrace returns the execution trace stored under key, verified against
-// both the artifact footer and the trace's own integrity footer.
-func GetTrace(s *Store, k Key) (*trace.Trace, bool) {
-	return getTyped(s, k, DecodeTrace)
-}
-
-// PutTrace stores a captured trace under key.
-func PutTrace(s *Store, k Key, t *trace.Trace) {
-	if s != nil {
-		_ = s.Put(k, EncodeTrace(t))
 	}
 }
 

@@ -41,7 +41,7 @@ func FuzzHistDecode(f *testing.F) {
 // FuzzRecorderRoundTrip drives a recorder with a fuzz-derived event script
 // and checks the sealed trace's histogram against a direct tally of the
 // script — patterns in first-appearance order, their counts, MaxFn — plus
-// the Events/TreeExecs totals, directly and through Marshal/Unmarshal.
+// the Events/TreeExecs totals.
 func FuzzRecorderRoundTrip(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 0, 3})
 	f.Add([]byte{10, 10, 10, 10})
@@ -84,28 +84,22 @@ func FuzzRecorderRoundTrip(f *testing.F) {
 		if tr.Events != events || tr.TreeExecs != trees {
 			t.Fatalf("Events, TreeExecs = %d, %d, want %d, %d", tr.Events, tr.TreeExecs, events, trees)
 		}
-		back, err := Unmarshal(tr.Marshal())
+		if tr.Ops != 7 || tr.Committed != 5 {
+			t.Fatalf("Ops, Committed = %d, %d, want 7, 5", tr.Ops, tr.Committed)
+		}
+		h, err := tr.Hist()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if back.Events != events || back.TreeExecs != trees || back.Ops != 7 || back.Committed != 5 {
-			t.Fatalf("Unmarshal totals = %+v", back)
+		if h.MaxFn != maxFn {
+			t.Fatalf("MaxFn = %d, want %d", h.MaxFn, maxFn)
 		}
-		for _, got := range []*Trace{tr, back} {
-			h, err := got.Hist()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if h.MaxFn != maxFn {
-				t.Fatalf("MaxFn = %d, want %d", h.MaxFn, maxFn)
-			}
-			if len(h.Entries) != len(order) {
-				t.Fatalf("hist has %d entries, want %d", len(h.Entries), len(order))
-			}
-			for i, e := range h.Entries {
-				if k := key(e.Idx, e.Exit, e.Bits); k != order[i] || e.Count != tally[k] {
-					t.Fatalf("entry %d = %+v, want key %x count %d", i, e, order[i], tally[order[i]])
-				}
+		if len(h.Entries) != len(order) {
+			t.Fatalf("hist has %d entries, want %d", len(h.Entries), len(order))
+		}
+		for i, e := range h.Entries {
+			if k := key(e.Idx, e.Exit, e.Bits); k != order[i] || e.Count != tally[k] {
+				t.Fatalf("entry %d = %+v, want key %x count %d", i, e, order[i], tally[order[i]])
 			}
 		}
 	})

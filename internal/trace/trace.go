@@ -44,8 +44,8 @@ import (
 // The payload is followed by a fixed integrity footer (magic, payload
 // length, CRC32), and Hist verifies it before decoding, so truncation or bit
 // corruption surfaces as a typed error (ErrTruncated / ErrChecksum) instead
-// of garbage cycle counts. Traces come from Recorder.Finish or Unmarshal; the
-// zero Trace has no footer and fails verification.
+// of garbage cycle counts. Traces come from Recorder.Finish; the zero Trace
+// has no footer and fails verification.
 type Trace struct {
 	// Events counts recorded events: tree executions, calls and returns.
 	Events int64

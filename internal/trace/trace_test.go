@@ -33,7 +33,7 @@ func checkEntries(t *testing.T, got, want []HistEntry) {
 
 // TestRoundTrip records a mix of events, including values whose varints
 // take several bytes, and checks the sealed trace decodes to the recorded
-// histogram and totals — directly and through Marshal/Unmarshal.
+// histogram and totals.
 func TestRoundTrip(t *testing.T) {
 	r := NewRecorder()
 	r.Call(0)
@@ -61,19 +61,6 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("MaxFn = %d, want 129", h.MaxFn)
 	}
 	checkEntries(t, h.Entries, want)
-
-	back, err := Unmarshal(tr.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Events != tr.Events || back.TreeExecs != tr.TreeExecs || back.Ops != tr.Ops || back.Committed != tr.Committed {
-		t.Fatalf("Unmarshal totals = %+v, want %+v", back, tr)
-	}
-	h2 := hist(t, back)
-	if h2.MaxFn != h.MaxFn {
-		t.Fatalf("Unmarshal MaxFn = %d, want %d", h2.MaxFn, h.MaxFn)
-	}
-	checkEntries(t, h2.Entries, want)
 }
 
 func TestEmptyTrace(t *testing.T) {
