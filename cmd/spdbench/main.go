@@ -78,6 +78,10 @@ type benchReport struct {
 	// store section's served counters instead).
 	Prepares int64 `json:"prepares"`
 	Measures int64 `json:"measures"`
+	// ProfileRuns counts profiling interpretations: one shared run per
+	// benchmark that a PERFECT or SPEC preparation or an arc-only trace
+	// needed (11 on a cold full evaluation, 0 on a fully warm one).
+	ProfileRuns int64 `json:"profile_runs"`
 	// SimOps is the total number of dynamic operations priced across all
 	// timed measurement cells. Deterministic for a given tree (an exact
 	// simulation-work count, not a timing), and identical under both
@@ -412,6 +416,7 @@ func run() int {
 		}
 		report.Prepares = st.Prepares
 		report.Measures = st.Measures
+		report.ProfileRuns = st.ProfileRuns
 		report.SimOps = st.SimOps
 		report.Trace = traceReport{
 			Mode:        *traceMode,

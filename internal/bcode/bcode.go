@@ -160,7 +160,10 @@ type Instr struct {
 // instruction at index i executes the op with Seq i, so profiling tables and
 // completion-cycle plans indexed by Seq apply unchanged.
 type Prog struct {
-	Tree   *ir.Tree
+	// Name is the name of the tree the program was compiled from. A cached
+	// program outlives that tree and serves its clones, so it keeps only the
+	// name (for String), never the tree.
+	Name   string
 	Code   []Instr
 	Consts []ir.Value
 	// NumGuarded is the number of guarded instructions (= commit-bit width).
@@ -170,7 +173,7 @@ type Prog struct {
 // String disassembles the program for debugging and documentation.
 func (p *Prog) String() string {
 	s := fmt.Sprintf("bcode %s: %d instrs, %d consts, %d guarded\n",
-		p.Tree.Name, len(p.Code), len(p.Consts), p.NumGuarded)
+		p.Name, len(p.Code), len(p.Consts), p.NumGuarded)
 	for i := range p.Code {
 		in := &p.Code[i]
 		s += fmt.Sprintf("  %3d: %-7s", i, in.Op)
@@ -226,7 +229,7 @@ var pureSpec = map[ir.OpKind]struct {
 // op shape outside the recognized repertoire; callers treat that as "run
 // this tree on the reference tree walker" rather than a failure.
 func Compile(t *ir.Tree) (*Prog, error) {
-	p := &Prog{Tree: t, Code: make([]Instr, len(t.Ops))}
+	p := &Prog{Name: t.Name, Code: make([]Instr, len(t.Ops))}
 	gi := 0
 	for i, op := range t.Ops {
 		in := &p.Code[i]

@@ -1,10 +1,13 @@
 package bcode_test
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"specdis/internal/bcode"
+	"specdis/internal/compile"
 	"specdis/internal/ir"
 )
 
@@ -337,4 +340,44 @@ func TestDisassembly(t *testing.T) {
 			t.Errorf("disassembly lacks %q:\n%s", want, dis)
 		}
 	}
+}
+
+// TestCacheDoesNotPinTrees checks that a cache entry keeps nothing of the
+// tree it was compiled from. Caches outlive programs (spdd shares one pair
+// across all requests), so an entry that pinned its first tree would keep
+// that tree's whole ir.Program alive through Tree.Fn.
+func TestCacheDoesNotPinTrees(t *testing.T) {
+	base, err := compile.Compile(`int a[4]; void main() { a[1] = a[2] + 3; print(a[1]); }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := bcode.NewCache(nil)
+	freed := make(chan struct{})
+	func() {
+		prog := base.Clone()
+		for _, name := range prog.Order {
+			for _, tr := range prog.Funcs[name].Trees {
+				if c.Get(tr) == nil {
+					t.Fatalf("tree %s did not compile", tr.Name)
+				}
+			}
+		}
+		// The finalizer watches an op of the entry tree, not the tree: a tree
+		// and its Function point at each other, and the runtime never
+		// finalizes an object that can reach itself.
+		main := prog.Funcs[prog.Main]
+		runtime.SetFinalizer(main.Trees[main.Entry].Ops[0], func(*ir.Op) { close(freed) })
+	}()
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			if c.Len() == 0 {
+				t.Fatal("cache lost its entries")
+			}
+			return
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+	t.Fatal("a cached compilation keeps its tree reachable after the program is dropped")
 }

@@ -107,6 +107,9 @@ func Lower(checked *lang.CheckedProgram) (*ir.Program, error) {
 			}
 		}
 	}
+	// Index the trees now rather than at the first run: a profile is keyed
+	// by PIdx, and clones that never run must read it at the right slots.
+	irp.IndexTrees()
 	return irp, nil
 }
 

@@ -7,6 +7,7 @@ package disamb
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"specdis/internal/alias"
@@ -56,30 +57,29 @@ func (k Kind) String() string {
 // latencies.
 func (k Kind) LatencySensitive() bool { return k == Spec }
 
+// ReadsProfile reports whether the pipeline consumes a profiling run of the
+// program: SPEC's heuristic reads path frequencies and alias rates, and
+// PERFECT removes every arc that never aliased. NAIVE and STATIC never
+// interpret the program while preparing it.
+func (k Kind) ReadsProfile() bool { return k == Spec || k == Perfect }
+
 // Kinds lists all pipelines in presentation order.
 var Kinds = []Kind{Naive, Static, Spec, Perfect}
 
 // Prepared is a program processed by one disambiguator, ready to schedule
 // and measure.
 type Prepared struct {
-	Kind    Kind
-	MemLat  int
-	Prog    *ir.Program
-	Profile *sim.Profile // profiling run results (Spec and Perfect only)
-	Output  string       // output of the profiling run, for validation
-	SpD     *spd.Result  // Spec only
-	Static  alias.Stats  // Static and Spec only
+	Kind   Kind
+	MemLat int
+	Prog   *ir.Program
+	Output string      // output of the profiling run, for validation
+	SpD    *spd.Result // Spec only
+	Static alias.Stats // Static and Spec only
 	// BaseOps is the operation count before SpD (code-size baseline,
 	// including any grafting).
 	BaseOps int
 	// Grafts counts applied tree grafts (0 unless Options.Graft is set).
 	Grafts int
-	// Trace is the execution trace recorded during the profiling run, when
-	// Options.Record was set and the pipeline's profiling interpretation is
-	// execution-equivalent to the final program (PERFECT: its transform
-	// removes arcs only, never ops). Nil otherwise; Capture materializes a
-	// trace for any prepared program.
-	Trace *trace.Trace
 	// MaxOps is Options.MaxOps, carried so Measure and Capture runs share
 	// the preparation's operation budget.
 	MaxOps int64
@@ -102,7 +102,7 @@ type Prepared struct {
 	BCode *bcode.Cache
 	NCode *ncode.Cache
 	// Shapes shares the simulator's pricing skeletons across every run of
-	// this preparation (Measure sweeps, Capture, Recapture, replay). Unlike
+	// this preparation (Measure sweeps, Capture, replay). Unlike
 	// the compiled-code caches it keys on tree identity, so it is created
 	// only after preparation's op-level transformations are done and is
 	// never shared across preparations.
@@ -125,10 +125,6 @@ type Options struct {
 	// GraftRounds rounds (default 1).
 	Graft       *graft.Params
 	GraftRounds int
-	// Record asks the pipeline to piggyback an execution-trace recording on
-	// its profiling interpretation when that run is valid for the final
-	// program (see Prepared.Trace). It never adds an interpretation.
-	Record bool
 	// Verify runs the static verifier after every pipeline stage — lowering,
 	// grafting, static disambiguation, the SpD transform (including its
 	// per-application debug hook), and PERFECT's arc removal — failing the
@@ -183,15 +179,79 @@ func verifyStage(prog *ir.Program, stage string, pairs map[*ir.Tree][]verify.Spe
 }
 
 // Prepare compiles src and applies the selected disambiguator. memLat is the
-// memory latency the SpD heuristic optimizes for (it also parameterizes the
-// profiling run's semantic order; committed results are identical either
-// way).
+// memory latency the SpD heuristic optimizes for. The profiling run does not
+// depend on it: the simulator executes in Seq order under every latency
+// model.
 func Prepare(src string, kind Kind, memLat int, params spd.Params) (*Prepared, error) {
 	return PrepareOpts(src, Options{Kind: kind, MemLat: memLat, SpD: params})
 }
 
-// PrepareOpts is Prepare with extension options.
+// PrepareOpts is Prepare with extension options. PERFECT and SPEC profile
+// the program with a private interpretation; PrepareFrom shares one run
+// across preparations instead.
 func PrepareOpts(src string, o Options) (*Prepared, error) {
+	return prepare(src, o, nil)
+}
+
+// Profiled is one profiling interpretation of a compiled program, which
+// every preparation of the program can share: the profile (it holds no
+// pointers into the interpreted program), the run's output, and its
+// execution trace. NAIVE, STATIC and PERFECT execute exactly the interpreted
+// operation stream (their transforms change arcs only), so Trace replays
+// against all three; SPEC's transformed program needs its own (Capture).
+type Profiled struct {
+	Profile *sim.Profile
+	Output  string
+	Trace   *trace.Trace
+}
+
+// ProfileRun interprets prog once, profiling and recording it, under o's
+// execution settings: Exec, TierUp, MaxOps, Ctx and the compiled-code
+// caches (MemLat only names the semantic model). The run executes a private
+// clone that is dropped when it returns, so prog stays untouched and may be
+// shared.
+func ProfileRun(prog *ir.Program, o Options) (*Profiled, error) {
+	bc, nc := o.caches()
+	rec := trace.NewRecorder()
+	run := &Profiled{Profile: sim.NewProfile()}
+	r := &sim.Runner{Prog: prog.Clone(), SemLat: machine.Infinite(o.MemLat).LatencyFunc(), Prof: run.Profile, Rec: rec, MaxOps: o.MaxOps, Ctx: o.Ctx, Exec: o.Exec, TierUp: o.TierUp, BCode: bc, NCode: nc}
+	res, err := r.Run()
+	if err != nil {
+		return nil, fmt.Errorf("profiling run: %w", err)
+	}
+	run.Output = res.Output
+	run.Trace = rec.Finish(res.Ops, res.Committed)
+	return run, nil
+}
+
+// PrepareFrom is PrepareOpts for a program whose profiling run already
+// happened: run is a ProfileRun of the program o.Prog is an untransformed
+// Clone of, and PERFECT and SPEC read its profile, with its arc counters
+// carried onto o.Prog, and its output instead of interpreting the program
+// themselves. One run thus serves every preparation of a program. A nil run
+// profiles privately, as PrepareOpts does. o.Prog is required, and grafting
+// cannot share a run: it transforms the program the profile describes.
+func PrepareFrom(run *Profiled, o Options) (*Prepared, error) {
+	if o.Prog == nil || (run != nil && o.Graft != nil) {
+		return nil, errors.New("disamb: PrepareFrom needs Options.Prog and, with a shared run, no grafting")
+	}
+	return prepare("", o, run)
+}
+
+// caches returns o's compiled-code caches, creating private ones wired to
+// o.ExecCounters where o supplies none.
+func (o Options) caches() (*bcode.Cache, *ncode.Cache) {
+	bc, nc := o.BCode, o.NCode
+	if bc == nil {
+		bc = bcode.NewCache(o.ExecCounters)
+	}
+	if nc == nil {
+		nc = ncode.NewCache(o.ExecCounters)
+	}
+	return bc, nc
+}
+
+func prepare(src string, o Options, run *Profiled) (*Prepared, error) {
 	kind, memLat := o.Kind, o.MemLat
 	prog := o.Prog
 	if prog == nil {
@@ -202,32 +262,31 @@ func PrepareOpts(src string, o Options) (*Prepared, error) {
 		}
 	}
 	p := &Prepared{Kind: kind, MemLat: memLat, Prog: prog, BaseOps: prog.OpCount(), MaxOps: o.MaxOps, Ctx: o.Ctx, Exec: o.Exec, TierUp: o.TierUp}
-	p.BCode = o.BCode
-	if p.BCode == nil {
-		p.BCode = bcode.NewCache(o.ExecCounters)
-	}
-	p.NCode = o.NCode
-	if p.NCode == nil {
-		p.NCode = ncode.NewCache(o.ExecCounters)
-	}
+	p.BCode, p.NCode = o.caches()
 	lat := machine.Infinite(memLat).LatencyFunc()
 
-	profileRun := func(rec *trace.Recorder) error {
-		// Content addressing makes the shared caches safe even for profiling
-		// runs that precede an op-level transformation (grafting rounds,
-		// SPEC's pre-SpD profile): the transformed trees re-key and
-		// recompile, while untouched trees keep hitting.
-		p.Profile = sim.NewProfile()
-		r := &sim.Runner{Prog: prog, SemLat: lat, Prof: p.Profile, Rec: rec, MaxOps: o.MaxOps, Ctx: o.Ctx, Exec: o.Exec, TierUp: o.TierUp, BCode: p.BCode, NCode: p.NCode}
+	// profile returns the profile grafting, PERFECT and SPEC read, with its
+	// arc counters on prog: the shared run's when there is one, otherwise a
+	// private interpretation of prog. Content addressing makes the shared
+	// caches safe even for runs that precede an op-level transformation
+	// (grafting rounds, SPEC's pre-SpD profile): the transformed trees
+	// re-key and recompile, while untouched trees keep hitting.
+	profile := func() (*sim.Profile, error) {
+		if run != nil {
+			if err := run.Profile.AnnotateArcs(prog); err != nil {
+				return nil, err
+			}
+			p.Output = run.Output
+			return run.Profile, nil
+		}
+		prof := sim.NewProfile()
+		r := &sim.Runner{Prog: prog, SemLat: lat, Prof: prof, MaxOps: o.MaxOps, Ctx: o.Ctx, Exec: o.Exec, TierUp: o.TierUp, BCode: p.BCode, NCode: p.NCode}
 		res, err := r.Run()
 		if err != nil {
-			return fmt.Errorf("%s profiling run: %w", kind, err)
+			return nil, fmt.Errorf("%s profiling run: %w", kind, err)
 		}
 		p.Output = res.Output
-		if rec != nil {
-			p.Trace = rec.Finish(res.Ops, res.Committed)
-		}
-		return nil
+		return prof, nil
 	}
 
 	if o.Graft != nil {
@@ -236,10 +295,11 @@ func PrepareOpts(src string, o Options) (*Prepared, error) {
 			rounds = 1
 		}
 		for i := 0; i < rounds; i++ {
-			if err := profileRun(nil); err != nil {
+			prof, err := profile()
+			if err != nil {
 				return nil, err
 			}
-			res := graft.Program(prog, p.Profile, *o.Graft)
+			res := graft.Program(prog, prof, *o.Graft)
 			p.Grafts += res.Grafts
 			if res.Grafts == 0 {
 				break
@@ -270,14 +330,7 @@ func PrepareOpts(src string, o Options) (*Prepared, error) {
 		}
 
 	case Perfect:
-		// The profiling run executes the exact stream of the final program:
-		// removeSuperfluous only deletes arcs, which execution never reads.
-		// Recording here makes the prepared trace free.
-		var rec *trace.Recorder
-		if o.Record {
-			rec = trace.NewRecorder()
-		}
-		if err := profileRun(rec); err != nil {
+		if _, err := profile(); err != nil {
 			return nil, err
 		}
 		removeSuperfluous(prog)
@@ -290,13 +343,14 @@ func PrepareOpts(src string, o Options) (*Prepared, error) {
 	case Spec:
 		// The profiling run precedes the SpD transform, so its stream is NOT
 		// a trace of the final program; Capture records one afterwards.
-		if err := profileRun(nil); err != nil {
+		prof, err := profile()
+		if err != nil {
 			return nil, err
 		}
 		p.Static = alias.ResolveProgram(prog)
 		params := o.SpD
 		params.Verify = params.Verify || o.Verify
-		p.SpD = spd.Transform(prog, p.Profile, lat, params)
+		p.SpD = spd.Transform(prog, prof, lat, params)
 		if p.SpD.VerifyErr != nil {
 			return nil, fmt.Errorf("SPEC transform failed verification: %w", p.SpD.VerifyErr)
 		}
@@ -400,7 +454,7 @@ func Plans(p *Prepared, models []machine.Model) []*sim.Plan {
 	return plans
 }
 
-// MeasureOpt adjusts one measurement, capture or replay run without touching
+// MeasureOpt adjusts one measurement or replay run without touching
 // the preparation it runs against. The zero value changes nothing; the
 // degradation ladder (internal/exper) and the fault-injection harness are the
 // intended users.
@@ -444,34 +498,25 @@ func (o MeasureOpt) maxOps(p *Prepared) int64 {
 	return p.MaxOps
 }
 
-// Capture returns an execution trace of the prepared program for replay
-// pricing: the trace piggybacked on the profiling run when one is valid
-// (see Options.Record), otherwise one fresh recording interpretation. The
-// recorded run is validated against the profiling output when one exists.
+// Capture records an execution trace of the prepared program for replay
+// pricing, with one fresh interpretation validated against the profiling
+// output when there is one. A sweep replays NAIVE, STATIC and PERFECT from
+// their program's shared profiling run (Profiled.Trace), so there only
+// SPEC, whose transform changes what executes, and the replacement of a
+// trace that failed its integrity check need a capture.
 func Capture(p *Prepared) (*trace.Trace, error) {
-	if p.Trace != nil {
-		return p.Trace, nil
-	}
-	return Recapture(p, MeasureOpt{})
-}
-
-// Recapture records a fresh execution trace of the prepared program, ignoring
-// any trace the preparation already carries — the replay→recapture recovery
-// rung for a trace that failed its integrity check.
-func Recapture(p *Prepared, opt MeasureOpt) (*trace.Trace, error) {
 	rec := trace.NewRecorder()
 	r := &sim.Runner{
-		Prog:         p.Prog,
-		SemLat:       machine.Infinite(p.MemLat).LatencyFunc(),
-		Rec:          rec,
-		MaxOps:       opt.maxOps(p),
-		Ctx:          opt.ctx(p),
-		ChaosPanicAt: opt.ChaosPanicAt,
-		Exec:         opt.exec(p),
-		TierUp:       p.TierUp,
-		BCode:        p.BCode,
-		NCode:        p.NCode,
-		Shapes:       p.Shapes,
+		Prog:   p.Prog,
+		SemLat: machine.Infinite(p.MemLat).LatencyFunc(),
+		Rec:    rec,
+		MaxOps: p.MaxOps,
+		Ctx:    p.Ctx,
+		Exec:   p.Exec,
+		TierUp: p.TierUp,
+		BCode:  p.BCode,
+		NCode:  p.NCode,
+		Shapes: p.Shapes,
 	}
 	res, err := r.Run()
 	if err != nil {
@@ -491,7 +536,8 @@ func Recapture(p *Prepared, opt MeasureOpt) (*trace.Trace, error) {
 // tr must trace an execution-equivalent program: same tree indices, ops,
 // guards and exits (arcs may differ — they affect schedules, not
 // execution). NAIVE, STATIC and PERFECT preparations of one source satisfy
-// this mutually; SPEC needs a trace of its own transformed program.
+// this mutually and with their source's profiling run (Profiled.Trace);
+// SPEC needs a trace of its own transformed program.
 func ReplayMeasure(p *Prepared, models []machine.Model, tr *trace.Trace) (*sim.Result, error) {
 	return ReplayMeasureWith(p, models, tr, MeasureOpt{})
 }

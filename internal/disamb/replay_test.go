@@ -1,11 +1,11 @@
 package disamb_test
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 
 	"specdis/internal/bench"
+	"specdis/internal/compile"
 	"specdis/internal/disamb"
 	"specdis/internal/machine"
 	"specdis/internal/spd"
@@ -30,14 +30,11 @@ func TestReplayMeasureMatchesMeasure(t *testing.T) {
 			t.Parallel()
 			for _, kind := range disamb.Kinds {
 				p, err := disamb.PrepareOpts(bm.Source, disamb.Options{
-					Kind: kind, MemLat: 2, SpD: params, Record: kind == disamb.Perfect,
+					Kind: kind, MemLat: 2, SpD: params,
 					Verify: true, // the replay differential doubles as a verifier oracle
 				})
 				if err != nil {
 					t.Fatalf("%s: %v", kind, err)
-				}
-				if (p.Trace != nil) != (kind == disamb.Perfect) {
-					t.Fatalf("%s: piggybacked trace presence = %v", kind, p.Trace != nil)
 				}
 				tr, err := disamb.Capture(p)
 				if err != nil {
@@ -64,68 +61,12 @@ func TestReplayMeasureMatchesMeasure(t *testing.T) {
 	}
 }
 
-// TestTraceClassShared pins the execution-class property the exper trace
-// cache exploits: NAIVE, STATIC and PERFECT transform arcs only, so one
-// source's three preparations execute identical instruction streams and a
-// single trace (recorded by PERFECT's profiling run) replays against all
-// three — at any memory latency, since none of them is latency-sensitive.
-func TestTraceClassShared(t *testing.T) {
-	params := spd.DefaultParams()
-	for _, bm := range []string{"fft", "quick", "queen"} {
-		src := bench.ByName(bm).Source
-		perfect, err := disamb.PrepareOpts(src, disamb.Options{
-			Kind: disamb.Perfect, MemLat: 2, SpD: params, Record: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if perfect.Trace == nil {
-			t.Fatalf("%s: PERFECT did not piggyback a trace on its profiling run", bm)
-		}
-		for _, kind := range []disamb.Kind{disamb.Naive, disamb.Static} {
-			if kind.LatencySensitive() {
-				t.Fatalf("%s unexpectedly latency-sensitive", kind)
-			}
-			for _, memLat := range []int{2, 6} {
-				p, err := disamb.Prepare(src, kind, memLat, params)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// The shared trace must both replay cleanly and agree with an
-				// interpreting measurement of this preparation.
-				models := stdModels(memLat)
-				want, err := disamb.Measure(p, models)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := disamb.ReplayMeasure(p, models, perfect.Trace)
-				if err != nil {
-					t.Fatalf("%s/%s memLat %d: replaying PERFECT's trace: %v", bm, kind, memLat, err)
-				}
-				if !reflect.DeepEqual(got.Times, want.Times) {
-					t.Fatalf("%s/%s memLat %d: shared-trace times %v, interp %v",
-						bm, kind, memLat, got.Times, want.Times)
-				}
-				// And the dedicated capture of this preparation is the very
-				// same byte stream.
-				tr, err := disamb.Capture(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(tr.Bytes(), perfect.Trace.Bytes()) {
-					t.Fatalf("%s/%s memLat %d: capture differs from PERFECT's trace (%d vs %d bytes)",
-						bm, kind, memLat, tr.Size(), perfect.Trace.Size())
-				}
-			}
-		}
-	}
-}
-
 // TestRandomProgramsReplayEquivalence is the differential fuzzer for the
 // replay backend: on random programs, across all four pipelines and several
 // machine sets, replay pricing must match interpretation bit for bit — SPEC
 // from its own capture (its profiling stream predates the transform), the
-// arc-only pipelines also from a PERFECT-recorded shared trace.
+// arc-only pipelines also from the trace of the program's shared profiling
+// run (disamb.ProfileRun).
 func TestRandomProgramsReplayEquivalence(t *testing.T) {
 	params := spd.DefaultParams()
 	params.MinGain = 0.01 // transform aggressively to stress the machinery
@@ -136,18 +77,20 @@ func TestRandomProgramsReplayEquivalence(t *testing.T) {
 	models := []machine.Model{machine.Infinite(2), machine.New(2, 6), machine.New(6, 2)}
 	for seed := int64(1); seed <= nSeeds; seed++ {
 		src := newProgGen(seed).generate()
-		var shared *disamb.Prepared
-		// PERFECT first so its recorded trace is available to the arc-only
-		// pipelines below.
-		for _, kind := range []disamb.Kind{disamb.Perfect, disamb.Naive, disamb.Static, disamb.Spec} {
-			p, err := disamb.PrepareOpts(src, disamb.Options{
-				Kind: kind, MemLat: 2, SpD: params, Record: kind == disamb.Perfect,
+		base, err := compile.Compile(src)
+		if err != nil {
+			t.Fatalf("seed %d: %v\n%s", seed, err, src)
+		}
+		shared, err := disamb.ProfileRun(base, disamb.Options{MemLat: 2})
+		if err != nil {
+			t.Fatalf("seed %d profiling run: %v\n%s", seed, err, src)
+		}
+		for _, kind := range disamb.Kinds {
+			p, err := disamb.PrepareFrom(shared, disamb.Options{
+				Kind: kind, MemLat: 2, SpD: params, Prog: base.Clone(),
 			})
 			if err != nil {
 				t.Fatalf("seed %d %s: %v\n%s", seed, kind, err, src)
-			}
-			if kind == disamb.Perfect {
-				shared = p
 			}
 			tr, err := disamb.Capture(p)
 			if err != nil {
@@ -165,7 +108,7 @@ func TestRandomProgramsReplayEquivalence(t *testing.T) {
 				t.Fatalf("seed %d %s: replay %v ops %d, interp %v ops %d\n%s",
 					seed, kind, got.Times, got.Ops, want.Times, want.Ops, src)
 			}
-			if !kind.LatencySensitive() && shared != nil {
+			if !kind.LatencySensitive() {
 				got, err := disamb.ReplayMeasure(p, models, shared.Trace)
 				if err != nil {
 					t.Fatalf("seed %d %s shared replay: %v\n%s", seed, kind, err, src)

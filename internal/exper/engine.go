@@ -55,6 +55,10 @@ func (g *group[K, V]) Do(key K, fn func() (V, error)) (V, error) {
 type Stats struct {
 	// Prepares counts distinct compile+transform pipeline runs.
 	Prepares int64
+	// ProfileRuns counts the shared profiling interpretations run, at most
+	// one per benchmark: every PERFECT and SPEC preparation reads its
+	// benchmark's run, and the NAIVE/STATIC/PERFECT cells replay its trace.
+	ProfileRuns int64
 	// Measures counts distinct timed measurement cells (one cell prices all
 	// of its machine models at once). ReplayCells + InterpCells == Measures
 	// once the runner is idle.
@@ -64,7 +68,7 @@ type Stats struct {
 	// (replay backend). The two backends report identical totals.
 	SimOps int64
 	// TraceCaptures counts distinct execution traces materialized, whether
-	// piggybacked on a profiling run or captured by a dedicated recording
+	// recorded by a shared profiling run or captured by a dedicated recording
 	// interpretation. TraceHits counts trace requests served from the cache
 	// instead.
 	TraceCaptures, TraceHits int64
@@ -106,8 +110,8 @@ type Stats struct {
 	// StorePreps and StoreMeasures count cells served whole from the
 	// persistent artifact store (Runner.Store) instead of being computed:
 	// prepare summaries and priced measurement cells respectively. A fully
-	// warm run has Prepares == Measures == TraceCaptures == 0 with all the
-	// work accounted here.
+	// warm run has Prepares == ProfileRuns == Measures == TraceCaptures == 0
+	// with all the work accounted here.
 	StorePreps, StoreMeasures int64
 }
 
@@ -121,6 +125,7 @@ func (r *Runner) Stats() Stats {
 	reqs := r.nTraceReqs.Load()
 	return Stats{
 		Prepares:         r.nPrepares.Load(),
+		ProfileRuns:      r.nProfileRuns.Load(),
 		Measures:         r.nMeasures.Load(),
 		SimOps:           r.nSimOps.Load(),
 		TraceCaptures:    captures,

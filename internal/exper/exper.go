@@ -104,6 +104,7 @@ type Runner struct {
 	Store *store.Store
 
 	base   group[string, *ir.Program]
+	runs   group[string, *disamb.Profiled]
 	prep   group[prepKey, *disamb.Prepared]
 	meas   group[prepKey, *measCell]
 	traces group[prepKey, *trace.Trace]
@@ -113,6 +114,7 @@ type Runner struct {
 	failed map[string]*resilience.CellError // first failure per cell name
 
 	nPrepares       atomic.Int64
+	nProfileRuns    atomic.Int64
 	nMeasures       atomic.Int64
 	nSimOps         atomic.Int64
 	nTraceReqs      atomic.Int64
@@ -227,7 +229,8 @@ func latSlot(memLat int) (int, bool) {
 // across all memory latencies: their transforms never read the latency, and
 // profiling results are latency-invariant (the simulator executes in Seq
 // order under every semantic model), so preparing per latency would only
-// duplicate work.
+// duplicate work. PERFECT and both SPEC cells read one shared profiling run
+// of the benchmark (profiled) instead of interpreting it themselves.
 func (r *Runner) Prepared(b *bench.Benchmark, kind disamb.Kind, memLat int) (*disamb.Prepared, error) {
 	key := prepKey{b.Name, kind, memLat}
 	if !kind.LatencySensitive() {
@@ -240,51 +243,63 @@ func (r *Runner) Prepared(b *bench.Benchmark, kind disamb.Kind, memLat int) (*di
 			return nil, err
 		}
 		r.nPrepares.Add(1)
+		var run *disamb.Profiled
+		if kind.ReadsProfile() {
+			if run, err = r.profiled(b); err != nil {
+				return nil, r.failCell(inherit(err, b.Name, kind, key.memLat), b.Name, kind, key.memLat, "prepare")
+			}
+		}
 		bcc, ncc := r.caches()
-		attempt := func(mode sim.ExecMode) (p *disamb.Prepared, err error) {
+		p, err := onLadder(r, r.Exec, func(mode sim.ExecMode) (p *disamb.Prepared, err error) {
 			// The preparation is a cell boundary: a panic anywhere in the
-			// pipeline (or its profiling interpretation) is recovered into a
-			// structured CellError instead of killing the grid.
+			// pipeline is recovered into a structured CellError instead of
+			// killing the grid. A retried preparation keeps its rung's
+			// backend for every later run of this cell.
 			defer resilience.Recover(&err, b.Name, kind.String(), key.memLat, "prepare")
-			return disamb.PrepareOpts(b.Source, disamb.Options{
+			return disamb.PrepareFrom(run, disamb.Options{
 				Kind: kind, MemLat: memLat, SpD: r.Params,
 				// All of a benchmark's cells start from private clones of one
 				// compilation; each pipeline mutates only its own clone.
-				Prog: base.Clone(),
-				// Under the replay backend, PERFECT's profiling run doubles as
-				// the capture run for the whole latency-insensitive trace class
-				// (see traceFor) at no extra interpretation.
-				Record: r.TraceReplay && kind == disamb.Perfect,
+				Prog:   base.Clone(),
 				Verify: r.Verify,
 				MaxOps: r.Fuel, Ctx: r.Ctx,
 				Exec: mode, TierUp: r.TierUp, ExecCounters: &r.bcodeCtrs,
 				BCode: bcc, NCode: ncc,
 			})
-		}
-		p, err := attempt(r.Exec)
-		mode := r.Exec
-		for err != nil && resilience.Classify(err).Retryable() {
-			// Degradation ladder: a compiled-engine crash walks one rung down
-			// (native → bytecode → tree); the retried preparation keeps its
-			// rung's backend for every later run of this cell. The first error
-			// is kept when every rung fails: it names the root cause on the
-			// primary backend.
-			fb, ok := fallbackOf(mode)
-			if !ok {
-				break
-			}
-			r.noteFallback(mode)
-			if p2, err2 := attempt(fb); err2 == nil {
-				return p2, nil
-			} else if !resilience.Classify(err2).Retryable() {
-				break
-			}
-			mode = fb
-		}
+		})
 		if err != nil {
 			return nil, r.failCell(err, b.Name, kind, key.memLat, "prepare")
 		}
 		return p, nil
+	})
+}
+
+// profiled returns (running and caching) a benchmark's shared profiling run:
+// one recorded interpretation of a clone of its compiled base, whose profile
+// and output PERFECT and both SPEC preparations read and whose trace the
+// NAIVE, STATIC and PERFECT cells replay (traceFor). It is a cell boundary
+// like a preparation: panics are recovered here, since a panic escaping
+// group.Do would leave every waiter blocked, and a compiled-engine failure
+// walks the native → bytecode → tree ladder. The run is not a grid cell, so
+// it registers no failure itself: each cell that needed it fails under its
+// own name (inherit).
+func (r *Runner) profiled(b *bench.Benchmark) (*disamb.Profiled, error) {
+	return r.runs.Do(b.Name, func() (*disamb.Profiled, error) {
+		base, err := r.compiled(b)
+		if err != nil {
+			return nil, err
+		}
+		r.nProfileRuns.Add(1)
+		bcc, ncc := r.caches()
+		return onLadder(r, r.Exec, func(mode sim.ExecMode) (run *disamb.Profiled, err error) {
+			defer resilience.Recover(&err, b.Name, "profile", 0, "profile")
+			return disamb.ProfileRun(base, disamb.Options{
+				MemLat: MemLats[0],
+				MaxOps: r.Fuel, Ctx: r.Ctx,
+				Exec: mode, TierUp: r.TierUp, ExecCounters: &r.bcodeCtrs,
+				BCode: bcc, NCode: ncc,
+			})
+		})
 	})
 }
 
@@ -307,12 +322,12 @@ func (r *Runner) compiled(b *bench.Benchmark) (*ir.Program, error) {
 // Traces depend only on what a cell's program *executes*, never on arcs or
 // schedules, so all latency-insensitive pipelines of a benchmark share one
 // trace: NAIVE, STATIC and PERFECT run the identical operation stream (their
-// disambiguators touch arcs only). That class is keyed under PERFECT, whose
-// preparation already interprets the program for its profile — recording
-// there makes the shared trace free (disamb.Options.Record). SPEC's
-// transformed programs get their own per-latency traces, captured by one
-// interpretation each (disamb.Capture). TestTraceClassShared pins the
-// class-sharing invariant.
+// disambiguators touch arcs only). That class is keyed under PERFECT and is
+// the trace the benchmark's shared profiling run recorded, so it costs no
+// interpretation of its own; a failed run fails it as PERFECT's
+// preparation, which reads the same run. SPEC's transformed programs get
+// their own per-latency traces, captured by one interpretation each
+// (disamb.Capture).
 func (r *Runner) traceFor(b *bench.Benchmark, kind disamb.Kind, memLat int) (*trace.Trace, error) {
 	key := prepKey{b.Name, kind, memLat}
 	if !kind.LatencySensitive() {
@@ -320,18 +335,28 @@ func (r *Runner) traceFor(b *bench.Benchmark, kind disamb.Kind, memLat int) (*tr
 	}
 	r.nTraceReqs.Add(1)
 	return r.traces.Do(key, func() (*trace.Trace, error) {
-		p, err := r.Prepared(b, key.kind, memLat)
-		if err != nil {
-			return nil, err
-		}
-		r.nTraceCaptures.Add(1)
-		tr, err := func() (tr *trace.Trace, err error) {
-			// The capture run is a cell boundary too: contain crashes.
-			defer resilience.Recover(&err, b.Name, key.kind.String(), key.memLat, "capture")
-			return disamb.Capture(p)
-		}()
-		if err != nil {
-			return nil, r.failCell(err, b.Name, key.kind, key.memLat, "capture")
+		var tr *trace.Trace
+		if kind.LatencySensitive() {
+			p, err := r.Prepared(b, kind, memLat)
+			if err != nil {
+				return nil, err
+			}
+			r.nTraceCaptures.Add(1)
+			tr, err = func() (tr *trace.Trace, err error) {
+				// The capture run is a cell boundary too: contain crashes.
+				defer resilience.Recover(&err, b.Name, kind.String(), memLat, "capture")
+				return disamb.Capture(p)
+			}()
+			if err != nil {
+				return nil, r.failCell(err, b.Name, kind, memLat, "capture")
+			}
+		} else {
+			run, err := r.profiled(b)
+			if err != nil {
+				return nil, r.failCell(inherit(err, b.Name, disamb.Perfect, 0), b.Name, disamb.Perfect, 0, "prepare")
+			}
+			r.nTraceCaptures.Add(1)
+			tr = run.Trace
 		}
 		r.nTraceEvents.Add(tr.Events)
 		r.nTraceBytes.Add(int64(tr.Size()))

@@ -151,7 +151,22 @@ func (r *Runner) measureCell(b *bench.Benchmark, kind disamb.Kind, cellLat, memL
 // recaptureCell records a fresh trace for one cell, containing panics.
 func (r *Runner) recaptureCell(b *bench.Benchmark, kind disamb.Kind, cellLat int, p *disamb.Prepared) (tr *trace.Trace, err error) {
 	defer resilience.Recover(&err, b.Name, kind.String(), cellLat, "recapture")
-	return disamb.Recapture(p, disamb.MeasureOpt{Ctx: r.Ctx})
+	return disamb.Capture(p)
+}
+
+// inherit re-labels a shared profiling run's failure (Runner.profiled) as
+// the "prepare" failure of the cell that needed the run, keeping its class,
+// cause and stack, so each dependent cell fails once under its own name,
+// exactly as when it interpreted the program itself. Errors that carry no
+// CellError need no re-labelling: failCell attributes them to the caller.
+func inherit(err error, b string, kind disamb.Kind, cellLat int) error {
+	var ce *resilience.CellError
+	if !errors.As(err, &ce) {
+		return err
+	}
+	own := *ce
+	own.Benchmark, own.Pipeline, own.MemLat, own.Stage = b, kind.String(), cellLat, "prepare"
+	return &own
 }
 
 // fallbackOf returns the rung below mode on the execution-backend
@@ -164,6 +179,30 @@ func fallbackOf(mode sim.ExecMode) (sim.ExecMode, bool) {
 		return sim.ExecTree, true
 	}
 	return mode, false
+}
+
+// onLadder runs attempt on mode and, while it fails retryably, once on each
+// rung below it on the execution-backend ladder (native → bytecode → tree),
+// counting every rung taken. When every rung fails, the first error is kept:
+// it names the root cause on the primary backend.
+func onLadder[T any](r *Runner, mode sim.ExecMode, attempt func(sim.ExecMode) (T, error)) (T, error) {
+	v, err := attempt(mode)
+	for err != nil && resilience.Classify(err).Retryable() {
+		fb, ok := fallbackOf(mode)
+		if !ok {
+			break
+		}
+		r.noteFallback(mode)
+		v2, err2 := attempt(fb)
+		if err2 == nil {
+			return v2, nil
+		}
+		if !resilience.Classify(err2).Retryable() {
+			break
+		}
+		mode = fb
+	}
+	return v, err
 }
 
 // noteFallback counts one ladder rung taken, attributed to the backend it
@@ -198,30 +237,11 @@ func (r *Runner) interpMeasure(b *bench.Benchmark, kind disamb.Kind, cellLat int
 		}
 		return disamb.MeasureWith(p, models, o)
 	}
-	res, err := attempt(p.Exec)
+	res, err := onLadder(r, p.Exec, attempt)
 	if err == nil {
 		r.nInterpCells.Add(1)
-		return res, nil
 	}
-	mode := p.Exec
-	for resilience.Classify(err).Retryable() {
-		// Rung: compiled-engine failure → one retry on the next backend
-		// down. The first error is kept when every rung fails too: it names
-		// the root cause on the primary backend.
-		fb, ok := fallbackOf(mode)
-		if !ok {
-			break
-		}
-		r.noteFallback(mode)
-		if res, err2 := attempt(fb); err2 == nil {
-			r.nInterpCells.Add(1)
-			return res, nil
-		} else if !resilience.Classify(err2).Retryable() {
-			break
-		}
-		mode = fb
-	}
-	return nil, err
+	return res, err
 }
 
 // dropMainSchedule deletes the schedule of main's entry tree from every

@@ -262,3 +262,40 @@ func TestCleanRunHasNoResilienceFootprint(t *testing.T) {
 		t.Fatalf("clean run registered failures: %v", r.Failures())
 	}
 }
+
+// TestSharedProfileFailureAttribution pins how a failed shared profiling run
+// surfaces: every PERFECT and SPEC preparation that read it fails once,
+// under its own cell name, at stage prepare, exactly as when each cell
+// interpreted the program itself; the arc-only cells' trace failure is
+// PERFECT's. The set, and the counts, are the same at every pool width.
+func TestSharedProfileFailureAttribution(t *testing.T) {
+	for _, par := range []int{1, 4} {
+		r := exper.New()
+		r.Par = par
+		r.Benchmarks = []*bench.Benchmark{bench.ByName("perm"), bench.ByName("moment")}
+		r.Fuel = 10 // starves every interpretation
+		if _, err := r.Figure62(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Table63(); err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, ce := range r.Failures() {
+			if ce.Stage != "prepare" || ce.Class != resilience.ClassFuel {
+				t.Errorf("par %d: %s failed at stage %s [%s], want prepare [fuel]", par, ce.Cell(), ce.Stage, ce.Class)
+			}
+			got = append(got, ce.Cell())
+		}
+		want := []string{
+			"moment/PERFECT/m0", "moment/SPEC/m2", "moment/SPEC/m6",
+			"perm/PERFECT/m0", "perm/SPEC/m2", "perm/SPEC/m6",
+		}
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Fatalf("par %d: failed cells %v, want %v", par, got, want)
+		}
+		if st := r.Stats(); st.CellFailures != 6 || st.FuelExhausted != 6 || st.ProfileRuns != 2 {
+			t.Fatalf("par %d: stats = %+v, want 6 fuel failures from 2 profiling runs", par, st)
+		}
+	}
+}

@@ -70,9 +70,10 @@ type Tree struct {
 	Fn   *Function
 	Name string // diagnostic label, e.g. "f.loop1.body"
 
-	// PIdx is the tree's program-wide index, assigned by Program.IndexTrees.
-	// Simulators and pricing plans use it for dense per-tree tables instead
-	// of pointer-keyed maps.
+	// PIdx is the tree's program-wide index, assigned by Program.IndexTrees
+	// (which the compiler calls, so clones inherit it). Simulators, pricing
+	// plans and profiles use it for dense per-tree tables instead of
+	// pointer-keyed maps.
 	PIdx int
 
 	Ops    []*Op

@@ -93,7 +93,9 @@ type Env struct {
 
 // Prog is one tree compiled to native closure chains.
 type Prog struct {
-	Tree *ir.Tree
+	// Name is the name of the tree the chains were compiled from; like
+	// bcode.Prog, a cached program keeps the name, never the tree.
+	Name string
 	// NumGuarded is the number of guarded instructions (= commit-bit width).
 	NumGuarded int
 	// Steps counts the closures of one chain; Fused counts the
@@ -138,7 +140,7 @@ func Compile(t *ir.Tree) (*Prog, error) {
 		return nil, err
 	}
 	plan := fusePlan(bp.Code)
-	p := &Prog{Tree: t, NumGuarded: bp.NumGuarded, Src: bp, Plan: plan}
+	p := &Prog{Name: t.Name, NumGuarded: bp.NumGuarded, Src: bp, Plan: plan}
 	for _, k := range plan {
 		if k != FuseNone && k != FuseConsumed {
 			p.Fused++

@@ -3,9 +3,12 @@ package ncode_test
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"specdis/internal/bcode"
+	"specdis/internal/compile"
 	"specdis/internal/ir"
 	"specdis/internal/ncode"
 )
@@ -502,4 +505,43 @@ func TestCacheCounters(t *testing.T) {
 	if got := ctrs.Instrs.Load(); got != int64(p1.Steps) {
 		t.Errorf("Instrs = %d, want %d (closure steps)", got, p1.Steps)
 	}
+}
+
+// TestCacheDoesNotPinTrees is the native tier's counterpart of the bytecode
+// cache test: a cached closure chain must not keep the tree it was compiled
+// from (or, through Tree.Fn, that tree's program) alive.
+func TestCacheDoesNotPinTrees(t *testing.T) {
+	base, err := compile.Compile(`int a[4]; void main() { a[1] = a[2] + 3; print(a[1]); }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := ncode.NewCache(nil)
+	freed := make(chan struct{})
+	func() {
+		prog := base.Clone()
+		for _, name := range prog.Order {
+			for _, tr := range prog.Funcs[name].Trees {
+				if c.Get(tr) == nil {
+					t.Fatalf("tree %s did not compile", tr.Name)
+				}
+			}
+		}
+		// The finalizer watches an op of the entry tree, not the tree: a tree
+		// and its Function point at each other, and the runtime never
+		// finalizes an object that can reach itself.
+		main := prog.Funcs[prog.Main]
+		runtime.SetFinalizer(main.Trees[main.Entry].Ops[0], func(*ir.Op) { close(freed) })
+	}()
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			if c.Len() == 0 {
+				t.Fatal("cache lost its entries")
+			}
+			return
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+	t.Fatal("a cached compilation keeps its tree reachable after the program is dropped")
 }

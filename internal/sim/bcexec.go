@@ -86,29 +86,7 @@ func (r *Runner) finishPacked(t *ir.Tree, c *treeCtx, takenSeq, dupSeq int, ncom
 		r.priceBits(c, c.exitOf[takenSeq])
 	}
 	if r.Prof != nil {
-		r.profTree[t.PIdx]++
-		c.profExit[c.exitOf[takenSeq]]++
-		c.nexec++
-		addrs := c.addrs
-		awTo, awAlias := c.awTo, c.awAlias
-		for k, f := range c.awFrom {
-			if addrs[f] == addrs[awTo[k]] {
-				awAlias[k]++
-			}
-		}
-		if len(c.gdFrom) > 0 {
-			committed := c.committed
-			gdTo := c.gdTo
-			for k, f := range c.gdFrom {
-				to := gdTo[k]
-				if committed[f] && committed[to] {
-					c.gdExec[k]++
-					if addrs[f] == addrs[to] {
-						c.gdAlias[k]++
-					}
-				}
-			}
-		}
+		r.profileExec(c, c.exitOf[takenSeq])
 	}
 	return taken, nil
 }

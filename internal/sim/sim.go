@@ -107,31 +107,79 @@ type Result struct {
 	Exit ir.Value
 }
 
-// Profile accumulates execution statistics during a profiling run: per-tree
-// execution counts and per-exit counts. Memory-arc counters (ExecCount /
-// AliasCount) are accumulated directly on the arcs of the profiled program.
+// Profile is what a profiling run measured: how often each tree executed,
+// how often each of its exits was taken, and, per memory-dependence arc, how
+// often both endpoints committed (Exec) and how often they touched a common
+// address (Alias). It holds no pointers into the profiled program: counts
+// are indexed by tree index (ir.Tree.PIdx), exit op position (ir.Op.Seq) and
+// arc position in Tree.Arcs, so one read-only Profile answers for any
+// untransformed Clone of the profiled program, and AnnotateArcs carries its
+// arc counters onto such a clone.
 type Profile struct {
-	TreeExec map[*ir.Tree]int64
-	ExitExec map[*ir.Op]int64
+	// Trees[i] counts the executions of the tree with PIdx i.
+	Trees []int64
+	// Exits[i][seq] counts the executions of tree i that left through its
+	// exit op at position seq; nil for a tree that never executed.
+	Exits [][]int64
+	// Arcs[i][k] are the counters of tree i's k-th arc; nil for a tree that
+	// never executed.
+	Arcs [][]ArcCount
 }
 
-// NewProfile returns an empty profile.
-func NewProfile() *Profile {
-	return &Profile{TreeExec: map[*ir.Tree]int64{}, ExitExec: map[*ir.Op]int64{}}
+// ArcCount is one memory-dependence arc's profiled counters: the amounts a
+// profiling run adds to ir.MemArc.ExecCount and AliasCount.
+type ArcCount struct {
+	Exec, Alias int64
 }
+
+// NewProfile returns an empty profile; the first run it is passed to sizes
+// it to that run's program.
+func NewProfile() *Profile { return &Profile{} }
 
 // ExitProb returns the measured probability that tree t leaves through exit
 // e, defaulting to a uniform split when the tree never executed.
 func (pr *Profile) ExitProb(t *ir.Tree, e *ir.Op) float64 {
-	total := pr.TreeExec[t]
+	total := pr.TreeExecCount(t)
 	if total == 0 {
 		return 1 / float64(len(t.Exits()))
 	}
-	return float64(pr.ExitExec[e]) / float64(total)
+	if exits := pr.Exits[t.PIdx]; e.Seq < len(exits) {
+		return float64(exits[e.Seq]) / float64(total)
+	}
+	return 0
 }
 
 // TreeExecCount returns how many times tree t executed during profiling.
-func (pr *Profile) TreeExecCount(t *ir.Tree) int64 { return pr.TreeExec[t] }
+func (pr *Profile) TreeExecCount(t *ir.Tree) int64 {
+	if t.PIdx < 0 || t.PIdx >= len(pr.Trees) {
+		return 0
+	}
+	return pr.Trees[t.PIdx]
+}
+
+// AnnotateArcs adds the profiled arc counters onto prog's arcs, leaving them
+// as if prog itself had been the profiled program. prog must have the tree
+// structure of the program the profile was taken on (an untransformed Clone
+// of it); a mismatch is an error, after which prog's counters are unusable.
+func (pr *Profile) AnnotateArcs(prog *ir.Program) error {
+	n := 0
+	for _, name := range prog.Order {
+		for _, t := range prog.Funcs[name].Trees {
+			if t.PIdx != n || n >= len(pr.Trees) || (pr.Arcs[n] != nil && len(pr.Arcs[n]) != len(t.Arcs)) {
+				return fmt.Errorf("sim: profile does not match the program at tree %s", t.Name)
+			}
+			for k, c := range pr.Arcs[n] {
+				t.Arcs[k].ExecCount += c.Exec
+				t.Arcs[k].AliasCount += c.Alias
+			}
+			n++
+		}
+	}
+	if n != len(pr.Trees) {
+		return fmt.Errorf("sim: profile covers %d trees, the program has %d", len(pr.Trees), n)
+	}
+	return nil
+}
 
 // DefaultMaxOps bounds the dynamic operation count of one run.
 const DefaultMaxOps = 4_000_000_000
@@ -148,8 +196,8 @@ type Runner struct {
 	SemLat ir.LatencyFunc
 	// Plans are priced during the run.
 	Plans []*Plan
-	// Prof, when non-nil, collects profiling statistics (and updates arc
-	// alias counters on the program).
+	// Prof, when non-nil, collects profiling statistics into the profile and
+	// adds the run's arc counters to the program's arcs as well.
 	Prof *Profile
 	// Rec, when non-nil, records the run's execution trace — the count of
 	// every (PIdx, taken exit, guard-commit bits) pattern the run executed,
@@ -203,7 +251,6 @@ type Runner struct {
 	times      []int64
 	ctxes      []*treeCtx    // dense, indexed by tree PIdx
 	planTabs   [][]planEntry // per plan: dense comp tables by tree PIdx
-	profTree   []int64       // per-tree execution counts, flushed into Prof
 	fnIdx      map[string]int
 	mainIdx    int // Program.Order index of main, for the trace's call record
 	framePool  [][]ir.Value
@@ -385,10 +432,10 @@ type treeCtx struct {
 
 	profExit []int64 // per-exit execution counts (profiling runs)
 
-	// The dependence profile accumulates densely during compiled-engine
-	// profiling runs and Run folds it into the t.Arcs counters once at the
-	// end, keeping *MemArc pointer chasing off the per-execution path:
-	// nexec counts tree executions (the ExecCount of every always-committed
+	// The dependence profile accumulates densely during profiling runs on
+	// every engine (profileExec), and Run folds it into Prof and the t.Arcs
+	// counters once at the end (foldProfile): nexec counts tree executions
+	// (the tree's profiled count, and the ExecCount of every always-committed
 	// arc), awAlias the same-address hits of the always-committed arcs, and
 	// gdExec/gdAlias the both-committed and same-address hits of the arcs
 	// touching guarded ops.
@@ -550,7 +597,6 @@ func (r *Runner) Run() (*Result, error) {
 	r.times = make([]int64, len(r.Plans))
 	numTrees := r.Prog.IndexTrees()
 	r.ctxes = make([]*treeCtx, numTrees)
-	r.profTree = make([]int64, numTrees)
 	r.planTabs = make([][]planEntry, len(r.Plans))
 	for pi, p := range r.Plans {
 		r.planTabs[pi] = p.dense(numTrees)
@@ -582,34 +628,9 @@ func (r *Runner) Run() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Execution counted into dense per-tree tables; fold it into the
-	// pointer-keyed Profile maps once, at the end of the run.
 	if r.Prof != nil {
-		for _, name := range r.Prog.Order {
-			for _, t := range r.Prog.Funcs[name].Trees {
-				if n := r.profTree[t.PIdx]; n > 0 {
-					r.Prof.TreeExec[t] += n
-				}
-				if c := r.ctxes[t.PIdx]; c != nil {
-					for e, cnt := range c.profExit {
-						if cnt > 0 {
-							r.Prof.ExitExec[t.Ops[c.exits[e]]] += cnt
-						}
-					}
-					if c.nexec > 0 {
-						for k, i := range c.awIdx {
-							t.Arcs[i].ExecCount += c.nexec
-							t.Arcs[i].AliasCount += c.awAlias[k]
-						}
-						for k, i := range c.gdIdx {
-							if n := c.gdExec[k]; n > 0 {
-								t.Arcs[i].ExecCount += n
-								t.Arcs[i].AliasCount += c.gdAlias[k]
-							}
-						}
-					}
-				}
-			}
+		if err := r.foldProfile(); err != nil {
+			return nil, err
 		}
 	}
 	return &Result{
@@ -619,6 +640,86 @@ func (r *Runner) Run() (*Result, error) {
 		Committed: r.committed,
 		Exit:      exit,
 	}, nil
+}
+
+// foldProfile adds the run's dense profiling tables (see profileExec) into
+// Prof, sizing it on first use, and the run's arc counters onto the
+// program's own arcs too: every tier counts densely and the fold happens
+// once, keeping *MemArc pointer chasing off the per-execution path.
+func (r *Runner) foldProfile() error {
+	pr := r.Prof
+	if pr.Trees == nil {
+		n := len(r.ctxes)
+		pr.Trees = make([]int64, n)
+		pr.Exits = make([][]int64, n)
+		pr.Arcs = make([][]ArcCount, n)
+	} else if len(pr.Trees) != len(r.ctxes) {
+		return fmt.Errorf("sim: profile covers %d trees, the program has %d", len(pr.Trees), len(r.ctxes))
+	}
+	for _, name := range r.Prog.Order {
+		for _, t := range r.Prog.Funcs[name].Trees {
+			i := t.PIdx
+			c := r.ctxes[i]
+			if c == nil {
+				continue // never executed
+			}
+			if pr.Exits[i] == nil {
+				pr.Exits[i] = make([]int64, len(t.Ops))
+				pr.Arcs[i] = make([]ArcCount, len(t.Arcs))
+			}
+			if len(pr.Exits[i]) != len(t.Ops) || len(pr.Arcs[i]) != len(t.Arcs) {
+				return fmt.Errorf("sim: profile does not match the program at tree %s", t.Name)
+			}
+			pr.Trees[i] += c.nexec
+			for e, n := range c.profExit {
+				pr.Exits[i][c.exits[e]] += n
+			}
+			arcs := pr.Arcs[i]
+			add := func(k int32, exec, alias int64) {
+				arcs[k].Exec += exec
+				arcs[k].Alias += alias
+				t.Arcs[k].ExecCount += exec
+				t.Arcs[k].AliasCount += alias
+			}
+			for k, a := range c.awIdx {
+				add(a, c.nexec, c.awAlias[k])
+			}
+			for k, a := range c.gdIdx {
+				add(a, c.gdExec[k], c.gdAlias[k])
+			}
+		}
+	}
+	return nil
+}
+
+// profileExec counts one tree execution into the run's dense profiling
+// tables: the tree and its taken exit, and for every arc whether both
+// endpoints committed and whether they touched the same address. The
+// executors leave each op's commit status in c.committed and each memory
+// op's address in c.addrs.
+func (r *Runner) profileExec(c *treeCtx, exitIdx int) {
+	c.profExit[exitIdx]++
+	c.nexec++
+	addrs := c.addrs
+	awTo, awAlias := c.awTo, c.awAlias
+	for k, f := range c.awFrom {
+		if addrs[f] == addrs[awTo[k]] {
+			awAlias[k]++
+		}
+	}
+	if len(c.gdFrom) > 0 {
+		committed := c.committed
+		gdTo := c.gdTo
+		for k, f := range c.gdFrom {
+			to := gdTo[k]
+			if committed[f] && committed[to] {
+				c.gdExec[k]++
+				if addrs[f] == addrs[to] {
+					c.gdAlias[k]++
+				}
+			}
+		}
+	}
 }
 
 func (r *Runner) getFrame(n int) []ir.Value {
@@ -831,16 +932,7 @@ func (r *Runner) execTree(t *ir.Tree, regs []ir.Value) (*ir.Op, error) {
 		r.price(t, c, c.exitOf[taken.Seq])
 	}
 	if profiling {
-		r.profTree[t.PIdx]++
-		c.profExit[c.exitOf[taken.Seq]]++
-		for _, a := range t.Arcs {
-			if c.committed[a.From.Seq] && c.committed[a.To.Seq] {
-				a.ExecCount++
-				if c.addrs[a.From.Seq] == c.addrs[a.To.Seq] {
-					a.AliasCount++
-				}
-			}
-		}
+		r.profileExec(c, c.exitOf[taken.Seq])
 	}
 	return taken, nil
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"specdis/internal/bench"
 	"specdis/internal/compile"
 	"specdis/internal/ir"
 	"specdis/internal/machine"
@@ -120,6 +121,54 @@ void main() {
 		}
 		if sum < 0.999 || sum > 1.001 {
 			t.Errorf("tree %s exit probs sum to %v", tr.Name, sum)
+		}
+	}
+}
+
+// TestProfileServesClones pins what lets one profiling run serve several
+// preparations: a profile holds no pointers into the program it was taken
+// on, so a never-run Clone of the same compilation reads identical tree and
+// exit counts from it, and AnnotateArcs gives the clone's arcs the profiled
+// program's counters.
+func TestProfileServesClones(t *testing.T) {
+	for _, b := range bench.All() {
+		prog := compileSrc(t, b.Source)
+		clone := prog.Clone()
+		prof := sim.NewProfile()
+		r := &sim.Runner{Prog: prog, SemLat: machine.Infinite(2).LatencyFunc(), Prof: prof}
+		if _, err := r.Run(); err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		if err := prof.AnnotateArcs(clone); err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		executed := 0
+		for _, name := range prog.Order {
+			for i, tr := range prog.Funcs[name].Trees {
+				ct := clone.Funcs[name].Trees[i]
+				n := prof.TreeExecCount(tr)
+				if got := prof.TreeExecCount(ct); got != n {
+					t.Fatalf("%s/%s: clone executed %d times, profiled program %d", b.Name, tr.Name, got, n)
+				}
+				if n > 0 {
+					executed++
+				}
+				exits, cexits := tr.Exits(), ct.Exits()
+				for j, e := range exits {
+					if got, want := prof.ExitProb(ct, cexits[j]), prof.ExitProb(tr, e); got != want {
+						t.Fatalf("%s/%s exit %d: clone prob %v, profiled program %v", b.Name, tr.Name, j, got, want)
+					}
+				}
+				for k, a := range tr.Arcs {
+					if ca := ct.Arcs[k]; ca.ExecCount != a.ExecCount || ca.AliasCount != a.AliasCount {
+						t.Fatalf("%s/%s arc %d: clone counters %d/%d, profiled program %d/%d",
+							b.Name, tr.Name, k, ca.ExecCount, ca.AliasCount, a.ExecCount, a.AliasCount)
+					}
+				}
+			}
+		}
+		if executed == 0 {
+			t.Fatalf("%s: no tree executed", b.Name)
 		}
 	}
 }

@@ -278,9 +278,18 @@ type Recorder struct {
 	// their bit length into a uint64 keyed per tree (integer hashing is
 	// several times cheaper than hashing a byte string); anything larger
 	// falls back to a byte-string key.
-	fast []map[uint64]int32 // by tree idx: packed pattern -> entries index
-	slow map[string]int32   // oversized patterns -> entries index
+	fast []fastTree       // by tree idx
+	slow map[string]int32 // oversized patterns -> entries index
 	key  []byte
+}
+
+// fastTree is one tree's packed-pattern index. A tree usually repeats its
+// previous pattern (a loop body taking its back edge), so the last pattern
+// is checked before the map.
+type fastTree struct {
+	m       map[uint64]int32 // packed pattern -> entries index
+	lastKey uint64
+	last    int32 // entries index of lastKey; -1 before the first execution
 }
 
 // NewRecorder returns an empty recorder.
@@ -303,18 +312,23 @@ func (r *Recorder) Tree(pidx, exit int, bits []byte) {
 			k |= uint64(b) << (8 * i)
 		}
 		for pidx >= len(r.fast) {
-			r.fast = append(r.fast, nil)
+			r.fast = append(r.fast, fastTree{last: -1})
 		}
-		m := r.fast[pidx]
-		if m == nil {
-			m = map[uint64]int32{}
-			r.fast[pidx] = m
-		}
-		if i, ok := m[k]; ok {
-			r.entries[i].Count++
+		ft := &r.fast[pidx]
+		if ft.last >= 0 && ft.lastKey == k {
+			r.entries[ft.last].Count++
 			return
 		}
-		m[k] = next
+		if ft.m == nil {
+			ft.m = map[uint64]int32{}
+		}
+		if i, ok := ft.m[k]; ok {
+			r.entries[i].Count++
+			ft.lastKey, ft.last = k, i
+			return
+		}
+		ft.m[k] = next
+		ft.lastKey, ft.last = k, next
 	} else {
 		// Varints are self-delimiting, so the key cannot collide across
 		// patterns with different bit lengths.
