@@ -11,7 +11,8 @@
 //	spdbench -only ext        # the §7 extension experiments (grafting, combined)
 //	spdbench -bench fft       # restrict to one benchmark
 //	spdbench -par 4           # evaluation-cell worker pool width (0 = GOMAXPROCS)
-//	spdbench -trace interp    # interpret every timed run instead of trace replay
+//	spdbench -trace interp    # every cell interprets its own program instead of
+//	                          # sharing a trace (checks trace sharing)
 //	spdbench -exec bcode      # interpret on the bytecode engine instead of the
 //	                          # native tier (the default)
 //	spdbench -exec tree       # interpret on the reference tree walker
@@ -102,7 +103,7 @@ type benchReport struct {
 
 // traceReport is the "trace" section of BENCH_spdbench.json.
 type traceReport struct {
-	// Mode is the backend the run used: "replay" or "interp".
+	// Mode is the -trace setting the run used: "replay" or "interp".
 	Mode string `json:"mode"`
 	// Captures counts distinct execution traces materialized; CacheHits
 	// counts trace requests served from the singleflight cache.
@@ -113,7 +114,7 @@ type traceReport struct {
 	Events int64 `json:"events"`
 	Bytes  int64 `json:"bytes"`
 	// ReplayCells and InterpCells split the timed measurement cells by
-	// pricing backend.
+	// trace source: a shared trace, or the cell's own interpretation.
 	ReplayCells int64 `json:"replay_cells"`
 	InterpCells int64 `json:"interp_cells"`
 }
@@ -212,7 +213,7 @@ func run() int {
 	maxExpansion := flag.Float64("maxexpansion", 0, "override SpD MaxExpansion")
 	minGain := flag.Float64("mingain", -1, "override SpD MinGain")
 	par := flag.Int("par", 0, "evaluation-cell worker pool width (0 = GOMAXPROCS, 1 = sequential)")
-	traceMode := flag.String("trace", "replay", "timed-simulation backend: replay (capture a trace once, price every model by replay) or interp (interpret every timed run)")
+	traceMode := flag.String("trace", "replay", "trace sharing: replay (cells share one recorded trace per executed program) or interp (every measurement cell interprets its own program and prices that run's trace)")
 	execMode := flag.String("exec", "native", "execution backend: native (compile trees to closure-threaded chains with fused superinstructions), bcode (compile trees to register-machine bytecode), or tree (reference tree-walking interpreter)")
 	tierUp := flag.Int64("tierup", exper.DefaultTierUp, "adaptive tiering under -exec=native: a tree starts on the bytecode rung and is promoted to the native tier at its Nth execution of a run (0 = compile every tree eagerly)")
 	fuel := flag.Int64("fuel", defaultFuel, "dynamic-operation budget per interpretation; an exceeding cell fails typed instead of hanging")

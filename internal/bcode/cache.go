@@ -45,7 +45,7 @@ type Counters struct {
 // A cached program may consequently serve trees other than the one it was
 // compiled from. That is sound because the executors read nothing
 // tree-specific beyond the compiled code: memory bounds come from the Env at
-// run time, and the caller resolves the taken exit's payload, pricing and
+// run time, and the caller resolves the taken exit's payload and its
 // profiling tables from its own tree.
 //
 // One LRU serves both compiled tiers — Cache here and ncode.Cache — around

@@ -8,7 +8,7 @@ import (
 
 // Env is the machine state one tree execution reads and mutates. The
 // executor touches nothing else, so the caller (internal/sim's Runner) keeps
-// ownership of memory, output, pricing and trace recording.
+// ownership of memory, output and trace recording.
 type Env struct {
 	// Regs is the current function invocation's register frame.
 	Regs []ir.Value

@@ -101,7 +101,7 @@ type Prepared struct {
 	// one pair for a whole sweep via Options.
 	BCode *bcode.Cache
 	NCode *ncode.Cache
-	// Shapes shares the simulator's pricing skeletons across every run of
+	// Shapes shares the simulator's tree skeletons across every run of
 	// this preparation (Measure sweeps, Capture, replay). Unlike
 	// the compiled-code caches it keys on tree identity, so it is created
 	// only after preparation's op-level transformations are done and is
@@ -473,7 +473,7 @@ type MeasureOpt struct {
 	// sim.Runner.ChaosPanicAt).
 	ChaosPanicAt int64
 	// ChaosPlans, when non-nil, mutates the freshly built pricing plans
-	// before the run — the schedule-dropping fault uses it.
+	// before the replay — the schedule-dropping fault uses it.
 	ChaosPlans func([]*sim.Plan)
 }
 
@@ -505,33 +505,42 @@ func (o MeasureOpt) maxOps(p *Prepared) int64 {
 // SPEC, whose transform changes what executes, and the replacement of a
 // trace that failed its integrity check need a capture.
 func Capture(p *Prepared) (*trace.Trace, error) {
+	_, tr, err := record(p, MeasureOpt{}, "capture run")
+	return tr, err
+}
+
+// record interprets the prepared program once under opt's overrides,
+// recording its trace, and checks the output against the profiling run's.
+// Capture and MeasureWith share it; what names the run in errors.
+func record(p *Prepared, opt MeasureOpt, what string) (*sim.Result, *trace.Trace, error) {
 	rec := trace.NewRecorder()
 	r := &sim.Runner{
-		Prog:   p.Prog,
-		SemLat: machine.Infinite(p.MemLat).LatencyFunc(),
-		Rec:    rec,
-		MaxOps: p.MaxOps,
-		Ctx:    p.Ctx,
-		Exec:   p.Exec,
-		TierUp: p.TierUp,
-		BCode:  p.BCode,
-		NCode:  p.NCode,
-		Shapes: p.Shapes,
+		Prog:         p.Prog,
+		SemLat:       machine.Infinite(p.MemLat).LatencyFunc(),
+		Rec:          rec,
+		MaxOps:       opt.maxOps(p),
+		Ctx:          opt.ctx(p),
+		ChaosPanicAt: opt.ChaosPanicAt,
+		Exec:         opt.exec(p),
+		TierUp:       p.TierUp,
+		BCode:        p.BCode,
+		NCode:        p.NCode,
+		Shapes:       p.Shapes,
 	}
 	res, err := r.Run()
 	if err != nil {
-		return nil, fmt.Errorf("%s capture run: %w", p.Kind, err)
+		return nil, nil, fmt.Errorf("%s %s: %w", p.Kind, what, err)
 	}
 	if p.Output != "" && res.Output != p.Output {
-		return nil, fmt.Errorf("%s capture run output diverged from profiling run", p.Kind)
+		return nil, nil, fmt.Errorf("%s %s output diverged from profiling run", p.Kind, what)
 	}
-	return rec.Finish(res.Ops, res.Committed), nil
+	return res, rec.Finish(res.Ops, res.Committed), nil
 }
 
 // ReplayMeasure prices the prepared program under every model by replaying
-// tr against the models' schedules — no operand is evaluated. Times are
-// bit-identical to Measure on the same cell; Output is empty (the capture
-// run already validated it) and Ops/Committed are the recorded run's.
+// tr against the models' schedules — no operand is evaluated. Output is
+// empty (the recorded run already validated it) and Ops/Committed are the
+// recorded run's.
 //
 // tr must trace an execution-equivalent program: same tree indices, ops,
 // guards and exits (arcs may differ — they affect schedules, not
@@ -545,6 +554,12 @@ func ReplayMeasure(p *Prepared, models []machine.Model, tr *trace.Trace) (*sim.R
 // ReplayMeasureWith is ReplayMeasure with per-run options (replay evaluates
 // no operand, so only ChaosPlans applies).
 func ReplayMeasureWith(p *Prepared, models []machine.Model, tr *trace.Trace, opt MeasureOpt) (*sim.Result, error) {
+	return replay(p, models, tr, opt, "replay")
+}
+
+// replay prices tr under models' plans, after opt.ChaosPlans; what names
+// the run in errors.
+func replay(p *Prepared, models []machine.Model, tr *trace.Trace, opt MeasureOpt, what string) (*sim.Result, error) {
 	plans := Plans(p, models)
 	if opt.ChaosPlans != nil {
 		opt.ChaosPlans(plans)
@@ -552,42 +567,31 @@ func ReplayMeasureWith(p *Prepared, models []machine.Model, tr *trace.Trace, opt
 	rp := &sim.Replayer{Prog: p.Prog, Plans: plans, Shapes: p.Shapes}
 	res, err := rp.Replay(tr)
 	if err != nil {
-		return nil, fmt.Errorf("%s replay: %w", p.Kind, err)
+		return nil, fmt.Errorf("%s %s: %w", p.Kind, what, err)
 	}
 	return res, nil
 }
 
-// Measure executes the prepared program once, pricing it under every model.
-// The returned Times slice parallels models.
+// Measure interprets the prepared program once, recording its trace, and
+// prices that trace under every model: Capture followed by ReplayMeasure,
+// with the run's Output and Exit kept. The returned Times slice parallels
+// models.
 func Measure(p *Prepared, models []machine.Model) (*sim.Result, error) {
 	return MeasureWith(p, models, MeasureOpt{})
 }
 
-// MeasureWith is Measure with per-run options.
+// MeasureWith is Measure with per-run options: the interpretation takes the
+// Ctx, MaxOps, Exec and ChaosPanicAt overrides, the replay ChaosPlans.
+// Failures of either half are reported as the timed run's.
 func MeasureWith(p *Prepared, models []machine.Model, opt MeasureOpt) (*sim.Result, error) {
-	plans := Plans(p, models)
-	if opt.ChaosPlans != nil {
-		opt.ChaosPlans(plans)
-	}
-	r := &sim.Runner{
-		Prog:         p.Prog,
-		SemLat:       machine.Infinite(p.MemLat).LatencyFunc(),
-		Plans:        plans,
-		MaxOps:       opt.maxOps(p),
-		Ctx:          opt.ctx(p),
-		ChaosPanicAt: opt.ChaosPanicAt,
-		Exec:         opt.exec(p),
-		TierUp:       p.TierUp,
-		BCode:        p.BCode,
-		NCode:        p.NCode,
-		Shapes:       p.Shapes,
-	}
-	res, err := r.Run()
+	run, tr, err := record(p, opt, "timed run")
 	if err != nil {
-		return nil, fmt.Errorf("%s timed run: %w", p.Kind, err)
+		return nil, err
 	}
-	if p.Output != "" && res.Output != p.Output {
-		return nil, fmt.Errorf("%s output diverged from profiling run", p.Kind)
+	res, err := replay(p, models, tr, opt, "timed run")
+	if err != nil {
+		return nil, err
 	}
+	res.Output, res.Exit = run.Output, run.Exit
 	return res, nil
 }

@@ -21,7 +21,8 @@ func stdModels(memLat int) []machine.Model {
 
 // TestReplayMeasureMatchesMeasure checks the full pipeline-level equivalence
 // on the real benchmarks: for every disambiguator, ReplayMeasure on a
-// captured trace reports the same Times as an interpreting Measure.
+// separately captured trace reports the same Times and counts as Measure,
+// which records and prices a run of its own.
 func TestReplayMeasureMatchesMeasure(t *testing.T) {
 	params := spd.DefaultParams()
 	for _, bm := range bench.All() {
@@ -50,10 +51,10 @@ func TestReplayMeasureMatchesMeasure(t *testing.T) {
 					t.Fatalf("%s replay: %v", kind, err)
 				}
 				if !reflect.DeepEqual(got.Times, want.Times) {
-					t.Fatalf("%s: replay times %v, interp times %v", kind, got.Times, want.Times)
+					t.Fatalf("%s: replay times %v, measure times %v", kind, got.Times, want.Times)
 				}
 				if got.Ops != want.Ops || got.Committed != want.Committed {
-					t.Fatalf("%s: replay ops/committed %d/%d, interp %d/%d",
+					t.Fatalf("%s: replay ops/committed %d/%d, measure %d/%d",
 						kind, got.Ops, got.Committed, want.Ops, want.Committed)
 				}
 			}
@@ -61,12 +62,12 @@ func TestReplayMeasureMatchesMeasure(t *testing.T) {
 	}
 }
 
-// TestRandomProgramsReplayEquivalence is the differential fuzzer for the
-// replay backend: on random programs, across all four pipelines and several
-// machine sets, replay pricing must match interpretation bit for bit — SPEC
-// from its own capture (its profiling stream predates the transform), the
-// arc-only pipelines also from the trace of the program's shared profiling
-// run (disamb.ProfileRun).
+// TestRandomProgramsReplayEquivalence is the differential fuzzer for trace
+// sharing: on random programs, across all four pipelines and several
+// machine sets, replaying a shared trace must price exactly what Measure
+// prices from a run of its own — SPEC from its own capture (its profiling
+// stream predates the transform), the arc-only pipelines also from the
+// trace of the program's shared profiling run (disamb.ProfileRun).
 func TestRandomProgramsReplayEquivalence(t *testing.T) {
 	params := spd.DefaultParams()
 	params.MinGain = 0.01 // transform aggressively to stress the machinery
@@ -105,7 +106,7 @@ func TestRandomProgramsReplayEquivalence(t *testing.T) {
 				t.Fatalf("seed %d %s replay: %v\n%s", seed, kind, err, src)
 			}
 			if !reflect.DeepEqual(got.Times, want.Times) || got.Ops != want.Ops {
-				t.Fatalf("seed %d %s: replay %v ops %d, interp %v ops %d\n%s",
+				t.Fatalf("seed %d %s: replay %v ops %d, measure %v ops %d\n%s",
 					seed, kind, got.Times, got.Ops, want.Times, want.Ops, src)
 			}
 			if !kind.LatencySensitive() {
@@ -114,7 +115,7 @@ func TestRandomProgramsReplayEquivalence(t *testing.T) {
 					t.Fatalf("seed %d %s shared replay: %v\n%s", seed, kind, err, src)
 				}
 				if !reflect.DeepEqual(got.Times, want.Times) {
-					t.Fatalf("seed %d %s: shared-trace replay %v, interp %v\n%s",
+					t.Fatalf("seed %d %s: shared-trace replay %v, measure %v\n%s",
 						seed, kind, got.Times, want.Times, src)
 				}
 			}

@@ -20,7 +20,7 @@ import (
 // and every SpD application's gain. The run's trace is the arc-only class's
 // trace: NAIVE, STATIC and PERFECT transform arcs only, so a fresh capture
 // of any of them, at either latency, records the same bytes, and replaying
-// the shared trace prices them exactly as interpreting does.
+// the shared trace prices them exactly as Measure does from its own run.
 func TestSharedProfileMatchesPrivate(t *testing.T) {
 	params := spd.DefaultParams()
 	for _, bm := range bench.All() {
@@ -79,7 +79,7 @@ func TestSharedProfileMatchesPrivate(t *testing.T) {
 						t.Fatalf("%s memLat %d: replaying the shared trace: %v", kind, memLat, err)
 					}
 					if !reflect.DeepEqual(got.Times, want.Times) {
-						t.Fatalf("%s memLat %d: shared-trace times %v, interp %v", kind, memLat, got.Times, want.Times)
+						t.Fatalf("%s memLat %d: shared-trace times %v, measure %v", kind, memLat, got.Times, want.Times)
 					}
 				}
 			}

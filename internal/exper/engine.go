@@ -63,9 +63,10 @@ type Stats struct {
 	// of its machine models at once). ReplayCells + InterpCells == Measures
 	// once the runner is idle.
 	Measures int64
-	// SimOps counts dynamic operations priced across all measurement cells
-	// — operations interpreted (interp backend) or replayed from a trace
-	// (replay backend). The two backends report identical totals.
+	// SimOps counts dynamic operations priced across all measurement cells,
+	// each cell's from the trace it replayed — shared, or recorded by the
+	// cell's own interpretation (TraceReplay off). Both settings report
+	// identical totals.
 	SimOps int64
 	// TraceCaptures counts distinct execution traces materialized, whether
 	// recorded by a shared profiling run or captured by a dedicated recording
@@ -75,7 +76,8 @@ type Stats struct {
 	// TraceEvents and TraceBytes total the recorded events and the encoded
 	// histogram bytes of all captured traces.
 	TraceEvents, TraceBytes int64
-	// ReplayCells and InterpCells split Measures by simulation backend.
+	// ReplayCells and InterpCells split Measures by trace source: a shared
+	// trace, or the cell's own recorded interpretation.
 	ReplayCells, InterpCells int64
 	// BCodeCompiled counts decision trees compiled by either compiled tier
 	// across every preparation, and BCodeInstrs their total size:

@@ -51,13 +51,15 @@ type Runner struct {
 	// every setting; see TestParallelDeterminism.
 	Par int
 
-	// TraceReplay selects the trace-capture & replay simulation backend for
-	// timed measurements (the default from New; `spdbench -trace=interp`
-	// turns it off): each cell's program is interpreted once, recording an
-	// execution trace, and every machine model is priced by replaying the
-	// trace against its schedules. Reports are byte-identical to the
-	// interpreting backend at every Par setting; see
-	// TestTraceReplayEquivalence.
+	// TraceReplay makes measurement cells share traces (the default from
+	// New; `spdbench -trace=interp` turns it off). Every cell is priced by
+	// replaying a trace against its models' schedules. With TraceReplay,
+	// NAIVE, STATIC and PERFECT replay their benchmark's shared profiling
+	// run and each SPEC program is captured once, so no cell interprets.
+	// Without it, every cell interprets its own program and prices that
+	// run's trace (disamb.MeasureWith): the setting checks the sharing
+	// policy, not a second pricing algorithm. Reports are byte-identical
+	// either way at every Par setting; see TestTraceReplayEquivalence.
 	TraceReplay bool
 
 	// Verify passes the static verifier down to every preparation

@@ -8,7 +8,8 @@ package exper
 //	native failure     → one retry on the bytecode engine
 //	bytecode failure   → one retry on the reference tree walker
 //	corrupt trace      → one fresh capture, replayed
-//	still corrupt      → interpreting measurement (no trace at all)
+//	still corrupt      → a fresh recorded interpretation on the exec
+//	                     ladder, priced from its own trace (never flipped)
 //
 // Fuel and deadline failures never retry (the outcome is determined by the
 // budget, not the backend), and every rung taken is counted in Stats. The
@@ -143,7 +144,7 @@ func (r *Runner) measureCell(b *bench.Benchmark, kind disamb.Kind, cellLat, memL
 		return nil, rerr
 	}
 
-	// Rung: replay unusable → measure the cell by interpretation.
+	// Rung: replay unusable → measure the cell from its own interpretation.
 	r.nInterpFallback.Add(1)
 	return r.interpMeasure(b, kind, cellLat, p, models, opt, fault)
 }
@@ -215,9 +216,11 @@ func (r *Runner) noteFallback(from sim.ExecMode) {
 	}
 }
 
-// interpMeasure prices one cell by interpretation, applying the cell's
-// injected fault and — for retryable compiled-engine failures — walking the
-// native → bytecode → tree ladder one rung per failure.
+// interpMeasure measures one cell from a fresh recorded interpretation of
+// its program, priced from that run's own trace (disamb.MeasureWith),
+// applying the cell's injected fault and — for retryable compiled-engine
+// failures — walking the native → bytecode → tree ladder one rung per
+// failure.
 func (r *Runner) interpMeasure(b *bench.Benchmark, kind disamb.Kind, cellLat int, p *disamb.Prepared, models []machine.Model, opt disamb.MeasureOpt, fault resilience.Fault) (*sim.Result, error) {
 	attempt := func(mode sim.ExecMode) (res *sim.Result, err error) {
 		defer resilience.Recover(&err, b.Name, kind.String(), cellLat, "measure")

@@ -7,11 +7,11 @@ import (
 	"specdis/internal/exper"
 )
 
-// TestTraceReplayEquivalence pins the trace backend's contract at the
-// experiment level: the full rendered report is byte-identical between the
-// replay and interpreting backends, sequentially and under a parallel worker
-// pool, and the replay backend touches every timed cell without a single
-// interpreting measurement.
+// TestTraceReplayEquivalence pins trace sharing's contract at the
+// experiment level: the full rendered report is byte-identical with shared
+// traces and with every cell interpreting its own program, sequentially and
+// under a parallel worker pool, and with sharing on every timed cell replays
+// a shared trace without a single interpreting measurement.
 func TestTraceReplayEquivalence(t *testing.T) {
 	interp := exper.New()
 	interp.Par = 1

@@ -63,8 +63,8 @@ type step func(*Env)
 
 // Env is the machine state one tree execution reads and mutates, mirroring
 // bcode.Env: the caller (internal/sim's Runner) keeps ownership of memory,
-// output, pricing and trace recording. The profiling tables are only touched
-// by the profiling chain, so a caller that never profiles may leave them nil.
+// output and trace recording. The profiling tables are only touched by the
+// profiling chain, so a caller that never profiles may leave them nil.
 type Env struct {
 	// Regs is the current function invocation's register frame.
 	Regs []ir.Value

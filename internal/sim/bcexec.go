@@ -17,7 +17,9 @@ type ExecMode uint8
 // the fastest tier and the CLIs' default, optionally entered adaptively per
 // tree via Runner.TierUp. The tree walker is the reference interpreter both
 // compiled engines are differentially tested against; it also serves as the
-// automatic fallback for any tree the compilers decline.
+// automatic fallback for any tree the compilers decline. Every backend
+// executes, profiles and records identically, and none prices: a trace is
+// priced afterwards by the Replayer, whichever engine recorded it.
 const (
 	ExecBytecode ExecMode = iota
 	ExecTree
@@ -37,13 +39,10 @@ func (m ExecMode) String() string {
 }
 
 // execBC executes one tree through its compiled bytecode, mirroring execTree
-// exactly: same operation accounting, commit bits, trace events, pricing and
+// exactly: same operation accounting, commit bits, trace patterns and
 // profiling. Trees the compiler declined fall back to the tree walker.
 func (r *Runner) execBC(t *ir.Tree, regs []ir.Value) (*ir.Op, error) {
-	c, err := r.ctx(t)
-	if err != nil {
-		return nil, err
-	}
+	c := r.ctx(t)
 	if c.bc == nil {
 		return r.execTree(t, regs)
 	}
@@ -66,8 +65,8 @@ func (r *Runner) execBC(t *ir.Tree, regs []ir.Value) (*ir.Op, error) {
 // finishPacked completes one compiled-engine tree execution — shared by the
 // bytecode and native tiers, whose executors both report a (taken, dup,
 // ncommit) triple over packed commit bits: committed-op accounting, trace
-// recording, pricing, and profiling accumulation, all identical to the tree
-// walker's.
+// recording straight from the packed bits, and profiling accumulation, all
+// identical to the tree walker's.
 func (r *Runner) finishPacked(t *ir.Tree, c *treeCtx, takenSeq, dupSeq int, ncommit int64) (*ir.Op, error) {
 	if dupSeq >= 0 {
 		return nil, fmt.Errorf("tree %s: two exits taken (%%%d and %%%d)",
@@ -82,72 +81,10 @@ func (r *Runner) finishPacked(t *ir.Tree, c *treeCtx, takenSeq, dupSeq int, ncom
 	if r.Rec != nil {
 		r.Rec.Tree(t.PIdx, c.exitOf[takenSeq], c.bits)
 	}
-	if len(r.times) > 0 {
-		r.priceBits(c, c.exitOf[takenSeq])
-	}
 	if r.Prof != nil {
 		r.profileExec(c, c.exitOf[takenSeq])
 	}
 	return taken, nil
-}
-
-// priceBits is the bytecode counterpart of price: the commit pattern arrives
-// already packed (the executor maintains the bits), so the memo key is
-// assembled straight from the bit bytes. Keys and priced times are identical
-// to the tree walker's — bit k is the k-th guarded op in Seq order on both
-// paths.
-func (r *Runner) priceBits(c *treeCtx, exitIdx int) {
-	bits := c.bits
-	var times []int64
-	if c.memoInt != nil {
-		var b uint32
-		switch len(bits) {
-		case 0:
-		case 1:
-			b = uint32(bits[0])
-		case 2:
-			b = uint32(bits[0]) | uint32(bits[1])<<8
-		default:
-			b = uint32(bits[0]) | uint32(bits[1])<<8 | uint32(bits[2])<<16
-		}
-		key := b | uint32(exitIdx)<<24
-		var ok bool
-		times, ok = c.memoInt[key]
-		if !ok {
-			times = priceBitsTables(c.priceShape, c.comp, c.base, bits, exitIdx)
-			c.memoInt[key] = times
-		}
-	} else {
-		copy(c.mask, bits)
-		c.mask[len(c.mask)-1] = byte(exitIdx)
-		var ok bool
-		times, ok = c.memo[string(c.mask)]
-		if !ok {
-			times = priceBitsTables(c.priceShape, c.comp, c.base, bits, exitIdx)
-			c.memo[string(c.mask)] = times
-		}
-	}
-	for pi, dt := range times {
-		r.times[pi] += dt
-	}
-}
-
-// priceBitsTables computes the per-plan time of one packed commit pattern:
-// the maximum completion cycle over the committed on-path ops, floored by
-// the per-exit base over the always-committing ops. Shared by the bytecode
-// executor's memo misses and the trace Replayer.
-func priceBitsTables(s *priceShape, comp, base [][]int64, bits []byte, exitIdx int) []int64 {
-	times := make([]int64, len(comp))
-	for pi, cp := range comp {
-		max := base[pi][exitIdx]
-		for k, i := range s.guarded {
-			if bits[k>>3]&(1<<uint(k&7)) != 0 && s.onPath[i][exitIdx] && cp[i] > max {
-				max = cp[i]
-			}
-		}
-		times[pi] = max
-	}
-	return times
 }
 
 // bcodeProg resolves the tree's compiled bytecode through the Runner's cache

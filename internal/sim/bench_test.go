@@ -10,68 +10,26 @@ import (
 	"specdis/internal/ir"
 	"specdis/internal/machine"
 	"specdis/internal/ncode"
-	"specdis/internal/sched"
 	"specdis/internal/sim"
 	"specdis/internal/trace"
 )
 
-// benchSetup compiles the fft benchmark and builds its nine standard pricing
-// plans, the shared fixture of the execution benchmarks.
-func benchSetup(b *testing.B) (*ir.Program, []*sim.Plan) {
+// benchSetup compiles the fft benchmark, the shared fixture of the
+// execution benchmarks.
+func benchSetup(b *testing.B) *ir.Program {
 	b.Helper()
-	bm := bench.ByName("fft")
-	prog, err := compile.Compile(bm.Source)
+	prog, err := compile.Compile(bench.ByName("fft").Source)
 	if err != nil {
 		b.Fatal(err)
 	}
-	models := []machine.Model{machine.Infinite(2)}
-	for w := 1; w <= 8; w++ {
-		models = append(models, machine.New(w, 2))
-	}
-	plans := make([]*sim.Plan, len(models))
-	for i, m := range models {
-		plans[i] = sim.NewPlan(m.Name)
-	}
-	for _, name := range prog.Order {
-		for _, t := range prog.Funcs[name].Trees {
-			g := ir.BuildDepGraph(t, machine.Infinite(2).LatencyFunc())
-			for i, m := range models {
-				plans[i].SetTree(t, sched.FromGraph(g, m.NumFUs).Comp)
-			}
-		}
-	}
-	return prog, plans
+	return prog
 }
 
-// benchRun times full timed runs of the fixture program on one backend.
-func benchRun(b *testing.B, mode sim.ExecMode) {
-	prog, plans := benchSetup(b)
-	bcCache := bcode.NewCache(nil)
-	ncCache := ncode.NewCache(nil)
-	shapes := sim.NewShapeCache()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := &sim.Runner{
-			Prog:   prog,
-			SemLat: machine.Infinite(2).LatencyFunc(),
-			Plans:  plans,
-			Exec:   mode,
-			BCode:  bcCache,
-			NCode:  ncCache,
-			Shapes: shapes,
-		}
-		if _, err := r.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchProfile times full profiling (capture-class) runs: no pricing plans,
-// so the run is dominated by raw execution plus the per-op commit and
-// address sampling — the cost the native tier's profiling specialization
-// targets.
+// benchProfile times full profiling runs: raw execution plus the per-op
+// commit and address sampling — the cost the native tier's profiling
+// specialization targets.
 func benchProfile(b *testing.B, mode sim.ExecMode) {
-	prog, _ := benchSetup(b)
+	prog := benchSetup(b)
 	bcCache := bcode.NewCache(nil)
 	ncCache := ncode.NewCache(nil)
 	shapes := sim.NewShapeCache()
@@ -92,10 +50,11 @@ func benchProfile(b *testing.B, mode sim.ExecMode) {
 	}
 }
 
-// benchCapture times full trace-capture runs: a recorder and no pricing
-// plans, the shape of the SPEC capture cells trace replay cannot shortcut.
+// benchCapture times full trace-capture runs: the interpretation every timed
+// measurement needs before its trace can be priced, and the shape of the
+// SPEC capture cells trace sharing cannot shortcut.
 func benchCapture(b *testing.B, mode sim.ExecMode) {
-	prog, _ := benchSetup(b)
+	prog := benchSetup(b)
 	bcCache := bcode.NewCache(nil)
 	ncCache := ncode.NewCache(nil)
 	shapes := sim.NewShapeCache()
@@ -115,19 +74,6 @@ func benchCapture(b *testing.B, mode sim.ExecMode) {
 		}
 	}
 }
-
-// BenchmarkExecTree times the simulator's execution hot path on the reference
-// tree walker: a full timed run of the fft benchmark priced under the nine
-// standard machine models, dominated by execTree / evalPure / price.
-func BenchmarkExecTree(b *testing.B) { benchRun(b, sim.ExecTree) }
-
-// BenchmarkExecTreeBytecode is BenchmarkExecTree on the bytecode engine: the
-// same timed fft run dominated by bcode.Exec / priceBits.
-func BenchmarkExecTreeBytecode(b *testing.B) { benchRun(b, sim.ExecBytecode) }
-
-// BenchmarkExecTreeNative is BenchmarkExecTree on the native closure-chain
-// tier: the same timed fft run dominated by the fused closure chains.
-func BenchmarkExecTreeNative(b *testing.B) { benchRun(b, sim.ExecNative) }
 
 // BenchmarkProfileTree times a profiling run (the capture-bound cell class)
 // on the reference tree walker.
@@ -151,14 +97,14 @@ func BenchmarkCaptureBytecode(b *testing.B) { benchCapture(b, sim.ExecBytecode) 
 func BenchmarkCaptureNative(b *testing.B) { benchCapture(b, sim.ExecNative) }
 
 // BenchmarkTierUpThreshold sweeps the adaptive-tiering hot threshold on a
-// cold-cache timed run: every iteration starts with fresh compiled-code
+// cold-cache capture run: every iteration starts with fresh compiled-code
 // caches, so the native compile cost of every tree that crosses the
 // threshold is inside the measurement. threshold=0 compiles every executed
 // tree eagerly; the huge threshold never promotes (all-bytecode with native
 // selected); the middle settings show the adaptive tradeoff spdbench's
 // -tierup default rides.
 func BenchmarkTierUpThreshold(b *testing.B) {
-	prog, plans := benchSetup(b)
+	prog := benchSetup(b)
 	shapes := sim.NewShapeCache()
 	for _, tu := range []int64{0, 1, 32, 1 << 30} {
 		name := fmt.Sprintf("tierup=%d", tu)
@@ -170,7 +116,7 @@ func BenchmarkTierUpThreshold(b *testing.B) {
 				r := &sim.Runner{
 					Prog:   prog,
 					SemLat: machine.Infinite(2).LatencyFunc(),
-					Plans:  plans,
+					Rec:    trace.NewRecorder(),
 					Exec:   sim.ExecNative,
 					TierUp: tu,
 					BCode:  bcode.NewCache(nil),
@@ -188,11 +134,7 @@ func BenchmarkTierUpThreshold(b *testing.B) {
 // BenchmarkBytecodeCompile times lowering every tree of the fft benchmark to
 // bytecode (one whole-program compile per iteration).
 func BenchmarkBytecodeCompile(b *testing.B) {
-	bm := bench.ByName("fft")
-	prog, err := compile.Compile(bm.Source)
-	if err != nil {
-		b.Fatal(err)
-	}
+	prog := benchSetup(b)
 	prog.IndexTrees()
 	var trees []*ir.Tree
 	for _, name := range prog.Order {
@@ -213,7 +155,7 @@ func BenchmarkBytecodeCompile(b *testing.B) {
 // peak call depth, further runs of the recursive fixture must not allocate
 // frames at all (see TestCallLoopAllocs).
 func BenchmarkCallSteadyState(b *testing.B) {
-	prog, _ := benchSetup(b)
+	prog := benchSetup(b)
 	r := &sim.Runner{Prog: prog, SemLat: machine.Infinite(2).LatencyFunc()}
 	if _, err := r.Run(); err != nil {
 		b.Fatal(err)

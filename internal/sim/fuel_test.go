@@ -93,31 +93,12 @@ func TestDeadlineCancelsMidRun(t *testing.T) {
 	}
 }
 
-func TestMissingScheduleIsTypedError(t *testing.T) {
-	prog := compileSrc(t, `void main() { print(1); }`)
-	for _, mode := range []sim.ExecMode{sim.ExecTree, sim.ExecBytecode, sim.ExecNative} {
-		r := &sim.Runner{
-			Prog:   prog,
-			SemLat: machine.Infinite(2).LatencyFunc(),
-			Plans:  []*sim.Plan{sim.NewPlan("empty")},
-			Exec:   mode,
-		}
-		_, err := r.Run()
-		if !errors.Is(err, resilience.ErrMissingSchedule) {
-			t.Fatalf("%v engine: err = %v, want ErrMissingSchedule", mode, err)
-		}
-	}
-}
-
 func TestReplayMissingScheduleIsTypedError(t *testing.T) {
 	prog := compileSrc(t, `void main() { print(1); }`)
-	rec := trace.NewRecorder()
-	r := &sim.Runner{Prog: prog, SemLat: machine.Infinite(2).LatencyFunc(), Rec: rec}
-	res, err := r.Run()
+	_, tr, err := recordRun(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := rec.Finish(res.Ops, res.Committed)
 	rp := &sim.Replayer{Prog: prog, Plans: []*sim.Plan{sim.NewPlan("empty")}}
 	if _, err := rp.Replay(tr); !errors.Is(err, resilience.ErrMissingSchedule) {
 		t.Fatalf("replay: err = %v, want ErrMissingSchedule", err)
@@ -132,8 +113,7 @@ func TestPlanDrop(t *testing.T) {
 			p.Drop(0)
 		}
 	}
-	r := &sim.Runner{Prog: prog, SemLat: machine.Infinite(2).LatencyFunc(), Plans: plans[:1]}
-	if _, err := r.Run(); !errors.Is(err, resilience.ErrMissingSchedule) {
+	if _, err := priceRun(prog, plans[:1]); !errors.Is(err, resilience.ErrMissingSchedule) {
 		t.Fatalf("dropped schedule: err = %v, want ErrMissingSchedule", err)
 	}
 }

@@ -7,18 +7,15 @@ import (
 
 // execNC executes one tree through its compiled closure chain, mirroring
 // execBC exactly: same fuel charge, operation accounting, commit bits, trace
-// events, pricing and profiling. Trees the compiler declined fall back to
-// the tree walker.
+// patterns and profiling. Trees the compiler declined fall back to the tree
+// walker.
 //
 // Under adaptive tiering (Runner.TierUp > 0) the tree starts on the bytecode
 // engine and is promoted here once its per-run execution count crosses the
 // threshold — the results are byte-identical on every tier, so promotion is
 // invisible to everything but the wall clock and the compile counters.
 func (r *Runner) execNC(t *ir.Tree, regs []ir.Value) (*ir.Op, error) {
-	c, err := r.ctx(t)
-	if err != nil {
-		return nil, err
-	}
+	c := r.ctx(t)
 	if c.nc == nil {
 		if c.bc == nil {
 			return r.execTree(t, regs)

@@ -8,14 +8,74 @@ import (
 	"specdis/internal/trace"
 )
 
-// Replayer prices a program under machine schedules by replaying a recorded
-// execution trace instead of interpreting the program: each distinct tree
+// Plan is a pricing table: completion cycles per op for every tree, as
+// produced by a scheduler for one machine configuration. Entries are stored
+// as they arrive; Replayer.Replay resolves them once into a dense table
+// indexed by program-wide tree index (ir.Tree.PIdx), so pricing never
+// touches a pointer-keyed map.
+type Plan struct {
+	Name  string
+	trees []*ir.Tree
+	comps [][]int64
+}
+
+// NewPlan returns an empty plan.
+func NewPlan(name string) *Plan {
+	return &Plan{Name: name}
+}
+
+// SetTree installs the completion-cycle table for one tree (indexed by Seq).
+// Setting the same tree again overwrites the earlier table.
+func (p *Plan) SetTree(t *ir.Tree, comp []int64) {
+	p.trees = append(p.trees, t)
+	p.comps = append(p.comps, comp)
+}
+
+// planEntry is one resolved slot of a dense plan table. The tree pointer is
+// kept so that an entry installed for a different program's tree (a PIdx
+// collision) is detected instead of silently mis-pricing.
+type planEntry struct {
+	tree *ir.Tree
+	comp []int64
+}
+
+// Trees returns the trees the plan has schedules for, in SetTree order.
+func (p *Plan) Trees() []*ir.Tree { return p.trees }
+
+// Drop removes the plan's schedule for the i-th (modulo entry count) SetTree
+// entry — a chaos hook: replaying a trace that executed the dropped tree
+// fails with a typed missing-schedule error instead of pricing. No-op on an
+// empty plan.
+func (p *Plan) Drop(i int) {
+	if len(p.trees) == 0 {
+		return
+	}
+	i = ((i % len(p.trees)) + len(p.trees)) % len(p.trees)
+	p.trees = append(p.trees[:i], p.trees[i+1:]...)
+	p.comps = append(p.comps[:i], p.comps[i+1:]...)
+}
+
+// dense lays the plan out as a table indexed by tree PIdx (entries for the
+// same tree resolve to the latest SetTree call). Trees of the program
+// without an entry stay nil and yield a typed missing-schedule error when
+// the trace first names them.
+func (p *Plan) dense(numTrees int) []planEntry {
+	tab := make([]planEntry, numTrees)
+	for i, t := range p.trees {
+		if t.PIdx >= 0 && t.PIdx < numTrees {
+			tab[t.PIdx] = planEntry{tree: t, comp: p.comps[i]}
+		}
+	}
+	return tab
+}
+
+// Replayer prices a program under machine schedules from a recorded
+// execution trace; it is the simulator's only pricer. Each distinct tree
 // execution pattern — (tree, taken exit, guard-commit bits) — is priced once
-// with the same arithmetic the interpreting Runner memoizes, then multiplied
-// by the pattern's total trip count from the trace's histogram (Trace.Hist).
-// The resulting Times are bit-identical to a timed Run (int64 cycle sums
-// commute), but not a single operand is evaluated and the pricing work is
-// proportional to the number of distinct patterns, not dynamic events.
+// per plan, then multiplied by the pattern's total trip count from the
+// trace's histogram (Trace.Hist). Not a single operand is evaluated, and the
+// pricing work is proportional to the number of distinct patterns, not
+// dynamic events.
 //
 // The trace must come from an execution-equivalent program: one whose tree
 // structure (tree indices, ops, guards, exits) matches Prog's. Traces
@@ -25,17 +85,17 @@ import (
 type Replayer struct {
 	Prog  *ir.Program
 	Plans []*Plan
-	// Shapes optionally shares pricing skeletons with the interpreting
-	// Runners (see ShapeCache); left nil, shapes are rebuilt per Replay.
+	// Shapes optionally shares tree skeletons with the interpreting Runners
+	// (see ShapeCache); left nil, shapes are rebuilt per Replay.
 	Shapes *ShapeCache
 }
 
-// replayCtx is the per-tree pricing context of a replay: the shared pricing
+// replayCtx is the per-tree pricing context of a replay: the shared tree
 // skeleton plus this replay's completion-cycle tables.
 type replayCtx struct {
-	*priceShape
-	comp [][]int64
-	base [][]int64
+	*treeShape
+	comp [][]int64 // [plan][Seq]: completion cycle
+	base [][]int64 // [plan][exit]: max completion over unguarded on-path ops
 }
 
 // Replay prices the trace and returns the per-plan cycle totals. Ops and
@@ -88,37 +148,54 @@ func (rp *Replayer) Replay(tr *trace.Trace) (*Result, error) {
 		}
 		// Histogram entries are distinct patterns, so each is priced exactly
 		// once — no memo needed.
-		ts := c.priceBits(e.Bits, e.Exit)
-		for pi, dt := range ts {
-			times[pi] += dt * e.Count
-		}
+		c.price(e.Bits, e.Exit, e.Count, times)
 	}
 	return &Result{Times: times, Ops: tr.Ops, Committed: tr.Committed}, nil
 }
 
-// ctx builds the pricing context for one tree, mirroring Runner.ctx.
+// ctx builds the pricing context for one tree: its plans' completion tables
+// and, per plan and exit, the maximum completion over the unguarded on-path
+// ops, which commit on every execution.
 func (rp *Replayer) ctx(t *ir.Tree, planTabs [][]planEntry) (*replayCtx, error) {
-	var shape *priceShape
+	var shape *treeShape
 	if rp.Shapes != nil {
 		shape = rp.Shapes.of(t)
 	} else {
 		shape = shapeOf(t)
 	}
-	c := &replayCtx{priceShape: shape}
+	c := &replayCtx{treeShape: shape}
 	for pi, p := range rp.Plans {
 		ent := planTabs[pi][t.PIdx]
 		if ent.tree != t || ent.comp == nil {
 			return nil, fmt.Errorf("sim: plan %q has no schedule for tree %s: %w",
 				p.Name, t.Name, resilience.ErrMissingSchedule)
 		}
+		b := make([]int64, len(shape.exits))
+		for e := range shape.exits {
+			for i, op := range t.Ops {
+				if op.Guard == ir.NoReg && shape.onPath[i][e] && ent.comp[i] > b[e] {
+					b[e] = ent.comp[i]
+				}
+			}
+		}
 		c.comp = append(c.comp, ent.comp)
+		c.base = append(c.base, b)
 	}
-	c.base = c.baseTables(t, c.comp)
 	return c, nil
 }
 
-// priceBits computes the per-plan time of one commit pattern from packed
-// bits, the replay counterpart of Runner.priceMiss.
-func (c *replayCtx) priceBits(bits []byte, exitIdx int) []int64 {
-	return priceBitsTables(c.priceShape, c.comp, c.base, bits, exitIdx)
+// price adds count executions of one commit pattern to times, per plan: the
+// maximum completion cycle over the committed on-path ops, floored by the
+// exit's base over the always-committing ops. Bit k of bits is the k-th
+// guarded op in Seq order, as every engine records it.
+func (c *replayCtx) price(bits []byte, exitIdx int, count int64, times []int64) {
+	for pi, comp := range c.comp {
+		max := c.base[pi][exitIdx]
+		for k, i := range c.guarded {
+			if bits[k>>3]&(1<<uint(k&7)) != 0 && c.onPath[i][exitIdx] && comp[i] > max {
+				max = comp[i]
+			}
+		}
+		times[pi] += max * count
+	}
 }

@@ -7,20 +7,29 @@ import (
 
 	"specdis/internal/bench"
 	"specdis/internal/compile"
+	"specdis/internal/disamb"
 	"specdis/internal/ir"
 	"specdis/internal/machine"
 	"specdis/internal/sched"
 	"specdis/internal/sim"
+	"specdis/internal/spd"
 	"specdis/internal/trace"
 )
 
-// stdPlans builds the nine standard machine models and their plans for prog.
-func stdPlans(t testing.TB, prog *ir.Program, memLat int) []*sim.Plan {
-	t.Helper()
+// stdModels returns the nine standard machine models at one memory latency:
+// the infinite machine and widths 1 through 8.
+func stdModels(memLat int) []machine.Model {
 	models := []machine.Model{machine.Infinite(memLat)}
 	for w := 1; w <= 8; w++ {
 		models = append(models, machine.New(w, memLat))
 	}
+	return models
+}
+
+// stdPlans builds the nine standard machine models' plans for prog.
+func stdPlans(t testing.TB, prog *ir.Program, memLat int) []*sim.Plan {
+	t.Helper()
+	models := stdModels(memLat)
 	plans := make([]*sim.Plan, len(models))
 	for i, m := range models {
 		plans[i] = sim.NewPlan(m.Name)
@@ -36,47 +45,114 @@ func stdPlans(t testing.TB, prog *ir.Program, memLat int) []*sim.Plan {
 	return plans
 }
 
-// TestReplayMatchesInterpretation is the core equivalence property of the
-// trace backend: for every benchmark, a timed interpretation and a replay of
-// the same run's trace must report bit-identical per-plan cycle totals and
-// operation counts.
+// recordRun interprets prog once on the bytecode engine with a trace
+// recorder attached.
+func recordRun(prog *ir.Program) (*sim.Result, *trace.Trace, error) {
+	rec := trace.NewRecorder()
+	r := &sim.Runner{Prog: prog, SemLat: machine.Infinite(2).LatencyFunc(), Rec: rec}
+	res, err := r.Run()
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, rec.Finish(res.Ops, res.Committed), nil
+}
+
+// priceRun interprets prog once, recording its trace, and prices the trace
+// under plans: the record + replay pair every timed measurement runs. The
+// result carries the run's Output and Exit and the replay's Times.
+func priceRun(prog *ir.Program, plans []*sim.Plan) (*sim.Result, error) {
+	run, tr, err := recordRun(prog)
+	if err != nil {
+		return nil, err
+	}
+	res, err := (&sim.Replayer{Prog: prog, Plans: plans}).Replay(tr)
+	if err != nil {
+		return nil, err
+	}
+	res.Output, res.Exit = run.Output, run.Exit
+	return res, nil
+}
+
+// referencePrice prices a trace histogram straight from the definition
+// (DESIGN.md §2 and §5.3), sharing no code with the Replayer: one execution
+// of a pattern costs the latest completion cycle, in the model's list
+// schedule, among the ops that lie on the path to the taken exit and
+// commit — unguarded ops always, guarded ops when their commit bit is set.
+// A pattern costs that times its count.
+func referencePrice(prog *ir.Program, h *trace.Hist, memLat int, models []machine.Model) []int64 {
+	trees := map[int]*ir.Tree{}
+	for _, name := range prog.Order {
+		for _, t := range prog.Funcs[name].Trees {
+			trees[t.PIdx] = t
+		}
+	}
+	comps := map[*ir.Tree][][]int64{} // per tree: one completion table per model
+	times := make([]int64, len(models))
+	for _, e := range h.Entries {
+		t := trees[e.Idx]
+		if comps[t] == nil {
+			g := ir.BuildDepGraph(t, machine.Infinite(memLat).LatencyFunc())
+			for _, m := range models {
+				comps[t] = append(comps[t], sched.FromGraph(g, m.NumFUs).Comp)
+			}
+		}
+		exit := t.Exits()[e.Exit]
+		for mi := range models {
+			var latest int64
+			k := 0 // bit k is the k-th guarded op in Seq order
+			for _, op := range t.Ops {
+				commits := true
+				if op.Guard != ir.NoReg {
+					commits = e.Bit(k)
+					k++
+				}
+				if c := comps[t][mi][op.Seq]; commits && t.OnPath(op.Block, exit.Block) && c > latest {
+					latest = c
+				}
+			}
+			times[mi] += latest * e.Count
+		}
+	}
+	return times
+}
+
+// TestReplayMatchesInterpretation is the pricing oracle: for every
+// benchmark's NAIVE and SPEC programs at memory latencies 2 and 6, the
+// Replayer must price a recorded interpretation exactly as the definitional
+// reference pricer does, under all nine standard models, and report the
+// run's operation counts.
 func TestReplayMatchesInterpretation(t *testing.T) {
 	for _, bm := range bench.All() {
 		bm := bm
 		t.Run(bm.Name, func(t *testing.T) {
 			t.Parallel()
-			prog, err := compile.Compile(bm.Source)
-			if err != nil {
-				t.Fatal(err)
-			}
-			plans := stdPlans(t, prog, 2)
-			rec := trace.NewRecorder()
-			r := &sim.Runner{
-				Prog:   prog,
-				SemLat: machine.Infinite(2).LatencyFunc(),
-				Plans:  plans,
-				Rec:    rec,
-			}
-			interp, err := r.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			tr := rec.Finish(interp.Ops, interp.Committed)
-			if tr.TreeExecs == 0 {
-				t.Fatal("trace recorded no tree executions")
-			}
-
-			rp := &sim.Replayer{Prog: prog, Plans: plans}
-			replay, err := rp.Replay(tr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(replay.Times, interp.Times) {
-				t.Fatalf("replay times %v\ninterp times %v", replay.Times, interp.Times)
-			}
-			if replay.Ops != interp.Ops || replay.Committed != interp.Committed {
-				t.Fatalf("replay ops/committed = %d/%d, interp %d/%d",
-					replay.Ops, replay.Committed, interp.Ops, interp.Committed)
+			for _, kind := range []disamb.Kind{disamb.Naive, disamb.Spec} {
+				for _, memLat := range []int{2, 6} {
+					p, err := disamb.Prepare(bm.Source, kind, memLat, spd.DefaultParams())
+					if err != nil {
+						t.Fatalf("%s/%d: %v", kind, memLat, err)
+					}
+					run, tr, err := recordRun(p.Prog)
+					if err != nil {
+						t.Fatalf("%s/%d: %v", kind, memLat, err)
+					}
+					h, err := tr.Hist()
+					if err != nil || len(h.Entries) == 0 {
+						t.Fatalf("%s/%d: empty or unreadable histogram (err %v)", kind, memLat, err)
+					}
+					rp := &sim.Replayer{Prog: p.Prog, Plans: stdPlans(t, p.Prog, memLat)}
+					got, err := rp.Replay(tr)
+					if err != nil {
+						t.Fatalf("%s/%d: %v", kind, memLat, err)
+					}
+					if want := referencePrice(p.Prog, h, memLat, stdModels(memLat)); !reflect.DeepEqual(got.Times, want) {
+						t.Fatalf("%s/%d: replay times %v\nreference times %v", kind, memLat, got.Times, want)
+					}
+					if got.Ops != run.Ops || got.Committed != run.Committed {
+						t.Fatalf("%s/%d: replay ops/committed = %d/%d, run %d/%d",
+							kind, memLat, got.Ops, got.Committed, run.Ops, run.Committed)
+					}
+				}
 			}
 		})
 	}
@@ -106,24 +182,19 @@ void main() {
 	}
 	print(s);
 }`
-	run := func(src string) (*ir.Program, []*sim.Plan, *trace.Trace) {
-		prog, err := compile.Compile(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plans := stdPlans(t, prog, 2)
-		rec := trace.NewRecorder()
-		r := &sim.Runner{Prog: prog, SemLat: machine.Infinite(2).LatencyFunc(), Plans: plans, Rec: rec}
-		res, err := r.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return prog, plans, rec.Finish(res.Ops, res.Committed)
+	prog1, err := compile.Compile(src1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	prog1, plans1, _ := run(src1)
-	_, _, tr2 := run(src2)
-
-	rp := &sim.Replayer{Prog: prog1, Plans: plans1}
+	prog2, err := compile.Compile(src2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, tr2, err := recordRun(prog2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp := &sim.Replayer{Prog: prog1, Plans: stdPlans(t, prog1, 2)}
 	if _, err := rp.Replay(tr2); err == nil {
 		t.Fatal("replay accepted a trace from a different program")
 	}
@@ -151,23 +222,19 @@ func TestReplayRejectsCorruptTrace(t *testing.T) {
 	}
 }
 
-// BenchmarkExecTreeReplay is the replay counterpart of BenchmarkExecTree:
-// pricing the fft benchmark under the nine standard models from a recorded
-// trace (histogram already aggregated, as in the steady state of a run).
+// BenchmarkExecTreeReplay times pricing: the fft benchmark under the nine
+// standard models from a recorded trace (histogram already aggregated, as
+// in the steady state of a run).
 func BenchmarkExecTreeReplay(b *testing.B) {
-	bm := bench.ByName("fft")
-	prog, err := compile.Compile(bm.Source)
+	prog, err := compile.Compile(bench.ByName("fft").Source)
 	if err != nil {
 		b.Fatal(err)
 	}
 	plans := stdPlans(b, prog, 2)
-	rec := trace.NewRecorder()
-	r := &sim.Runner{Prog: prog, SemLat: machine.Infinite(2).LatencyFunc(), Rec: rec}
-	res, err := r.Run()
+	_, tr, err := recordRun(prog)
 	if err != nil {
 		b.Fatal(err)
 	}
-	tr := rec.Finish(res.Ops, res.Committed)
 	if _, err := tr.Hist(); err != nil {
 		b.Fatal(err)
 	}
@@ -180,23 +247,20 @@ func BenchmarkExecTreeReplay(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceCapture times a profiling interpretation with recording on —
-// the capture-side overhead the replay backend pays once per program.
+// BenchmarkTraceCapture times an interpretation with recording on — the
+// cost a timed run pays before its trace can be priced.
 func BenchmarkTraceCapture(b *testing.B) {
-	bm := bench.ByName("fft")
-	prog, err := compile.Compile(bm.Source)
+	prog, err := compile.Compile(bench.ByName("fft").Source)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rec := trace.NewRecorder()
-		r := &sim.Runner{Prog: prog, SemLat: machine.Infinite(2).LatencyFunc(), Rec: rec}
-		res, err := r.Run()
+		_, tr, err := recordRun(prog)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if tr := rec.Finish(res.Ops, res.Committed); tr.TreeExecs == 0 {
+		if tr.TreeExecs == 0 {
 			b.Fatal("no tree executions recorded")
 		}
 	}

@@ -1,5 +1,5 @@
 // Package sim executes decision-tree programs with guarded-execution
-// semantics and measures their run time under one or more machine schedules.
+// semantics and prices their run time under one or more machine schedules.
 //
 // Semantics. Each tree execution runs every operation of the tree in a fixed
 // topological order of the tree's dependence graph (the compiler's model of a
@@ -9,12 +9,15 @@
 // into the memory image (a non-faulting memory, per the paper's §4.6
 // assumption), and speculative integer division by zero yields zero.
 //
-// Timing. For each supplied Plan (a per-tree completion-cycle table produced
-// by a scheduler), a tree execution costs the maximum completion cycle over
-// the operations that actually committed — at least the taken exit's
-// resolution cycle, since exits carry the branch latency. Because committed
-// values are schedule-invariant, one semantic pass can price any number of
-// schedules at once.
+// Timing. A Runner executes, profiles and records; it never prices. A timed
+// run records its trace (Runner.Rec): how often each (tree, taken exit,
+// guard-commit bits) pattern executed. The Replayer prices that histogram
+// under each supplied Plan (a per-tree completion-cycle table produced by a
+// scheduler): a tree execution costs the maximum completion cycle over the
+// operations that committed on the path to the taken exit — at least the
+// exit's resolution cycle, since exits carry the branch latency. Because
+// committed values are schedule-invariant, one recorded run prices any
+// number of schedules.
 package sim
 
 import (
@@ -32,70 +35,11 @@ import (
 	"specdis/internal/trace"
 )
 
-// Plan is a pricing table: completion cycles per op for every tree, as
-// produced by a scheduler for one machine configuration. Entries are stored
-// as they arrive; Runner.Run resolves them once into a dense table indexed
-// by program-wide tree index (ir.Tree.PIdx), so the execution hot path never
-// touches a pointer-keyed map.
-type Plan struct {
-	Name  string
-	trees []*ir.Tree
-	comps [][]int64
-}
-
-// NewPlan returns an empty plan.
-func NewPlan(name string) *Plan {
-	return &Plan{Name: name}
-}
-
-// SetTree installs the completion-cycle table for one tree (indexed by Seq).
-// Setting the same tree again overwrites the earlier table.
-func (p *Plan) SetTree(t *ir.Tree, comp []int64) {
-	p.trees = append(p.trees, t)
-	p.comps = append(p.comps, comp)
-}
-
-// planEntry is one resolved slot of a dense plan table. The tree pointer is
-// kept so that an entry installed for a different program's tree (a PIdx
-// collision) is detected instead of silently mis-pricing.
-type planEntry struct {
-	tree *ir.Tree
-	comp []int64
-}
-
-// Trees returns the trees the plan has schedules for, in SetTree order.
-func (p *Plan) Trees() []*ir.Tree { return p.trees }
-
-// Drop removes the plan's schedule for the i-th (modulo entry count) SetTree
-// entry — a chaos hook: executing the dropped tree afterwards fails with a
-// typed missing-schedule error instead of pricing. No-op on an empty plan.
-func (p *Plan) Drop(i int) {
-	if len(p.trees) == 0 {
-		return
-	}
-	i = ((i % len(p.trees)) + len(p.trees)) % len(p.trees)
-	p.trees = append(p.trees[:i], p.trees[i+1:]...)
-	p.comps = append(p.comps[:i], p.comps[i+1:]...)
-}
-
-// dense lays the plan out as a table indexed by tree PIdx (entries for the
-// same tree resolve to the latest SetTree call). Trees of the program
-// without an entry stay nil and yield a typed missing-schedule error on
-// first execution.
-func (p *Plan) dense(numTrees int) []planEntry {
-	tab := make([]planEntry, numTrees)
-	for i, t := range p.trees {
-		if t.PIdx >= 0 && t.PIdx < numTrees {
-			tab[t.PIdx] = planEntry{tree: t, comp: p.comps[i]}
-		}
-	}
-	return tab
-}
-
 // Result is the outcome of a program run.
 type Result struct {
 	Output string
-	// Times has one entry per plan passed to Run: total cycles.
+	// Times has one entry per plan a Replayer priced: total cycles. A run
+	// (Runner.Run) prices nothing and leaves it nil.
 	Times []int64
 	// Ops is the number of dynamic operation executions (including
 	// speculative ones), a work measure.
@@ -194,15 +138,14 @@ type Runner struct {
 	// model — so the value never changes results; it is still required so
 	// callers state their model explicitly. Required.
 	SemLat ir.LatencyFunc
-	// Plans are priced during the run.
-	Plans []*Plan
 	// Prof, when non-nil, collects profiling statistics into the profile and
 	// adds the run's arc counters to the program's arcs as well.
 	Prof *Profile
 	// Rec, when non-nil, records the run's execution trace — the count of
 	// every (PIdx, taken exit, guard-commit bits) pattern the run executed,
-	// plus its calls and returns — for later replay pricing (see Replayer). The caller owns the recorder
-	// and finishes it with the run's Ops/Committed totals.
+	// plus its calls and returns — which is what the Replayer prices. The
+	// caller owns the recorder and finishes it with the run's Ops/Committed
+	// totals.
 	Rec *trace.Recorder
 	// MaxOps is the run's fuel: the hard dynamic-operation budget that turns
 	// a runaway program into a typed resilience.ErrFuelExhausted failure
@@ -237,7 +180,7 @@ type Runner struct {
 	// NCode is the native tier's compiled-chain cache, with the same
 	// ownership contract as BCode.
 	NCode *ncode.Cache
-	// Shapes shares pricing skeletons across Runners (see ShapeCache).
+	// Shapes shares tree skeletons across Runners (see ShapeCache).
 	// Unlike the compiled-code caches it keys on tree identity, so it must
 	// only be supplied once the program's tree structure is final; left
 	// nil, each Runner rebuilds shapes itself.
@@ -247,10 +190,8 @@ type Runner struct {
 	out        bytes.Buffer
 	ops        int64
 	committed  int64
-	ctxCheckAt int64 // next ops threshold at which Ctx is polled
-	times      []int64
-	ctxes      []*treeCtx    // dense, indexed by tree PIdx
-	planTabs   [][]planEntry // per plan: dense comp tables by tree PIdx
+	ctxCheckAt int64      // next ops threshold at which Ctx is polled
+	ctxes      []*treeCtx // dense, indexed by tree PIdx
 	fnIdx      map[string]int
 	mainIdx    int // Program.Order index of main, for the trace's call record
 	framePool  [][]ir.Value
@@ -259,17 +200,17 @@ type Runner struct {
 	maxArgs    int // widest call-argument list in the program
 }
 
-// priceShape is the schedule-independent pricing skeleton of one tree,
-// shared by the interpreting Runner and the trace Replayer.
-type priceShape struct {
+// treeShape is the schedule-independent skeleton of one tree, shared by
+// the interpreting Runner (exits, guarded ops, the arc split) and the trace
+// Replayer (which also prices with onPath).
+type treeShape struct {
 	exits  []int // Seq indices of exits, in Seq order
 	exitOf []int // Seq index -> exit index (meaningful for exit ops only)
 
 	// guarded lists the Seq indices of guarded ops — the only ops whose
-	// commit status can vary between executions. Unguarded ops always
-	// commit, so their contribution to a path's time is the per-exit
-	// constant base[plan][exit] and the pricing memo only needs to key on
-	// the guarded ops' commit bits.
+	// commit status can vary between executions, so a trace pattern records
+	// only their commit bits (bit k: the k-th guarded op). Unguarded ops
+	// always commit; the Replayer folds them into a per-exit base.
 	guarded []int
 
 	// onPath[i][e] reports whether op i's block lies on the path to the
@@ -289,8 +230,8 @@ type priceShape struct {
 	gdIdx, gdFrom, gdTo []int32
 }
 
-func shapeOf(t *ir.Tree) *priceShape {
-	s := &priceShape{exitOf: make([]int, len(t.Ops))}
+func shapeOf(t *ir.Tree) *treeShape {
+	s := &treeShape{exitOf: make([]int, len(t.Ops))}
 	for _, op := range t.Ops {
 		if op.Kind == ir.OpExit {
 			s.exitOf[op.Seq] = len(s.exits)
@@ -322,7 +263,7 @@ func shapeOf(t *ir.Tree) *priceShape {
 	return s
 }
 
-// ShapeCache shares priceShape skeletons across Runner and Replayer
+// ShapeCache shares treeShape skeletons across Runner and Replayer
 // instances. Building a shape is the dominant fixed cost of standing up a
 // run — O(ops × exits) block-reachability walks per tree — and it depends
 // only on tree structure, so repeated runs of the same prepared program
@@ -334,16 +275,16 @@ func shapeOf(t *ir.Tree) *priceShape {
 // counters may still mutate — the shape only captures arc endpoints.
 type ShapeCache struct {
 	mu sync.Mutex
-	m  map[*ir.Tree]*priceShape
+	m  map[*ir.Tree]*treeShape
 }
 
 // NewShapeCache returns an empty shape cache, safe for concurrent use.
 func NewShapeCache() *ShapeCache {
-	return &ShapeCache{m: map[*ir.Tree]*priceShape{}}
+	return &ShapeCache{m: map[*ir.Tree]*treeShape{}}
 }
 
 // of returns the cached shape for t, building it on first sight.
-func (sc *ShapeCache) of(t *ir.Tree) *priceShape {
+func (sc *ShapeCache) of(t *ir.Tree) *treeShape {
 	sc.mu.Lock()
 	s := sc.m[t]
 	if s == nil {
@@ -354,35 +295,8 @@ func (sc *ShapeCache) of(t *ir.Tree) *priceShape {
 	return s
 }
 
-// intMemo reports whether the pricing memo can key on a packed uint32
-// (commit bits | exit index << 24) instead of a byte-string mask. Integer
-// hashing is markedly cheaper, and almost every tree qualifies.
-func (s *priceShape) intMemo() bool {
-	return len(s.guarded) <= 24 && len(s.exits) <= 256
-}
-
-// bitBytes returns the packed guard-commit-bit width used by trace events.
-func (s *priceShape) bitBytes() int { return (len(s.guarded) + 7) / 8 }
-
-// baseTables computes, for each plan's completion table, the per-exit
-// maximum completion cycle over the unguarded on-path ops.
-func (s *priceShape) baseTables(t *ir.Tree, comps [][]int64) [][]int64 {
-	base := make([][]int64, len(comps))
-	for pi, comp := range comps {
-		b := make([]int64, len(s.exits))
-		for e := range s.exits {
-			var max int64
-			for i, op := range t.Ops {
-				if op.Guard == ir.NoReg && s.onPath[i][e] && comp[i] > max {
-					max = comp[i]
-				}
-			}
-			b[e] = max
-		}
-		base[pi] = b
-	}
-	return base
-}
+// bitBytes returns the packed guard-commit-bit width of a trace pattern.
+func (s *treeShape) bitBytes() int { return (len(s.guarded) + 7) / 8 }
 
 // treeCtx is the per-tree execution context, built once and cached.
 //
@@ -392,18 +306,10 @@ func (s *priceShape) baseTables(t *ir.Tree, comps [][]int64) [][]int64 {
 // dependence graph under every latency model — no graph needs to be built
 // to execute.
 type treeCtx struct {
-	*priceShape
-
-	comp [][]int64
-	memo map[string][]int64 // (taken exit, guarded-commit mask) -> per-plan time
-	// memoInt replaces memo when the shape qualifies (priceShape.intMemo):
-	// key = commit bits | exit index << 24.
-	memoInt map[uint32][]int64
-	base    [][]int64 // [plan][exit]: max completion over unguarded on-path ops
+	*treeShape
 
 	committed []bool
 	addrs     []int64
-	mask      []byte // len(guarded) commit bits + one exit byte
 	recBits   []byte // packed commit bits scratch for trace recording
 
 	bc   *bcode.Prog // compiled bytecode (nil: tree runs on the walker)
@@ -444,20 +350,20 @@ type treeCtx struct {
 	gdExec, gdAlias []int64
 }
 
-func (r *Runner) ctx(t *ir.Tree) (*treeCtx, error) {
+func (r *Runner) ctx(t *ir.Tree) *treeCtx {
 	if c := r.ctxes[t.PIdx]; c != nil {
-		return c, nil
+		return c
 	}
-	var shape *priceShape
+	var shape *treeShape
 	if r.Shapes != nil {
 		shape = r.Shapes.of(t)
 	} else {
 		shape = shapeOf(t)
 	}
 	c := &treeCtx{
-		priceShape: shape,
-		committed:  make([]bool, len(t.Ops)),
-		addrs:      make([]int64, len(t.Ops)),
+		treeShape: shape,
+		committed: make([]bool, len(t.Ops)),
+		addrs:     make([]int64, len(t.Ops)),
 	}
 	// Unguarded ops commit on every execution; execTree only ever rewrites
 	// the guarded entries.
@@ -465,12 +371,6 @@ func (r *Runner) ctx(t *ir.Tree) (*treeCtx, error) {
 		if op.Guard == ir.NoReg {
 			c.committed[op.Seq] = true
 		}
-	}
-	if c.intMemo() {
-		c.memoInt = map[uint32][]int64{}
-	} else {
-		c.memo = map[string][]int64{}
-		c.mask = make([]byte, c.bitBytes()+1)
 	}
 	if r.Rec != nil {
 		c.recBits = make([]byte, c.bitBytes())
@@ -530,17 +430,8 @@ func (r *Runner) ctx(t *ir.Tree) (*treeCtx, error) {
 			c.gdAlias = make([]int64, n)
 		}
 	}
-	for pi, p := range r.Plans {
-		ent := r.planTabs[pi][t.PIdx]
-		if ent.tree != t || ent.comp == nil {
-			return nil, fmt.Errorf("sim: plan %q has no schedule for tree %s: %w",
-				p.Name, t.Name, resilience.ErrMissingSchedule)
-		}
-		c.comp = append(c.comp, ent.comp)
-	}
-	c.base = c.baseTables(t, c.comp)
 	r.ctxes[t.PIdx] = c
-	return c, nil
+	return c
 }
 
 // ctxCheckEveryOps is how often (in dynamic ops) a run polls its context.
@@ -553,8 +444,8 @@ const ctxCheckEveryOps = 1 << 16
 // Shared by both execution engines so fuel semantics cannot diverge. The
 // charge is len(tree.Ops) regardless of tier, which is only sound because
 // every compiled tier keeps instruction index == Seq — the contract the
-// translation validators (internal/verify.CheckBCode/CheckNCode) enforce
-// statically on every compiled and store-loaded artifact.
+// translation validators (internal/verify.CheckBCode/CheckNCode) check on
+// every tree under the Verify debug option and in spdlint.
 func (r *Runner) fuel(nops int) error {
 	maxOps := r.MaxOps
 	if maxOps == 0 {
@@ -594,13 +485,7 @@ func (r *Runner) Run() (*Result, error) {
 			return nil, fmt.Errorf("sim: run canceled before start: %w (%w)", resilience.ErrDeadline, err)
 		}
 	}
-	r.times = make([]int64, len(r.Plans))
-	numTrees := r.Prog.IndexTrees()
-	r.ctxes = make([]*treeCtx, numTrees)
-	r.planTabs = make([][]planEntry, len(r.Plans))
-	for pi, p := range r.Plans {
-		r.planTabs[pi] = p.dense(numTrees)
-	}
+	r.ctxes = make([]*treeCtx, r.Prog.IndexTrees())
 	r.fnIdx = make(map[string]int, len(r.Prog.Order))
 	for i, name := range r.Prog.Order {
 		r.fnIdx[name] = i
@@ -635,7 +520,6 @@ func (r *Runner) Run() (*Result, error) {
 	}
 	return &Result{
 		Output:    r.out.String(),
-		Times:     r.times,
 		Ops:       r.ops,
 		Committed: r.committed,
 		Exit:      exit,
@@ -853,10 +737,7 @@ func guardOK(op *ir.Op, regs []ir.Value) bool {
 // exit op. Ops run in Seq order, which is a topological order of the
 // dependence graph (see treeCtx).
 func (r *Runner) execTree(t *ir.Tree, regs []ir.Value) (*ir.Op, error) {
-	c, err := r.ctx(t)
-	if err != nil {
-		return nil, err
-	}
+	c := r.ctx(t)
 	if err := r.fuel(len(t.Ops)); err != nil {
 		return nil, err
 	}
@@ -928,72 +809,10 @@ func (r *Runner) execTree(t *ir.Tree, regs []ir.Value) (*ir.Op, error) {
 		}
 		r.Rec.Tree(t.PIdx, c.exitOf[taken.Seq], c.recBits)
 	}
-	if len(r.times) > 0 {
-		r.price(t, c, c.exitOf[taken.Seq])
-	}
 	if profiling {
 		r.profileExec(c, c.exitOf[taken.Seq])
 	}
 	return taken, nil
-}
-
-// price accumulates the cost of this execution under every plan: the time of
-// one tree execution is the maximum completion cycle over the ops that
-// committed on the taken path (results of speculative ops from other paths
-// gate nothing). Unguarded ops always commit, so their maximum is the
-// precomputed per-exit base; only the guarded ops' commit bits vary, and
-// they form the memo key together with the taken exit.
-func (r *Runner) price(t *ir.Tree, c *treeCtx, exitIdx int) {
-	var times []int64
-	if c.memoInt != nil {
-		var bits uint32
-		for k, i := range c.guarded {
-			if c.committed[i] {
-				bits |= 1 << uint(k)
-			}
-		}
-		key := bits | uint32(exitIdx)<<24
-		var ok bool
-		times, ok = c.memoInt[key]
-		if !ok {
-			times = r.priceMiss(c, exitIdx)
-			c.memoInt[key] = times
-		}
-	} else {
-		for b := range c.mask {
-			c.mask[b] = 0
-		}
-		for k, i := range c.guarded {
-			if c.committed[i] {
-				c.mask[k>>3] |= 1 << uint(k&7)
-			}
-		}
-		c.mask[len(c.mask)-1] = byte(exitIdx)
-		var ok bool
-		times, ok = c.memo[string(c.mask)]
-		if !ok {
-			times = r.priceMiss(c, exitIdx)
-			c.memo[string(c.mask)] = times
-		}
-	}
-	for pi, dt := range times {
-		r.times[pi] += dt
-	}
-}
-
-// priceMiss computes the per-plan time of the current commit pattern.
-func (r *Runner) priceMiss(c *treeCtx, exitIdx int) []int64 {
-	times := make([]int64, len(r.Plans))
-	for pi, comp := range c.comp {
-		max := c.base[pi][exitIdx]
-		for _, i := range c.guarded {
-			if c.committed[i] && c.onPath[i][exitIdx] && comp[i] > max {
-				max = comp[i]
-			}
-		}
-		times[pi] = max
-	}
-	return times
 }
 
 // b2i converts a comparison result to the IR's boolean encoding.

@@ -190,8 +190,7 @@ func TestPlanPricingMatchesHandComputation(t *testing.T) {
 			}
 		}
 	}
-	r := &sim.Runner{Prog: p, SemLat: m.LatencyFunc(), Plans: []*sim.Plan{plan}}
-	res, err := r.Run()
+	res, err := priceRun(p, []*sim.Plan{plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,8 +223,7 @@ void main() {
 			plan.SetTree(tr, sched.Tree(tr, m).Comp)
 		}
 	}
-	r := &sim.Runner{Prog: p, SemLat: m.LatencyFunc(), Plans: []*sim.Plan{plan}}
-	res, err := r.Run()
+	res, err := priceRun(p, []*sim.Plan{plan})
 	if err != nil {
 		t.Fatal(err)
 	}

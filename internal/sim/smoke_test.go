@@ -11,7 +11,7 @@ import (
 )
 
 // runSrc compiles and runs a MiniC program on the 2-cycle-memory model,
-// pricing an infinite-machine plan.
+// pricing its trace under an infinite-machine plan.
 func runSrc(t *testing.T, src string) *sim.Result {
 	t.Helper()
 	prog, err := compile.Compile(src)
@@ -25,8 +25,7 @@ func runSrc(t *testing.T, src string) *sim.Result {
 			plan.SetTree(tr, sched.Tree(tr, m).Comp)
 		}
 	}
-	r := &sim.Runner{Prog: prog, SemLat: m.LatencyFunc(), Plans: []*sim.Plan{plan}}
-	res, err := r.Run()
+	res, err := priceRun(prog, []*sim.Plan{plan})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -167,8 +166,7 @@ void main() {
 		}
 		plans = append(plans, p)
 	}
-	r := &sim.Runner{Prog: prog, SemLat: models[0].LatencyFunc(), Plans: plans}
-	res, err := r.Run()
+	res, err := priceRun(prog, plans)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

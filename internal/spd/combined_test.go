@@ -8,6 +8,7 @@ import (
 	"specdis/internal/machine"
 	"specdis/internal/sim"
 	"specdis/internal/spd"
+	"specdis/internal/trace"
 )
 
 // multiRAW has one load region depending on two ambiguous stores: classic
@@ -82,41 +83,47 @@ func TestCombinedIsSmallerThanOneAtATime(t *testing.T) {
 		resA.RAW, resA.AddedOps, perA, resB.RAW, resB.AddedOps, perB)
 }
 
-func TestCombinedSpeedsUpWideMachine(t *testing.T) {
-	mkPlan := func(p *ir.Program, m machine.Model) *sim.Plan {
-		plan := sim.NewPlan(m.Name)
-		for _, name := range p.Order {
-			for _, tr := range p.Funcs[name].Trees {
-				g := ir.BuildDepGraph(tr, m.LatencyFunc())
-				asap := g.ASAP()
-				comp := make([]int64, len(asap))
-				for i, c := range asap {
-					comp[i] = int64(c + g.Latency(i))
-				}
-				plan.SetTree(tr, comp)
+// infCycles records one run of prog and prices its trace on m under an
+// ASAP (infinite-resource) plan.
+func infCycles(t *testing.T, prog *ir.Program, lat ir.LatencyFunc, m machine.Model) int64 {
+	t.Helper()
+	plan := sim.NewPlan(m.Name)
+	for _, name := range prog.Order {
+		for _, tr := range prog.Funcs[name].Trees {
+			g := ir.BuildDepGraph(tr, m.LatencyFunc())
+			asap := g.ASAP()
+			comp := make([]int64, len(asap))
+			for i, c := range asap {
+				comp[i] = int64(c + g.Latency(i))
 			}
+			plan.SetTree(tr, comp)
 		}
-		return plan
 	}
+	rec := trace.NewRecorder()
+	run, err := (&sim.Runner{Prog: prog, SemLat: lat, Rec: rec}).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp := &sim.Replayer{Prog: prog, Plans: []*sim.Plan{plan}}
+	res, err := rp.Replay(rec.Finish(run.Ops, run.Committed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Times[0]
+}
+
+func TestCombinedSpeedsUpWideMachine(t *testing.T) {
 	m := machine.Infinite(6)
 
 	progA, _, latA := prep(t, multiRAW)
-	rA := &sim.Runner{Prog: progA, SemLat: latA, Plans: []*sim.Plan{mkPlan(progA, m)}}
-	resA, err := rA.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cyclesA := infCycles(t, progA, latA, m)
 
 	progB, profB, latB := prep(t, multiRAW)
 	spd.TransformCombined(progB, profB, spd.DefaultParams())
-	rB := &sim.Runner{Prog: progB, SemLat: latB, Plans: []*sim.Plan{mkPlan(progB, m)}}
-	resB, err := rB.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resB.Times[0] >= resA.Times[0] {
+	cyclesB := infCycles(t, progB, latB, m)
+	if cyclesB >= cyclesA {
 		t.Errorf("combined speculation did not speed up the infinite machine: %d vs %d",
-			resB.Times[0], resA.Times[0])
+			cyclesB, cyclesA)
 	}
 }
 
