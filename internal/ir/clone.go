@@ -1,5 +1,7 @@
 package ir
 
+import "slices"
+
 // cloneInto deep-copies the tree's ops (including argument slices and memory
 // references), arcs (remapped to the cloned ops), and blocks into a new tree
 // owned by fn. The caller decides how fn relates to the original function.
@@ -12,25 +14,36 @@ func (t *Tree) cloneInto(fn *Function) *Tree {
 		Blocks: append([]Block(nil), t.Blocks...),
 		nextID: t.nextID,
 	}
-	byOld := make(map[*Op]*Op, len(t.Ops))
+	ops := make([]Op, len(t.Ops))
 	c.Ops = make([]*Op, len(t.Ops))
 	for i, op := range t.Ops {
-		n := *op
+		n := &ops[i]
+		*n = *op
 		n.Args = append([]Reg(nil), op.Args...)
 		n.CallArg = append([]Reg(nil), op.CallArg...)
 		if op.Ref != nil {
 			ref := *op.Ref
 			n.Ref = &ref
 		}
-		c.Ops[i] = &n
-		byOld[op] = &n
+		c.Ops[i] = n
 	}
+	// An arc endpoint is found by its Seq, its index in a well-formed tree,
+	// or else by a scan; one outside the tree maps to nil.
+	clonedOf := func(o *Op) *Op {
+		i := o.Seq
+		if i < 0 || i >= len(t.Ops) || t.Ops[i] != o {
+			if i = slices.Index(t.Ops, o); i < 0 {
+				return nil
+			}
+		}
+		return c.Ops[i]
+	}
+	arcs := make([]MemArc, len(t.Arcs))
 	c.Arcs = make([]*MemArc, len(t.Arcs))
 	for i, a := range t.Arcs {
-		n := *a
-		n.From = byOld[a.From]
-		n.To = byOld[a.To]
-		c.Arcs[i] = &n
+		arcs[i] = *a
+		arcs[i].From, arcs[i].To = clonedOf(a.From), clonedOf(a.To)
+		c.Arcs[i] = &arcs[i]
 	}
 	return c
 }

@@ -93,22 +93,55 @@ func opReads(o *Op, buf []Reg) []Reg {
 //     readers of the register (delay 0: reads sample at issue);
 //   - register output (WAW): later definitions must complete after earlier
 //     ones unless their guards are provably disjoint;
-//   - memory: each MemArc contributes an edge; RAW waits for the store's
-//     write-back (delay = store latency), WAR only requires the overwrite to
-//     land after the load's sample (delay = 1 − store latency), WAW orders
-//     the two writes (delay 1);
+//   - memory: each MemArc contributes an edge (see ArcDelay);
 //   - output stream: OpPrint ops are ordered among themselves.
+//
+// Each list holds the register and output-stream edges first, in
+// construction order, then the arc edges in t.Arcs order.
 func BuildDepGraph(t *Tree, lat LatencyFunc) *DepGraph {
-	return BuildRegDepGraph(t, lat).WithArcs()
+	return buildDepGraph(t, lat, t.Arcs)
 }
 
 // BuildRegDepGraph constructs the arc-independent skeleton of the dependence
 // graph: every edge class of BuildDepGraph except the memory-dependence
-// arcs. The register scan is quadratic in tree size while the arc overlay is
-// linear in the arc count, so callers that evaluate many arc-set variations
-// of one tree (the SpD heuristic's candidate loop) build the skeleton once
-// and call WithArcs per variation.
+// arcs. Callers that price many arc-set variations of one tree (the SpD
+// heuristic's candidate loop) build the skeleton once and add each
+// variation's arc edges themselves, with ArcDelay.
 func BuildRegDepGraph(t *Tree, lat LatencyFunc) *DepGraph {
+	return buildDepGraph(t, lat, nil)
+}
+
+// ArcDelay returns the delay of memory arc a's edge: RAW waits for the
+// store's write-back (delay = store latency), WAR only requires the
+// overwrite to land after the load's sample (delay = 1 − store latency),
+// and WAW orders the two writes (delay 1).
+func (g *DepGraph) ArcDelay(a *MemArc) int {
+	switch a.Kind {
+	case DepRAW:
+		return g.lat[a.From.Seq]
+	case DepWAR:
+		return 1 - g.lat[a.To.Seq]
+	}
+	return 1
+}
+
+// A regTouch links one op into the chain of ops touching a register, latest
+// first: op<<2 | touchReads | touchDefines, and the chain's next node.
+type regTouch struct{ op, next int32 }
+
+const (
+	touchReads   = 1
+	touchDefines = 2
+)
+
+// buildDepGraph finds each op's register dependences by walking a chain of
+// the earlier ops touching (reading or defining) the register, latest
+// first, instead of rescanning every earlier op. The walks visit candidates
+// in the order a backward scan would and stop at the same killing
+// definition, so each op's Pred list comes out in the scan's order,
+// followed by its arc edges; the Succ lists are then filled in the same
+// order from the Pred lists.
+func buildDepGraph(t *Tree, lat LatencyFunc, arcs []*MemArc) *DepGraph {
 	n := len(t.Ops)
 	g := &DepGraph{
 		Tree: t,
@@ -117,13 +150,54 @@ func BuildRegDepGraph(t *Tree, lat LatencyFunc) *DepGraph {
 		Pred: make([][]DepEdge, n),
 		lat:  make([]int, n),
 	}
+	maxReg := NoReg
 	for i, op := range t.Ops {
 		g.lat[i] = lat(op)
+		maxReg = max(maxReg, op.Dest, op.Guard)
+		for _, r := range op.Args {
+			maxReg = max(maxReg, r)
+		}
+		for _, r := range op.CallArg {
+			maxReg = max(maxReg, r)
+		}
 	}
 
-	addEdge := func(from, to, delay int) {
-		g.Succ[from] = append(g.Succ[from], DepEdge{To: to, Delay: delay})
-		g.Pred[to] = append(g.Pred[to], DepEdge{To: from, Delay: delay})
+	// Per register: the head of its touch chain. Per op: how many arcs reach
+	// it, where its Pred list ends in pred, and how many edges leave it.
+	// arcsInto holds arc indices grouped by target, in t.Arcs order.
+	nr := int(maxReg) + 1
+	ints := make([]int32, nr+3*n+len(arcs))
+	lastTouch := ints[:nr]
+	arcN, predEnd, succN := ints[nr:nr+n], ints[nr+n:nr+2*n], ints[nr+2*n:nr+3*n]
+	arcsInto := ints[nr+3*n:]
+	for r := range lastTouch {
+		lastTouch[r] = -1
+	}
+	for _, a := range arcs {
+		arcN[a.To.Seq]++
+	}
+	var sum int32
+	for i, c := range arcN {
+		predEnd[i], sum = sum, sum+c // predEnd: arcsInto cursors for now
+	}
+	for k, a := range arcs {
+		arcsInto[predEnd[a.To.Seq]] = int32(k)
+		predEnd[a.To.Seq]++
+	}
+
+	touches := make([]regTouch, 0, 3*n)
+	touch := func(r Reg, i int32, how int32) {
+		if k := lastTouch[r]; k >= 0 && touches[k].op>>2 == i {
+			touches[k].op |= how
+			return
+		}
+		touches = append(touches, regTouch{op: i<<2 | how, next: lastTouch[r]})
+		lastTouch[r] = int32(len(touches) - 1)
+	}
+	pred := make([]DepEdge, 0, n+n/2+len(arcs))
+	addEdge := func(from, delay int) {
+		pred = append(pred, DepEdge{To: from, Delay: delay})
+		succN[from]++
 	}
 
 	// Ops in sibling subtrees of the control shape never commit together:
@@ -134,18 +208,20 @@ func BuildRegDepGraph(t *Tree, lat LatencyFunc) *DepGraph {
 		return t.OnPath(a.Block, b.Block) || t.OnPath(b.Block, a.Block)
 	}
 
-	var regBuf, prevBuf []Reg
+	var regBuf []Reg
 	lastPrint := -1
+	arcAt := 0
 	for i, op := range t.Ops {
 		// Flow dependences for every register read.
 		regBuf = opReads(op, regBuf)
 		for _, r := range regBuf {
-			for j := i - 1; j >= 0; j-- {
+			for k := lastTouch[r]; k >= 0; k = touches[k].next {
+				j := touches[k].op >> 2
 				def := t.Ops[j]
-				if def.Dest != r || !coexecute(def, op) {
+				if touches[k].op&touchDefines == 0 || !coexecute(def, op) {
 					continue
 				}
-				addEdge(j, i, g.lat[j])
+				addEdge(int(j), g.lat[j])
 				if !def.IsGuarded() {
 					break // unconditional def kills earlier ones
 				}
@@ -153,91 +229,79 @@ func BuildRegDepGraph(t *Tree, lat LatencyFunc) *DepGraph {
 		}
 
 		// Register anti and output dependences for the destination.
-		if op.Dest != NoReg {
-			r := op.Dest
-			for j := i - 1; j >= 0; j-- {
+		if r := op.Dest; r != NoReg {
+			for k := lastTouch[r]; k >= 0; k = touches[k].next {
+				j, how := touches[k].op>>2, touches[k].op&(touchReads|touchDefines)
 				prev := t.Ops[j]
 				if !coexecute(prev, op) {
 					continue
 				}
 				// Anti: prior reader of r.
-				prevBuf = opReads(prev, prevBuf)
-				for _, pr := range prevBuf {
-					if pr == r {
-						addEdge(j, i, 0)
-						break
-					}
+				if how&touchReads != 0 {
+					addEdge(int(j), 0)
 				}
-				if prev.Dest == r {
+				if how&touchDefines != 0 {
 					// Output: order the write-backs, unless the two writers
 					// can never commit together.
 					if !guardsDisjoint(t, prev, op) {
-						d := g.lat[j] - g.lat[i] + 1
-						if d < 0 {
-							d = 0
-						}
-						addEdge(j, i, d)
+						addEdge(int(j), max(g.lat[j]-g.lat[i]+1, 0))
 					}
 					if !prev.IsGuarded() {
 						break
 					}
 				}
 			}
+			touch(r, int32(i), touchDefines)
+		}
+		for _, r := range regBuf {
+			touch(r, int32(i), touchReads)
 		}
 
 		// Output-stream ordering.
 		if op.Kind == OpPrint {
 			if lastPrint >= 0 {
-				addEdge(lastPrint, i, 1)
+				addEdge(lastPrint, 1)
 			}
 			lastPrint = i
 		}
+
+		// Memory-dependence arcs into the op, after its register edges.
+		for _, k := range arcsInto[arcAt : arcAt+int(arcN[i])] {
+			addEdge(arcs[k].From.Seq, g.ArcDelay(arcs[k]))
+		}
+		arcAt += int(arcN[i])
+		predEnd[i] = int32(len(pred))
 	}
+	g.layout(pred, predEnd, succN, arcN, arcs)
 	return g
 }
 
-// WithArcs returns the full dependence graph: the receiver skeleton plus one
-// edge per current memory arc of the tree (edge order matches a monolithic
-// BuildDepGraph exactly, so downstream schedules are identical). The
-// receiver is never modified — adjacency lists an arc would extend are
-// cloned first — so one skeleton serves any number of arc-set variations.
-func (g *DepGraph) WithArcs() *DepGraph {
-	t := g.Tree
-	if len(t.Arcs) == 0 {
-		return g
-	}
-	n := len(t.Ops)
-	ng := &DepGraph{Tree: t, Lat: g.Lat, Succ: make([][]DepEdge, n), Pred: make([][]DepEdge, n), lat: g.lat}
-	copy(ng.Succ, g.Succ)
-	copy(ng.Pred, g.Pred)
-	// Appending into a list still shared with the skeleton could write into
-	// the skeleton's backing array; clone each touched list once.
-	ownSucc := make([]bool, n)
-	ownPred := make([]bool, n)
-	addEdge := func(from, to, delay int) {
-		if !ownSucc[from] {
-			ng.Succ[from] = append(make([]DepEdge, 0, len(ng.Succ[from])+2), ng.Succ[from]...)
-			ownSucc[from] = true
+// layout carves the Pred lists out of pred and builds the Succ lists, each
+// with its exact length as capacity, so appending to a list copies it
+// rather than overwriting a neighbour. Succ[j] gets j's register edges in
+// the order the Pred lists hold them, then its arc edges in arcs order.
+func (g *DepGraph) layout(pred []DepEdge, predEnd, succN, arcN []int32, arcs []*MemArc) {
+	var start int32
+	for i, end := range predEnd {
+		if end > start {
+			g.Pred[i] = pred[start:end:end]
 		}
-		if !ownPred[to] {
-			ng.Pred[to] = append(make([]DepEdge, 0, len(ng.Pred[to])+2), ng.Pred[to]...)
-			ownPred[to] = true
-		}
-		ng.Succ[from] = append(ng.Succ[from], DepEdge{To: to, Delay: delay})
-		ng.Pred[to] = append(ng.Pred[to], DepEdge{To: from, Delay: delay})
+		start = end
 	}
-	for _, a := range t.Arcs {
-		from, to := a.From.Seq, a.To.Seq
-		switch a.Kind {
-		case DepRAW:
-			addEdge(from, to, g.lat[from])
-		case DepWAR:
-			addEdge(from, to, 1-g.lat[to]) // delay relative to the store's write
-		case DepWAW:
-			addEdge(from, to, 1)
+	succ := make([]DepEdge, len(pred))
+	for j, c := range succN {
+		if c > 0 {
+			g.Succ[j], succ = succ[:0:c], succ[c:]
 		}
 	}
-	return ng
+	for i, in := range g.Pred {
+		for _, e := range in[:len(in)-int(arcN[i])] {
+			g.Succ[e.To] = append(g.Succ[e.To], DepEdge{To: i, Delay: e.Delay})
+		}
+	}
+	for _, a := range arcs {
+		g.Succ[a.From.Seq] = append(g.Succ[a.From.Seq], DepEdge{To: a.To.Seq, Delay: g.ArcDelay(a)})
+	}
 }
 
 // ASAP returns the earliest legal issue cycle of each op on an unconstrained
@@ -253,77 +317,4 @@ func (g *DepGraph) ASAP() []int {
 		}
 	}
 	return asap
-}
-
-// PathTime computes, for a given issue schedule, the completion time of every
-// exit path: the maximum write-back cycle over the ops that commit when that
-// exit is taken, but no earlier than the exit's own resolution
-// (issue + branch latency). Exit e's committed ops are those in blocks that
-// are ancestors-or-self of e's block.
-//
-// Alias-guarded copies introduced by SpD share a block, so this is a
-// conservative (max over both copies) static estimate; the simulator measures
-// the true dynamic time.
-func (g *DepGraph) PathTime(issue []int) map[*Op]int {
-	return g.PathTimeFiltered(issue, false)
-}
-
-// PathTimesBoth computes the completion time of every exit path under both
-// scenarios of PathTimeFiltered — the fully conservative one (all ops) and
-// the all-no-alias one (SpecSide > 0 ops excluded) — in a single scan. The
-// results are indexed by exit order (Tree.Exits order); the per-exit op scan
-// dominates PathTime's cost, so fusing the two estimates halves the SpD
-// heuristic's per-candidate work.
-func (g *DepGraph) PathTimesBoth(issue []int) (full, likely []int) {
-	t := g.Tree
-	for _, ex := range t.Ops {
-		if ex.Kind != OpExit {
-			continue
-		}
-		bf := issue[ex.Seq] + g.lat[ex.Seq]
-		bl := bf
-		for i, op := range t.Ops {
-			if op.Kind == OpExit || !t.OnPath(op.Block, ex.Block) {
-				continue
-			}
-			c := issue[i] + g.lat[i]
-			if c > bf {
-				bf = c
-			}
-			if op.SpecSide <= 0 && c > bl {
-				bl = c
-			}
-		}
-		full = append(full, bf)
-		likely = append(likely, bl)
-	}
-	return full, likely
-}
-
-// PathTimeFiltered is PathTime with an optional scenario restriction: when
-// likelyOnly is set, ops that commit only under an alias outcome
-// (SpecSide > 0) are excluded — the estimate for the all-no-alias scenario
-// the SpD heuristic optimizes for.
-func (g *DepGraph) PathTimeFiltered(issue []int, likelyOnly bool) map[*Op]int {
-	t := g.Tree
-	out := make(map[*Op]int)
-	for _, ex := range t.Exits() {
-		best := issue[ex.Seq] + g.lat[ex.Seq]
-		for i, op := range t.Ops {
-			if op.Kind == OpExit {
-				continue
-			}
-			if likelyOnly && op.SpecSide > 0 {
-				continue
-			}
-			if !t.OnPath(op.Block, ex.Block) {
-				continue
-			}
-			if c := issue[i] + g.lat[i]; c > best {
-				best = c
-			}
-		}
-		out[ex] = best
-	}
-	return out
 }

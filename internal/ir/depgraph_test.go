@@ -179,43 +179,6 @@ func TestPrintOrdering(t *testing.T) {
 	}
 }
 
-func TestPathTimeRespectsBlocksAndSpecSide(t *testing.T) {
-	fn := &Function{Name: "pt"}
-	tr := &Tree{Fn: fn, Name: "pt.t0"}
-	root := tr.NewBlock(-1, NoReg, false)
-	cnd := fn.NewReg()
-	cmp := tr.NewOp(OpCmpEQ, []Reg{cnd, cnd}, fn.NewReg())
-	thenB := tr.NewBlock(root, cmp.Dest, false)
-	elseB := tr.NewBlock(root, cmp.Dest, true)
-
-	slow0 := tr.NewOp(OpMul, []Reg{cnd, cnd}, fn.NewReg()) // 3 cycles
-	slow0.Block = thenB
-	slow := tr.NewOp(OpMul, []Reg{slow0.Dest, slow0.Dest}, fn.NewReg()) // 3 more
-	slow.Block = thenB
-	ex1 := tr.NewOp(OpExit, nil, NoReg)
-	ex1.Exit = ExitRet
-	ex1.Block = thenB
-	ex1.Guard = cmp.Dest
-	ex2 := tr.NewOp(OpExit, nil, NoReg)
-	ex2.Exit = ExitRet
-	ex2.Block = elseB
-	ex2.Guard = cmp.Dest
-	ex2.GuardNeg = true
-
-	g := BuildDepGraph(tr, unitLat)
-	asap := g.ASAP()
-	pt := g.PathTime(asap)
-	if pt[ex1] <= pt[ex2] {
-		t.Errorf("then-path (with mul) should be longer: %d vs %d", pt[ex1], pt[ex2])
-	}
-	// Tag the mul as alias-side: the likely estimate must drop.
-	slow.SpecSide = 1
-	likely := g.PathTimeFiltered(asap, true)
-	if likely[ex1] >= pt[ex1] {
-		t.Errorf("likely estimate should exclude alias-side ops: %d vs %d", likely[ex1], pt[ex1])
-	}
-}
-
 func TestMarkAliasSideSticky(t *testing.T) {
 	op := &Op{}
 	op.MarkAliasSide(false)
