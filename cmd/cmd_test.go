@@ -3,9 +3,13 @@
 package cmd_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -175,6 +179,97 @@ func TestSpdbenchTraceBackends(t *testing.T) {
 
 	if out, err := exec.Command(bin, "-trace", "wat").CombinedOutput(); err == nil {
 		t.Errorf("unknown -trace mode accepted:\n%s", out)
+	}
+}
+
+// scalarPaths returns the path of every scalar in a JSON document, in
+// document order: jq's [paths(scalars)], written ".a.b" and ".a[0]".
+func scalarPaths(data []byte) ([]string, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	var paths []string
+	var walk func(prefix string) error
+	walk = func(prefix string) error {
+		tok, err := dec.Token()
+		if err != nil {
+			return err
+		}
+		switch tok {
+		case json.Delim('{'):
+			for dec.More() {
+				key, err := dec.Token()
+				if err != nil {
+					return err
+				}
+				if err := walk(prefix + "." + key.(string)); err != nil {
+					return err
+				}
+			}
+		case json.Delim('['):
+			for i := 0; dec.More(); i++ {
+				if err := walk(fmt.Sprintf("%s[%d]", prefix, i)); err != nil {
+					return err
+				}
+			}
+		default:
+			paths = append(paths, prefix)
+			return nil
+		}
+		_, err = dec.Token() // the closing delimiter
+		return err
+	}
+	return paths, walk("")
+}
+
+// TestSpdbenchJSONSchema pins BENCH_spdbench.json's schema: a -json run
+// writes the committed file's key paths in the committed order, and the
+// -inject and -store echoes lead their sections when set.
+func TestSpdbenchJSONSchema(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	committed, err := os.ReadFile(filepath.Join("..", "BENCH_spdbench.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := scalarPaths(committed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	bin := build(t, dir, "cmd/spdbench")
+	paths := func(args ...string) []string {
+		t.Helper()
+		cmd := exec.Command(bin, append(args, "-bench", "fft", "-json")...)
+		cmd.Dir = dir
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("spdbench %v: %v\n%s", args, err, out)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, "BENCH_spdbench.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := scalarPaths(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	if got := paths(); !slices.Equal(got, want) {
+		t.Errorf("key paths differ from the committed BENCH_spdbench.json:\ngot  %v\nwant %v", got, want)
+	}
+	echoed := slices.Clone(want)
+	for _, e := range []struct{ before, echo string }{
+		{".resilience.cell_failures", ".resilience.inject"},
+		{".store.hits", ".store.dir"},
+	} {
+		i := slices.Index(echoed, e.before)
+		if i < 0 {
+			t.Fatalf("committed BENCH_spdbench.json lacks %s", e.before)
+		}
+		echoed = slices.Insert(echoed, i, e.echo)
+	}
+	if got := paths("-store", filepath.Join(dir, "art"), "-inject", "seed=1,kinds=sio"); !slices.Equal(got, echoed) {
+		t.Errorf("-store/-inject key paths:\ngot  %v\nwant %v", got, echoed)
 	}
 }
 

@@ -24,7 +24,7 @@
 //	spdbench -inject PLAN     # seeded fault injection, e.g. seed=42,rate=0.3
 //	spdbench -store DIR       # persistent artifact store of prepare summaries
 //	                          # and priced cells: repeat runs start warm
-//	spdbench -store-stats     # print store hit/miss counters to stderr
+//	                          # (the JSON's store section counts its traffic)
 //	spdbench -json            # also write BENCH_spdbench.json with timings
 //	spdbench -cpuprofile f    # write a CPU profile of the run
 //
@@ -60,8 +60,9 @@ import (
 // seconds rather than hanging the grid.
 const defaultFuel = 465_534_040
 
-// benchReport is the schema of BENCH_spdbench.json: per-experiment wall
-// times plus the runner's deduplicated work counters.
+// benchReport is BENCH_spdbench.json: the run's wall times, then the
+// runner's counters. exper.Stats and store.Stats carry the counters' JSON
+// names; spdbench adds only the wall times and the two flag echoes.
 type benchReport struct {
 	// WallMS maps experiment name to wall-clock milliseconds.
 	WallMS map[string]float64 `json:"wall_ms"`
@@ -73,124 +74,19 @@ type benchReport struct {
 	Cells int64 `json:"cells"`
 	// CellsPerSec is Cells / total wall seconds.
 	CellsPerSec float64 `json:"cells_per_sec"`
-	// Prepares and Measures split Cells: distinct preparation pipeline runs
-	// and distinct timed measurement cells actually computed this run. On a
-	// fully warm -store run both are zero (the work is accounted under the
-	// store section's served counters instead).
-	Prepares int64 `json:"prepares"`
-	Measures int64 `json:"measures"`
-	// ProfileRuns counts profiling interpretations: one shared run per
-	// benchmark that a PERFECT or SPEC preparation or an arc-only trace
-	// needed (11 on a cold full evaluation, 0 on a fully warm one).
-	ProfileRuns int64 `json:"profile_runs"`
-	// SimOps is the total number of dynamic operations priced across all
-	// timed measurement cells. Deterministic for a given tree (an exact
-	// simulation-work count, not a timing), and identical under both
-	// -trace backends; CI pins it against the committed baseline.
-	SimOps int64 `json:"sim_ops"`
-	// Trace describes the trace-capture & replay backend's work.
-	Trace traceReport `json:"trace"`
-	// Exec describes the execution backend's work.
-	Exec execReport `json:"exec"`
-	// Resilience describes the fault-tolerance layer's work: failures,
-	// degradation rungs taken, and faults injected. All-zero on a clean
-	// uninjected run.
-	Resilience resilienceReport `json:"resilience"`
-	// Store describes the persistent artifact store's work (-store); all
-	// zero (with an empty dir) when no store was attached.
-	Store storeReport `json:"store"`
-}
-
-// traceReport is the "trace" section of BENCH_spdbench.json.
-type traceReport struct {
-	// Mode is the -trace setting the run used: "replay" or "interp".
-	Mode string `json:"mode"`
-	// Captures counts distinct execution traces materialized; CacheHits
-	// counts trace requests served from the singleflight cache.
-	Captures  int64 `json:"captures"`
-	CacheHits int64 `json:"cache_hits"`
-	// Events and Bytes total the recorded events and the encoded histogram
-	// bytes of all captured traces.
-	Events int64 `json:"events"`
-	Bytes  int64 `json:"bytes"`
-	// ReplayCells and InterpCells split the timed measurement cells by
-	// trace source: a shared trace, or the cell's own interpretation.
-	ReplayCells int64 `json:"replay_cells"`
-	InterpCells int64 `json:"interp_cells"`
-}
-
-// execReport is the "exec" section of BENCH_spdbench.json.
-type execReport struct {
-	// Mode is the execution backend the run used: "native" (the default),
-	// "bcode" or "tree".
-	Mode string `json:"mode"`
-	// TreesCompiled counts decision trees lowered to bytecode or native
-	// closure chains (a tree promoted by -tierup counts once per tier);
-	// Instrs their total instruction words (closure steps for the native
-	// tier); CacheHits the compiled-program lookups served from the runner's
-	// shared content-addressed caches.
-	TreesCompiled int64 `json:"trees_compiled"`
-	Instrs        int64 `json:"instrs"`
-	CacheHits     int64 `json:"cache_hits"`
-	// Steps and Fused describe the native tier's compiled closure chains
-	// (zero on the other backends): chain steps after pair fusion, and the
-	// superinstructions among them. TierUps counts trees promoted from the
-	// bytecode rung by adaptive tiering (-tierup).
-	Steps   int64 `json:"steps"`
-	Fused   int64 `json:"fused"`
-	TierUps int64 `json:"tier_ups"`
-}
-
-// resilienceReport is the "resilience" section of BENCH_spdbench.json; see
-// docs/RESILIENCE.md for the counter semantics.
-type resilienceReport struct {
-	// Inject echoes the fault plan dealt to the run ("" = none).
-	Inject string `json:"inject,omitempty"`
-	// CellFailures counts distinct cells that failed after exhausting the
-	// degradation ladder; the next three split them by class.
-	CellFailures     int64 `json:"cell_failures"`
-	CellPanics       int64 `json:"cell_panics"`
-	FuelExhausted    int64 `json:"fuel_exhausted"`
-	DeadlineExceeded int64 `json:"deadline_exceeded"`
-	// NCodeFallbacks, BCodeFallbacks, TraceRecaptures and InterpFallbacks
-	// count degradation rungs taken (whether or not the rung then recovered
-	// the cell).
-	NCodeFallbacks  int64 `json:"ncode_fallbacks"`
-	BCodeFallbacks  int64 `json:"bcode_fallbacks"`
-	TraceRecaptures int64 `json:"trace_recaptures"`
-	InterpFallbacks int64 `json:"interp_fallbacks"`
-	// FaultsInjected counts cells the -inject plan armed.
-	FaultsInjected int64 `json:"faults_injected"`
-}
-
-// storeReport is the "store" section of BENCH_spdbench.json.
-type storeReport struct {
-	// Dir is the store directory the run used ("" = no store).
-	Dir string `json:"dir,omitempty"`
-	// Hits and Misses count artifact lookups by outcome; MemHits is the
-	// subset of Hits served from the in-memory LRU without touching disk.
-	Hits    int64 `json:"hits"`
-	Misses  int64 `json:"misses"`
-	MemHits int64 `json:"mem_hits"`
-	// Puts counts artifacts persisted; BytesRead and BytesWritten total the
-	// artifact payload bytes moved (integrity footers excluded).
-	Puts         int64 `json:"puts"`
-	BytesRead    int64 `json:"bytes_read"`
-	BytesWritten int64 `json:"bytes_written"`
-	// Evictions counts in-memory LRU evictions (the on-disk copy remains);
-	// CorruptDropped counts artifacts that failed integrity or decode checks
-	// and were deleted, each degrading to a recompute.
-	Evictions      int64 `json:"evictions"`
-	CorruptDropped int64 `json:"corrupt_dropped"`
-	// IOShortReads and IOOpenErrors count injected store I/O faults
-	// (-inject kinds=sio): short reads degrade into the corruption path,
-	// transient open errors into a plain miss with the file intact.
-	IOShortReads int64 `json:"io_short_reads"`
-	IOOpenErrors int64 `json:"io_open_errors"`
-	// PrepsServed and MeasuresServed count whole evaluation cells served
-	// from the store instead of computed.
-	PrepsServed    int64 `json:"preps_served"`
-	MeasuresServed int64 `json:"measures_served"`
+	exper.Stats
+	// Resilience and Store replace exper.Stats' sections of the same JSON
+	// names (encoding/json keeps the shallower field) to lead them with the
+	// -inject plan and the -store directory ("" = none).
+	Resilience struct {
+		Inject string `json:"inject,omitempty"`
+		exper.Resilience
+	} `json:"resilience"`
+	Store struct {
+		Dir string `json:"dir,omitempty"`
+		store.Stats
+		exper.StoreServed
+	} `json:"store"`
 }
 
 func main() {
@@ -220,7 +116,6 @@ func run() int {
 	deadline := flag.Duration("deadline", 0, "wall-clock deadline for the whole evaluation (0 = none); expiry fails in-flight cells typed")
 	inject := flag.String("inject", "", "seeded fault-injection plan, e.g. seed=42,rate=0.3,kinds=panic+fuel+flip+drop,times=1 (chaos mode)")
 	storeDir := flag.String("store", "", "persistent content-addressed artifact store directory: prepare summaries and priced cells are reused across runs")
-	storeStats := flag.Bool("store-stats", false, "print artifact-store hit/miss counters to stderr after the run")
 	jsonOut := flag.Bool("json", false, "write BENCH_spdbench.json with per-experiment timings")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
@@ -239,16 +134,11 @@ func run() int {
 	default:
 		log.Fatalf("unknown -trace mode %q (want replay or interp)", *traceMode)
 	}
-	switch *execMode {
-	case "bcode":
-		r.Exec = sim.ExecBytecode
-	case "native":
-		r.Exec = sim.ExecNative
-	case "tree":
-		r.Exec = sim.ExecTree
-	default:
+	mode, ok := sim.ParseExecMode(*execMode)
+	if !ok {
 		log.Fatalf("unknown -exec mode %q (want bcode, native or tree)", *execMode)
 	}
+	r.Exec = mode
 	r.TierUp = *tierUp
 	if *deadline > 0 {
 		ctx, cancel := context.WithTimeout(context.Background(), *deadline)
@@ -407,7 +297,6 @@ func run() int {
 	}
 
 	st := r.Stats()
-	sst := r.StoreStats()
 	if *jsonOut {
 		total := time.Since(start)
 		report.TotalMS = float64(total.Microseconds()) / 1000
@@ -415,55 +304,14 @@ func run() int {
 		if s := total.Seconds(); s > 0 {
 			report.CellsPerSec = float64(report.Cells) / s
 		}
-		report.Prepares = st.Prepares
-		report.Measures = st.Measures
-		report.ProfileRuns = st.ProfileRuns
-		report.SimOps = st.SimOps
-		report.Trace = traceReport{
-			Mode:        *traceMode,
-			Captures:    st.TraceCaptures,
-			CacheHits:   st.TraceHits,
-			Events:      st.TraceEvents,
-			Bytes:       st.TraceBytes,
-			ReplayCells: st.ReplayCells,
-			InterpCells: st.InterpCells,
-		}
-		report.Exec = execReport{
-			Mode:          *execMode,
-			TreesCompiled: st.BCodeCompiled,
-			Instrs:        st.BCodeInstrs,
-			CacheHits:     st.BCodeCacheHits,
-			Steps:         st.NativeSteps,
-			Fused:         st.NativeFused,
-			TierUps:       st.TierUps,
-		}
-		report.Resilience = resilienceReport{
-			Inject:           *inject,
-			CellFailures:     st.CellFailures,
-			CellPanics:       st.CellPanics,
-			FuelExhausted:    st.FuelExhausted,
-			DeadlineExceeded: st.DeadlineExceeded,
-			NCodeFallbacks:   st.NCodeFallbacks,
-			BCodeFallbacks:   st.BCodeFallbacks,
-			TraceRecaptures:  st.TraceRecaptures,
-			InterpFallbacks:  st.InterpFallbacks,
-			FaultsInjected:   st.FaultsInjected,
-		}
+		report.Stats = st
+		report.Resilience.Inject = *inject
+		report.Resilience.Resilience = st.Resilience
 		if r.Store != nil {
 			report.Store.Dir = *storeDir
 		}
-		report.Store.Hits = sst.Hits
-		report.Store.Misses = sst.Misses
-		report.Store.MemHits = sst.MemHits
-		report.Store.Puts = sst.Puts
-		report.Store.BytesRead = sst.BytesRead
-		report.Store.BytesWritten = sst.BytesWritten
-		report.Store.Evictions = sst.Evictions
-		report.Store.CorruptDropped = sst.CorruptDropped
-		report.Store.IOShortReads = sst.IOShortReads
-		report.Store.IOOpenErrors = sst.IOOpenErrors
-		report.Store.PrepsServed = st.StorePreps
-		report.Store.MeasuresServed = st.StoreMeasures
+		report.Store.Stats = r.StoreStats()
+		report.Store.StoreServed = st.StoreServed
 		data, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {
 			log.Fatal(err)
@@ -471,14 +319,6 @@ func run() int {
 		if err := os.WriteFile("BENCH_spdbench.json", append(data, '\n'), 0o644); err != nil {
 			log.Fatal(err)
 		}
-	}
-
-	// Store counters go to stderr with everything else diagnostic: stdout
-	// must stay byte-identical with and without a store, warm or cold.
-	if *storeStats && r.Store != nil {
-		fmt.Fprintf(os.Stderr, "spdbench: store %s: %d hit(s) (%d in-memory), %d miss(es), %d put(s), %d B read, %d B written, %d eviction(s), %d corrupt dropped; served %d prep(s), %d measure(s)\n",
-			*storeDir, sst.Hits, sst.MemHits, sst.Misses, sst.Puts, sst.BytesRead, sst.BytesWritten,
-			sst.Evictions, sst.CorruptDropped, st.StorePreps, st.StoreMeasures)
 	}
 
 	// The failure table and degradation summary go to stderr: stdout stays

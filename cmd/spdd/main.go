@@ -24,6 +24,7 @@ import (
 
 	"specdis/internal/resilience"
 	"specdis/internal/serve"
+	"specdis/internal/sim"
 	"specdis/internal/store"
 )
 
@@ -56,13 +57,11 @@ func run() int {
 		DrainTimeout:   *drainTimeout,
 		CacheLimit:     *cacheLimit,
 	}
-	switch *execMode {
-	case "native", "bcode", "tree":
-		cfg.Exec = *execMode
-	default:
+	if _, ok := sim.ParseExecMode(*execMode); !ok {
 		log.Printf("unknown -exec mode %q (want native, bcode or tree)", *execMode)
 		return 2
 	}
+	cfg.Exec = *execMode
 	var plan *resilience.FaultPlan
 	if *inject != "" {
 		var err error

@@ -2,8 +2,10 @@
 // checker, and the dependence-soundness auditor (internal/verify, driven by
 // the internal/disamb lint engine) over MiniC programs: each program is
 // prepared under all four disambiguators (NAIVE, STATIC, SPEC, PERFECT) and
-// every finding is reported. The exit status is nonzero when any program
-// has findings.
+// every finding is reported. Every run includes layer 4 (translation
+// validation of the bytecode and native code of every tree) and layer 5
+// (the schedule-soundness audit of every built schedule). The exit status
+// is nonzero when any program has findings.
 //
 // Usage:
 //
@@ -18,12 +20,6 @@
 //	-fuel N       dynamic-op budget per lint interpretation; a cell that
 //	              exhausts it (a nonterminating example, say) is skipped
 //	              with a notice, not failed
-//	-code         translation-validate the compiled tiers (layer 4): every
-//	              tree's bytecode and native artifacts are re-derived and
-//	              checked against the IR (on by default; -code=false skips)
-//	-sched        replay every built schedule through the soundness auditor
-//	              (layer 5): arc ordering, FU capacity, critical-path cycle
-//	              count (on by default; -sched=false skips)
 //	-v            per-program checker statistics
 //	-corrupt KIND seed a violation before checking (debug: proves the
 //	              checkers catch it): seq | arc | bmask (flip a commit
@@ -73,8 +69,6 @@ func main() {
 	fus := flag.Int("fus", 5, "machine width for schedule validation")
 	execMode := flag.String("exec", "native", "execution backend for the dynamic checks: native, bcode or tree")
 	fuel := flag.Int64("fuel", 0, "dynamic-op budget per lint interpretation (0 = the engine default); exhausting cells are skipped, not failed")
-	code := flag.Bool("code", true, "translation-validate the compiled tiers (layer 4)")
-	schedOn := flag.Bool("sched", true, "audit schedule soundness against the dependence graph (layer 5)")
 	verbose := flag.Bool("v", false, "print per-program checker statistics")
 	corrupt := flag.String("corrupt", "", "seed a violation before checking: seq | arc | bmask | nfuse | sched")
 	chaos := flag.String("chaos", "", "fault-tolerance self-test: panic (injected crash must become a finding) | fuel (tiny budget must skip cleanly)")
@@ -89,17 +83,12 @@ func main() {
 		memLats = append(memLats, n)
 	}
 
-	opts := disamb.LintOptions{MemLats: memLats, NumFUs: *fus, MaxOps: *fuel, NoCode: !*code, NoSched: !*schedOn}
-	switch *execMode {
-	case "bcode":
-		opts.Exec = sim.ExecBytecode
-	case "native":
-		opts.Exec = sim.ExecNative
-	case "tree":
-		opts.Exec = sim.ExecTree
-	default:
+	opts := disamb.LintOptions{MemLats: memLats, NumFUs: *fus, MaxOps: *fuel}
+	mode, ok := sim.ParseExecMode(*execMode)
+	if !ok {
 		log.Fatalf("unknown -exec mode %q (want bcode, native or tree)", *execMode)
 	}
+	opts.Exec = mode
 	switch *corrupt {
 	case "":
 	case "seq":

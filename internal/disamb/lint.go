@@ -66,12 +66,6 @@ type LintOptions struct {
 	// each preparation compiles through private caches.
 	BCode *bcode.Cache
 	NCode *ncode.Cache
-	// NoCode disables layer 4 (the compiled-code translation validator over
-	// both the bytecode and native tiers); NoSched disables layer 5 (the
-	// schedule-soundness auditor). Both run by default (spdlint -code,
-	// -sched).
-	NoCode  bool
-	NoSched bool
 	// CorruptBCode, when non-nil, mutates each tree's freshly compiled
 	// bytecode program before the translation validator sees it (the
 	// -corrupt bmask self-test). The corrupted program is private to the
@@ -235,9 +229,7 @@ func Lint(src string, o LintOptions) (*LintReport, error) {
 				}
 			}
 
-			if !o.NoCode {
-				fs = append(fs, lintCode(p.Prog, &o, rep)...)
-			}
+			fs = append(fs, lintCode(p.Prog, &o, rep)...)
 			fs = append(fs, lintSchedules(p.Prog, lat, numFUs, &o, rep)...)
 
 			for _, f := range fs {
@@ -342,10 +334,9 @@ func lintCode(prog *ir.Program, o *LintOptions, rep *LintReport) []verify.Findin
 // lintSchedules list-schedules every tree on an n-FU machine and validates
 // the result against the tree's dependence graph — the same construction
 // Plans uses for timed measurement, so a violation here means measured
-// cycle counts are untrustworthy. Unless layer 5 is disabled, every built
-// schedule is additionally replayed by the soundness auditor
-// (verify.AuditSchedule), which also recomputes the critical path the
-// reported cycle count must attain.
+// cycle counts are untrustworthy. Every built schedule is additionally
+// replayed by the soundness auditor (verify.AuditSchedule), which also
+// recomputes the critical path the reported cycle count must attain.
 func lintSchedules(prog *ir.Program, memLat, n int, o *LintOptions, rep *LintReport) []verify.Finding {
 	var fs []verify.Finding
 	lat := machine.Infinite(memLat).LatencyFunc()
@@ -364,10 +355,8 @@ func lintSchedules(prog *ir.Program, memLat, n int, o *LintOptions, rep *LintRep
 				Msg:   err.Error(),
 			})
 		}
-		if !o.NoSched {
-			rep.Stats.Audits++
-			fs = append(fs, verify.AuditSchedule(g, s, n)...)
-		}
+		rep.Stats.Audits++
+		fs = append(fs, verify.AuditSchedule(g, s, n)...)
 	})
 	return fs
 }

@@ -52,33 +52,60 @@ func (g *group[K, V]) Do(key K, fn func() (V, error)) (V, error) {
 // goroutines while the worker pool is still warming cells; see
 // TestStatsWhileWarming. The snapshot is monotonic per counter but not a
 // single atomic cut across counters.
+//
+// Stats is also the JSON schema of the counters: spdbench's
+// BENCH_spdbench.json marshals it, and spdd's /v1/eval and /metrics embed
+// its Resilience section. The sections embed with JSON names, so each
+// marshals as a nested object while its fields stay promoted in Go.
 type Stats struct {
 	// Prepares counts distinct compile+transform pipeline runs.
-	Prepares int64
-	// ProfileRuns counts the shared profiling interpretations run, at most
-	// one per benchmark: every PERFECT and SPEC preparation reads its
-	// benchmark's run, and the NAIVE/STATIC/PERFECT cells replay its trace.
-	ProfileRuns int64
+	Prepares int64 `json:"prepares"`
 	// Measures counts distinct timed measurement cells (one cell prices all
 	// of its machine models at once). ReplayCells + InterpCells == Measures
 	// once the runner is idle.
-	Measures int64
+	Measures int64 `json:"measures"`
+	// ProfileRuns counts the shared profiling interpretations run, at most
+	// one per benchmark: every PERFECT and SPEC preparation reads its
+	// benchmark's run, and the NAIVE/STATIC/PERFECT cells replay its trace.
+	ProfileRuns int64 `json:"profile_runs"`
 	// SimOps counts dynamic operations priced across all measurement cells,
 	// each cell's from the trace it replayed — shared, or recorded by the
 	// cell's own interpretation (TraceReplay off). Both settings report
-	// identical totals.
-	SimOps int64
+	// identical totals, and a warm store run reports the cold run's.
+	SimOps int64 `json:"sim_ops"`
+
+	TraceStats  `json:"trace"`
+	ExecStats   `json:"exec"`
+	Resilience  `json:"resilience"`
+	StoreServed `json:"store"`
+}
+
+// TraceStats is the trace-sharing section of Stats.
+type TraceStats struct {
+	// Mode is "replay" when cells share traces (Runner.TraceReplay) and
+	// "interp" when every cell interprets its own program.
+	Mode string `json:"mode"`
 	// TraceCaptures counts distinct execution traces materialized, whether
 	// recorded by a shared profiling run or captured by a dedicated recording
 	// interpretation. TraceHits counts trace requests served from the cache
 	// instead.
-	TraceCaptures, TraceHits int64
+	TraceCaptures int64 `json:"captures"`
+	TraceHits     int64 `json:"cache_hits"`
 	// TraceEvents and TraceBytes total the recorded events and the encoded
 	// histogram bytes of all captured traces.
-	TraceEvents, TraceBytes int64
+	TraceEvents int64 `json:"events"`
+	TraceBytes  int64 `json:"bytes"`
 	// ReplayCells and InterpCells split Measures by trace source: a shared
 	// trace, or the cell's own recorded interpretation.
-	ReplayCells, InterpCells int64
+	ReplayCells int64 `json:"replay_cells"`
+	InterpCells int64 `json:"interp_cells"`
+}
+
+// ExecStats is the execution-engine section of Stats.
+type ExecStats struct {
+	// Mode is the configured backend (Runner.Exec): "native", "bcode" or
+	// "tree".
+	Mode string `json:"mode"`
 	// BCodeCompiled counts decision trees compiled by either compiled tier
 	// across every preparation, and BCodeInstrs their total size:
 	// instruction words for bytecode, closure steps for native code. Under
@@ -86,18 +113,31 @@ type Stats struct {
 	// once per tier, so both tiers' compiles are counted. BCodeCacheHits
 	// counts the tree executions' compiled-program lookups served from a
 	// prepared program's shared caches.
-	BCodeCompiled, BCodeInstrs, BCodeCacheHits int64
+	BCodeCompiled  int64 `json:"trees_compiled"`
+	BCodeInstrs    int64 `json:"instrs"`
+	BCodeCacheHits int64 `json:"cache_hits"`
 	// NativeSteps and NativeFused describe the native tier's compiled
 	// closure chains (native backend only): total chain steps after pair
 	// fusion, and the superinstructions among them. TierUps counts trees
 	// adaptive tiering promoted from the bytecode rung to the native tier
 	// (Runner.TierUp).
-	NativeSteps, NativeFused, TierUps int64
+	NativeSteps int64 `json:"steps"`
+	NativeFused int64 `json:"fused"`
+	TierUps     int64 `json:"tier_ups"`
+}
+
+// Resilience is the fault-tolerance section of Stats: failures,
+// degradation rungs taken, and faults injected. All zero on a clean
+// uninjected run; see docs/RESILIENCE.md.
+type Resilience struct {
 	// CellFailures counts distinct cells that failed after exhausting their
 	// degradation ladder; CellPanics, FuelExhausted, and DeadlineExceeded
 	// split those failures by class (the remainder is corrupt-trace,
 	// missing-schedule, and unclassified failures).
-	CellFailures, CellPanics, FuelExhausted, DeadlineExceeded int64
+	CellFailures     int64 `json:"cell_failures"`
+	CellPanics       int64 `json:"cell_panics"`
+	FuelExhausted    int64 `json:"fuel_exhausted"`
+	DeadlineExceeded int64 `json:"deadline_exceeded"`
 	// NCodeFallbacks counts native-engine cell failures retried on the
 	// bytecode engine; BCodeFallbacks counts bytecode-engine cell failures
 	// retried on the reference tree walker; TraceRecaptures counts corrupt
@@ -105,16 +145,39 @@ type Stats struct {
 	// replay-backend cells that fell all the way back to interpreting
 	// measurement. All four count rungs taken, whether or not the rung then
 	// succeeded.
-	NCodeFallbacks, BCodeFallbacks, TraceRecaptures, InterpFallbacks int64
+	NCodeFallbacks  int64 `json:"ncode_fallbacks"`
+	BCodeFallbacks  int64 `json:"bcode_fallbacks"`
+	TraceRecaptures int64 `json:"trace_recaptures"`
+	InterpFallbacks int64 `json:"interp_fallbacks"`
 	// FaultsInjected counts cells the runner's fault-injection plan armed.
 	// Zero unless the runner was built with a non-empty Inject plan.
-	FaultsInjected int64
-	// StorePreps and StoreMeasures count cells served whole from the
-	// persistent artifact store (Runner.Store) instead of being computed:
-	// prepare summaries and priced measurement cells respectively. A fully
-	// warm run has Prepares == ProfileRuns == Measures == TraceCaptures == 0
-	// with all the work accounted here.
-	StorePreps, StoreMeasures int64
+	FaultsInjected int64 `json:"faults_injected"`
+}
+
+// Add adds o's counters to s: a running total over several runners, such
+// as spdd's over every request's private engine.
+func (s *Resilience) Add(o Resilience) {
+	s.CellFailures += o.CellFailures
+	s.CellPanics += o.CellPanics
+	s.FuelExhausted += o.FuelExhausted
+	s.DeadlineExceeded += o.DeadlineExceeded
+	s.NCodeFallbacks += o.NCodeFallbacks
+	s.BCodeFallbacks += o.BCodeFallbacks
+	s.TraceRecaptures += o.TraceRecaptures
+	s.InterpFallbacks += o.InterpFallbacks
+	s.FaultsInjected += o.FaultsInjected
+}
+
+// StoreServed is the store section of Stats: cells served whole from the
+// persistent artifact store (Runner.Store) instead of being computed. The
+// store's own counters are store.Stats (Runner.StoreStats).
+type StoreServed struct {
+	// StorePreps and StoreMeasures count prepare summaries and priced
+	// measurement cells respectively. A fully warm run has Prepares ==
+	// ProfileRuns == Measures == TraceCaptures == 0 with all the work
+	// accounted here.
+	StorePreps    int64 `json:"preps_served"`
+	StoreMeasures int64 `json:"measures_served"`
 }
 
 // Stats returns a snapshot of the runner's work counters. Safe to call
@@ -125,34 +188,48 @@ func (r *Runner) Stats() Stats {
 	// sampled mid-warm.
 	captures := r.nTraceCaptures.Load()
 	reqs := r.nTraceReqs.Load()
+	traceMode := "interp"
+	if r.TraceReplay {
+		traceMode = "replay"
+	}
 	return Stats{
-		Prepares:         r.nPrepares.Load(),
-		ProfileRuns:      r.nProfileRuns.Load(),
-		Measures:         r.nMeasures.Load(),
-		SimOps:           r.nSimOps.Load(),
-		TraceCaptures:    captures,
-		TraceHits:        reqs - captures,
-		TraceEvents:      r.nTraceEvents.Load(),
-		TraceBytes:       r.nTraceBytes.Load(),
-		ReplayCells:      r.nReplayCells.Load(),
-		InterpCells:      r.nInterpCells.Load(),
-		BCodeCompiled:    r.bcodeCtrs.Compiled.Load(),
-		BCodeInstrs:      r.bcodeCtrs.Instrs.Load(),
-		BCodeCacheHits:   r.bcodeCtrs.Hits.Load(),
-		NativeSteps:      r.bcodeCtrs.Steps.Load(),
-		NativeFused:      r.bcodeCtrs.Fused.Load(),
-		TierUps:          r.bcodeCtrs.TierUps.Load(),
-		CellFailures:     r.nCellFails.Load(),
-		CellPanics:       r.nPanics.Load(),
-		FuelExhausted:    r.nFuel.Load(),
-		DeadlineExceeded: r.nDeadline.Load(),
-		NCodeFallbacks:   r.nNCodeFallback.Load(),
-		BCodeFallbacks:   r.nBCodeFallback.Load(),
-		TraceRecaptures:  r.nRecapture.Load(),
-		InterpFallbacks:  r.nInterpFallback.Load(),
-		FaultsInjected:   r.nInjected.Load(),
-		StorePreps:       r.nStorePreps.Load(),
-		StoreMeasures:    r.nStoreMeasures.Load(),
+		Prepares:    r.nPrepares.Load(),
+		Measures:    r.nMeasures.Load(),
+		ProfileRuns: r.nProfileRuns.Load(),
+		SimOps:      r.nSimOps.Load(),
+		TraceStats: TraceStats{
+			Mode:          traceMode,
+			TraceCaptures: captures,
+			TraceHits:     reqs - captures,
+			TraceEvents:   r.nTraceEvents.Load(),
+			TraceBytes:    r.nTraceBytes.Load(),
+			ReplayCells:   r.nReplayCells.Load(),
+			InterpCells:   r.nInterpCells.Load(),
+		},
+		ExecStats: ExecStats{
+			Mode:           r.Exec.String(),
+			BCodeCompiled:  r.bcodeCtrs.Compiled.Load(),
+			BCodeInstrs:    r.bcodeCtrs.Instrs.Load(),
+			BCodeCacheHits: r.bcodeCtrs.Hits.Load(),
+			NativeSteps:    r.bcodeCtrs.Steps.Load(),
+			NativeFused:    r.bcodeCtrs.Fused.Load(),
+			TierUps:        r.bcodeCtrs.TierUps.Load(),
+		},
+		Resilience: Resilience{
+			CellFailures:     r.nCellFails.Load(),
+			CellPanics:       r.nPanics.Load(),
+			FuelExhausted:    r.nFuel.Load(),
+			DeadlineExceeded: r.nDeadline.Load(),
+			NCodeFallbacks:   r.nNCodeFallback.Load(),
+			BCodeFallbacks:   r.nBCodeFallback.Load(),
+			TraceRecaptures:  r.nRecapture.Load(),
+			InterpFallbacks:  r.nInterpFallback.Load(),
+			FaultsInjected:   r.nInjected.Load(),
+		},
+		StoreServed: StoreServed{
+			StorePreps:    r.nStorePreps.Load(),
+			StoreMeasures: r.nStoreMeasures.Load(),
+		},
 	}
 }
 

@@ -251,23 +251,17 @@ func (r *Runner) Prepared(b *bench.Benchmark, kind disamb.Kind, memLat int) (*di
 				return nil, r.failCell(inherit(err, b.Name, kind, key.memLat), b.Name, kind, key.memLat, "prepare")
 			}
 		}
-		bcc, ncc := r.caches()
 		p, err := onLadder(r, r.Exec, func(mode sim.ExecMode) (p *disamb.Prepared, err error) {
 			// The preparation is a cell boundary: a panic anywhere in the
 			// pipeline is recovered into a structured CellError instead of
 			// killing the grid. A retried preparation keeps its rung's
 			// backend for every later run of this cell.
 			defer resilience.Recover(&err, b.Name, kind.String(), key.memLat, "prepare")
-			return disamb.PrepareFrom(run, disamb.Options{
-				Kind: kind, MemLat: memLat, SpD: r.Params,
-				// All of a benchmark's cells start from private clones of one
-				// compilation; each pipeline mutates only its own clone.
-				Prog:   base.Clone(),
-				Verify: r.Verify,
-				MaxOps: r.Fuel, Ctx: r.Ctx,
-				Exec: mode, TierUp: r.TierUp, ExecCounters: &r.bcodeCtrs,
-				BCode: bcc, NCode: ncc,
-			})
+			o := r.options(kind, memLat, mode)
+			// All of a benchmark's cells start from private clones of one
+			// compilation; each pipeline mutates only its own clone.
+			o.Prog = base.Clone()
+			return disamb.PrepareFrom(run, o)
 		})
 		if err != nil {
 			return nil, r.failCell(err, b.Name, kind, key.memLat, "prepare")
@@ -292,17 +286,26 @@ func (r *Runner) profiled(b *bench.Benchmark) (*disamb.Profiled, error) {
 			return nil, err
 		}
 		r.nProfileRuns.Add(1)
-		bcc, ncc := r.caches()
 		return onLadder(r, r.Exec, func(mode sim.ExecMode) (run *disamb.Profiled, err error) {
 			defer resilience.Recover(&err, b.Name, "profile", 0, "profile")
-			return disamb.ProfileRun(base, disamb.Options{
-				MemLat: MemLats[0],
-				MaxOps: r.Fuel, Ctx: r.Ctx,
-				Exec: mode, TierUp: r.TierUp, ExecCounters: &r.bcodeCtrs,
-				BCode: bcc, NCode: ncc,
-			})
+			return disamb.ProfileRun(base, r.options(disamb.Naive, MemLats[0], mode))
 		})
 	})
+}
+
+// options returns the settings every preparation and interpretation of the
+// runner shares: its SpD parameters, verifier, fuel and context, the given
+// backend under its tier-up threshold, and its compiled-code caches and
+// counters.
+func (r *Runner) options(kind disamb.Kind, memLat int, mode sim.ExecMode) disamb.Options {
+	bcc, ncc := r.caches()
+	return disamb.Options{
+		Kind: kind, MemLat: memLat, SpD: r.Params,
+		Verify: r.Verify,
+		MaxOps: r.Fuel, Ctx: r.Ctx,
+		Exec: mode, TierUp: r.TierUp, ExecCounters: &r.bcodeCtrs,
+		BCode: bcc, NCode: ncc,
+	}
 }
 
 // compiled returns (compiling and caching) a benchmark's base program. Every

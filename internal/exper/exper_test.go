@@ -1,12 +1,15 @@
 package exper_test
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
 	"specdis/internal/bench"
 	"specdis/internal/disamb"
 	"specdis/internal/exper"
+	"specdis/internal/resilience"
 )
 
 // runner is shared by all tests in this package: the cache makes the whole
@@ -229,6 +232,50 @@ func TestExtensionExperiments(t *testing.T) {
 	exper.RenderExtensions(&sb, grows, crows)
 	if !strings.Contains(sb.String(), "grafting") || !strings.Contains(sb.String(), "combined") {
 		t.Error("extension rendering incomplete")
+	}
+}
+
+// TestExtensionsHonourBudgets checks that the §7 extension experiments run
+// under the runner's fuel and context like every grid cell: a starved
+// budget or a cancelled context fails them typed instead of being ignored.
+func TestExtensionsHonourBudgets(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name string
+		set  func(*exper.Runner)
+		want error
+	}{
+		{"fuel", func(r *exper.Runner) { r.Fuel = 1000 }, resilience.ErrFuelExhausted},
+		{"deadline", func(r *exper.Runner) { r.Ctx = cancelled }, resilience.ErrDeadline},
+	} {
+		r := exper.New()
+		r.Benchmarks = []*bench.Benchmark{bench.ByName("quick"), bench.ByName("fft")}
+		tc.set(r)
+		if rows, err := r.ExtGrafting(6, 5); !errors.Is(err, tc.want) {
+			t.Errorf("%s: ExtGrafting returned %d row(s), err %v; want %v", tc.name, len(rows), err, tc.want)
+		}
+		// The plain SPEC program is the grid's cell, so its failure is
+		// recorded like any cell's.
+		if st := r.Stats(); st.CellFailures == 0 {
+			t.Errorf("%s: no cell failure recorded in %+v", tc.name, st.Resilience)
+		}
+		if rows, err := r.ExtCombined(6); !errors.Is(err, tc.want) {
+			t.Errorf("%s: ExtCombined returned %d row(s), err %v; want %v", tc.name, len(rows), err, tc.want)
+		}
+	}
+
+	// The grafted preparation is bounded too, even when the plain SPEC cell
+	// was prepared before the budget shrank.
+	quick := bench.ByName("quick")
+	r := exper.New()
+	r.Benchmarks = []*bench.Benchmark{quick}
+	if _, err := r.Prepared(quick, disamb.Spec, 6); err != nil {
+		t.Fatal(err)
+	}
+	r.Fuel = 1000
+	if rows, err := r.ExtGrafting(6, 5); !errors.Is(err, resilience.ErrFuelExhausted) {
+		t.Errorf("grafted preparation: ExtGrafting returned %d row(s), err %v; want fuel exhaustion", len(rows), err)
 	}
 }
 

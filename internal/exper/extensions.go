@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"io"
 
-	"specdis/internal/compile"
 	"specdis/internal/disamb"
 	"specdis/internal/graft"
 	"specdis/internal/machine"
-	"specdis/internal/sim"
 	"specdis/internal/spd"
 )
 
@@ -31,7 +29,8 @@ func (r GraftRow) SpeedupPct() float64 {
 }
 
 // ExtGrafting measures the §7 grafting extension on the integer benchmarks
-// at the given memory latency and width.
+// at the given memory latency and width. Both preparations and their timed
+// runs take the runner's settings: backend, fuel, context and caches.
 func (r *Runner) ExtGrafting(memLat, width int) ([]GraftRow, error) {
 	gp := graft.DefaultParams()
 	models := []machine.Model{machine.New(width, memLat)}
@@ -40,14 +39,19 @@ func (r *Runner) ExtGrafting(memLat, width int) ([]GraftRow, error) {
 		if b.Suite == "NRC" {
 			continue // grafting targets the tree-starved integer programs
 		}
-		plain, err := disamb.Prepare(b.Source, disamb.Spec, memLat, r.Params)
+		plain, err := r.Prepared(b, disamb.Spec, memLat)
 		if err != nil {
 			return nil, err
 		}
-		grafted, err := disamb.PrepareOpts(b.Source, disamb.Options{
-			Kind: disamb.Spec, MemLat: memLat, SpD: r.Params,
-			Graft: &gp, GraftRounds: 2,
-		})
+		base, err := r.compiled(b)
+		if err != nil {
+			return nil, err
+		}
+		o := r.options(disamb.Spec, memLat, r.Exec)
+		o.Prog, o.Graft, o.GraftRounds = base.Clone(), &gp, 2
+		// Grafting transforms the program before it profiles it, so it
+		// cannot share the benchmark's profiling run.
+		grafted, err := disamb.PrepareFrom(nil, o)
 		if err != nil {
 			return nil, err
 		}
@@ -79,7 +83,8 @@ type CombinedRow struct {
 }
 
 // ExtCombined measures combined multi-alias speculation on the NRC
-// benchmarks.
+// benchmarks. The combined transform reads the benchmark's shared profiling
+// run, the one its SPEC preparation read.
 func (r *Runner) ExtCombined(memLat int) ([]CombinedRow, error) {
 	var rows []CombinedRow
 	for _, b := range r.Benchmarks {
@@ -90,16 +95,19 @@ func (r *Runner) ExtCombined(memLat int) ([]CombinedRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		prog, err := compile.Compile(b.Source)
+		base, err := r.compiled(b)
 		if err != nil {
 			return nil, err
 		}
-		prof := sim.NewProfile()
-		run := &sim.Runner{Prog: prog, SemLat: machine.Infinite(memLat).LatencyFunc(), Prof: prof}
-		if _, err := run.Run(); err != nil {
+		run, err := r.profiled(b)
+		if err != nil {
 			return nil, err
 		}
-		comb := spd.TransformCombined(prog, prof, r.Params)
+		prog := base.Clone()
+		if err := run.Profile.AnnotateArcs(prog); err != nil {
+			return nil, err
+		}
+		comb := spd.TransformCombined(prog, run.Profile, r.Params)
 		rows = append(rows, CombinedRow{
 			Program:       b.Name,
 			PairsOne:      one.SpD.RAW,

@@ -142,34 +142,31 @@ func (l *Lexer) Next() (Token, error) {
 		return Token{Kind: TokIntLit, Pos: pos, Int: v}, nil
 	}
 
-	// Operators, longest match first.
-	two := ""
-	if l.off+1 < len(l.src) {
-		two = l.src[l.off : l.off+2]
-	}
-	twoMap := map[string]TokKind{
-		"==": TokEq, "!=": TokNe, "<=": TokLe, ">=": TokGe,
-		"&&": TokAndAnd, "||": TokOrOr, "<<": TokShl, ">>": TokShr,
-		"+=": TokPlusAssign, "-=": TokMinusAssign, "*=": TokStarAssign,
-		"/=": TokSlashAssign, "++": TokPlusPlus, "--": TokMinusMinus,
-	}
-	if k, ok := twoMap[two]; ok {
-		l.advance()
-		l.advance()
-		return Token{Kind: k, Pos: pos, Text: two}, nil
-	}
-	oneMap := map[byte]TokKind{
-		'(': TokLParen, ')': TokRParen, '{': TokLBrace, '}': TokRBrace,
-		'[': TokLBracket, ']': TokRBracket, ',': TokComma, ';': TokSemi,
-		'=': TokAssign, '+': TokPlus, '-': TokMinus, '*': TokStar,
-		'/': TokSlash, '%': TokPercent, '&': TokAmp, '|': TokPipe,
-		'^': TokCaret, '~': TokTilde, '!': TokBang, '<': TokLt, '>': TokGt,
-	}
-	if k, ok := oneMap[c]; ok {
-		l.advance()
-		return Token{Kind: k, Pos: pos, Text: string(c)}, nil
+	// Operators, longest match first. Text slices the source, so an
+	// operator token allocates nothing.
+	for n := min(2, len(l.src)-l.off); n >= 1; n-- {
+		text := l.src[l.off : l.off+n]
+		if k, ok := operators[text]; ok {
+			for range n {
+				l.advance()
+			}
+			return Token{Kind: k, Pos: pos, Text: text}, nil
+		}
 	}
 	return Token{}, errf(pos, "unexpected character %q", string(c))
+}
+
+// operators maps every operator spelling to its token kind.
+var operators = map[string]TokKind{
+	"==": TokEq, "!=": TokNe, "<=": TokLe, ">=": TokGe,
+	"&&": TokAndAnd, "||": TokOrOr, "<<": TokShl, ">>": TokShr,
+	"+=": TokPlusAssign, "-=": TokMinusAssign, "*=": TokStarAssign,
+	"/=": TokSlashAssign, "++": TokPlusPlus, "--": TokMinusMinus,
+	"(": TokLParen, ")": TokRParen, "{": TokLBrace, "}": TokRBrace,
+	"[": TokLBracket, "]": TokRBracket, ",": TokComma, ";": TokSemi,
+	"=": TokAssign, "+": TokPlus, "-": TokMinus, "*": TokStar,
+	"/": TokSlash, "%": TokPercent, "&": TokAmp, "|": TokPipe,
+	"^": TokCaret, "~": TokTilde, "!": TokBang, "<": TokLt, ">": TokGt,
 }
 
 // LexAll tokenizes the whole input (including the trailing EOF token).

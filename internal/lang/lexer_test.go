@@ -3,6 +3,8 @@ package lang
 import (
 	"strings"
 	"testing"
+
+	"specdis/internal/bench"
 )
 
 func kinds(toks []Token) []TokKind {
@@ -137,5 +139,48 @@ func TestLexErrors(t *testing.T) {
 func TestLexHugeIntOverflow(t *testing.T) {
 	if _, err := LexAll("99999999999999999999999999"); err == nil {
 		t.Error("expected overflow error")
+	}
+}
+
+// TestLexerAllocatesNothingPerToken pins the lexer's allocation cost on
+// valid input: lexing the whole suite allocates nothing at all, so no token
+// kind (keyword, identifier, literal or operator) costs an allocation.
+func TestLexerAllocatesNothingPerToken(t *testing.T) {
+	tokens := 0
+	allocs := testing.AllocsPerRun(3, func() {
+		tokens = 0
+		for _, b := range bench.Everything() {
+			l := NewLexer(b.Source)
+			for {
+				tok, err := l.Next()
+				if err != nil {
+					t.Fatalf("%s: %v", b.Name, err)
+				}
+				tokens++
+				if tok.Kind == TokEOF {
+					break
+				}
+			}
+		}
+	})
+	if perToken := allocs / float64(tokens); perToken != 0 {
+		t.Errorf("lexing the suite's %d tokens allocated %.0f times (%.3f per token), want 0", tokens, allocs, perToken)
+	}
+}
+
+// tokenSink keeps the benchmarked tokens live.
+var tokenSink []Token
+
+// BenchmarkLex lexes every suite program.
+func BenchmarkLex(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, p := range bench.Everything() {
+			toks, err := LexAll(p.Source)
+			if err != nil {
+				b.Fatal(err)
+			}
+			tokenSink = toks
+		}
 	}
 }

@@ -3,6 +3,8 @@ package lang
 import (
 	"strings"
 	"testing"
+
+	"specdis/internal/bench"
 )
 
 func parseOK(t *testing.T, src string) *Program {
@@ -202,5 +204,22 @@ func TestErrorsCarryPositions(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "2:") {
 		t.Errorf("error lacks line 2 position: %v", err)
+	}
+}
+
+// astSink keeps the benchmarked syntax trees live.
+var astSink *Program
+
+// BenchmarkParse lexes and parses every suite program.
+func BenchmarkParse(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, p := range bench.Everything() {
+			prog, err := Parse(p.Source)
+			if err != nil {
+				b.Fatal(err)
+			}
+			astSink = prog
+		}
 	}
 }

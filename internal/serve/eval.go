@@ -95,23 +95,15 @@ type EvalResult struct {
 }
 
 // EvalStats is the run-dependent half: what this request actually cost and
-// which degradation rungs it took. Deduplicated followers carry the leader's
-// engine stats with Deduped set.
+// which degradation rungs it took, as its engine's exper.Resilience
+// section. Deduplicated followers carry the leader's engine stats with
+// Deduped set.
 type EvalStats struct {
 	ElapsedMS float64 `json:"elapsed_ms"`
 	Exec      string  `json:"exec"`
 	Fuel      int64   `json:"fuel"`
 	Deduped   bool    `json:"deduped,omitempty"`
-
-	NCodeFallbacks   int64 `json:"ncode_fallbacks"`
-	BCodeFallbacks   int64 `json:"bcode_fallbacks"`
-	TraceRecaptures  int64 `json:"trace_recaptures"`
-	InterpFallbacks  int64 `json:"interp_fallbacks"`
-	CellFailures     int64 `json:"cell_failures"`
-	CellPanics       int64 `json:"cell_panics"`
-	FuelExhausted    int64 `json:"fuel_exhausted"`
-	DeadlineExceeded int64 `json:"deadline_exceeded"`
-	FaultsInjected   int64 `json:"faults_injected"`
+	exper.Resilience
 }
 
 // evalPlan is a validated request: everything an evaluation needs.
@@ -120,7 +112,6 @@ type evalPlan struct {
 	kind     disamb.Kind
 	memLat   int
 	exec     sim.ExecMode
-	execName string
 	fuel     int64
 	deadline time.Duration
 	lint     bool
@@ -134,7 +125,7 @@ type evalPlan struct {
 func (p *evalPlan) key() string {
 	h := sha256.Sum256([]byte(p.bench.Source))
 	return fmt.Sprintf("%s|%s|%s|%d|%s|%d|%t",
-		p.bench.Name, hex.EncodeToString(h[:8]), p.kind, p.memLat, p.execName, p.fuel, p.lint)
+		p.bench.Name, hex.EncodeToString(h[:8]), p.kind, p.memLat, p.exec, p.fuel, p.lint)
 }
 
 // plan validates the request against the server's limits.
@@ -186,19 +177,14 @@ func (s *Server) plan(req *EvalRequest) (*evalPlan, *apiError) {
 	if !ok {
 		return nil, badRequest(fmt.Sprintf("unsupported mem_lat %d (want 2 or 6)", req.MemLat))
 	}
-	switch req.Exec {
-	case "":
-		p.exec = s.exec
-	case "native":
-		p.exec = sim.ExecNative
-	case "bcode":
-		p.exec = sim.ExecBytecode
-	case "tree":
-		p.exec = sim.ExecTree
-	default:
-		return nil, badRequest(fmt.Sprintf("unknown exec tier %q (want native, bcode or tree)", req.Exec))
+	p.exec = s.exec
+	if req.Exec != "" {
+		mode, ok := sim.ParseExecMode(req.Exec)
+		if !ok {
+			return nil, badRequest(fmt.Sprintf("unknown exec tier %q (want native, bcode or tree)", req.Exec))
+		}
+		p.exec = mode
 	}
-	p.execName = execName(p.exec)
 	if req.Fuel < 0 {
 		return nil, badRequest("fuel must be non-negative")
 	}
@@ -214,16 +200,6 @@ func (s *Server) plan(req *EvalRequest) (*evalPlan, *apiError) {
 		p.deadline = d
 	}
 	return p, nil
-}
-
-func execName(m sim.ExecMode) string {
-	switch m {
-	case sim.ExecNative:
-		return "native"
-	case sim.ExecTree:
-		return "tree"
-	}
-	return "bcode"
 }
 
 // flight is one in-flight deduplicated computation: a leader computes,
@@ -396,27 +372,14 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	f.result = raw
-	f.stats = evalStats(p, stats, elapsed)
+	f.stats = EvalStats{
+		ElapsedMS:  float64(elapsed.Microseconds()) / 1000,
+		Exec:       p.exec.String(),
+		Fuel:       p.fuel,
+		Resilience: stats.Resilience,
+	}
 	s.flights.finish(key, f)
 	writeEvalResponse(w, f.result, &f.stats)
-}
-
-// evalStats projects a request's engine counters into the response shape.
-func evalStats(p *evalPlan, st exper.Stats, elapsed time.Duration) EvalStats {
-	return EvalStats{
-		ElapsedMS:        float64(elapsed.Microseconds()) / 1000,
-		Exec:             p.execName,
-		Fuel:             p.fuel,
-		NCodeFallbacks:   st.NCodeFallbacks,
-		BCodeFallbacks:   st.BCodeFallbacks,
-		TraceRecaptures:  st.TraceRecaptures,
-		InterpFallbacks:  st.InterpFallbacks,
-		CellFailures:     st.CellFailures,
-		CellPanics:       st.CellPanics,
-		FuelExhausted:    st.FuelExhausted,
-		DeadlineExceeded: st.DeadlineExceeded,
-		FaultsInjected:   st.FaultsInjected,
-	}
 }
 
 func writeEvalResponse(w http.ResponseWriter, result json.RawMessage, stats *EvalStats) {

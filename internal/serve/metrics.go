@@ -10,9 +10,11 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
+	"sync"
 	"sync/atomic"
 
 	"specdis/internal/exper"
+	"specdis/internal/store"
 )
 
 // metrics is the server-level counter set. Per-request engine stats are
@@ -27,31 +29,19 @@ type metrics struct {
 	admissionRejections atomic.Int64
 	drainRejections     atomic.Int64
 
-	// Aggregated degradation/budget counters across every request's engine.
-	ncodeFallbacks   atomic.Int64
-	bcodeFallbacks   atomic.Int64
-	traceRecaptures  atomic.Int64
-	interpFallbacks  atomic.Int64
-	cellFailures     atomic.Int64
-	cellPanics       atomic.Int64
-	fuelExhausted    atomic.Int64
-	deadlineExceeded atomic.Int64
-	faultsInjected   atomic.Int64
+	// degradation totals the degradation/budget counters of every
+	// request's engine.
+	mu          sync.Mutex
+	degradation exper.Resilience
 }
 
 // absorb folds one finished request's engine counters into the server
 // totals. Each request runs on a private Runner, so its Stats snapshot is
 // exactly that request's work — no double counting.
 func (m *metrics) absorb(st exper.Stats) {
-	m.ncodeFallbacks.Add(st.NCodeFallbacks)
-	m.bcodeFallbacks.Add(st.BCodeFallbacks)
-	m.traceRecaptures.Add(st.TraceRecaptures)
-	m.interpFallbacks.Add(st.InterpFallbacks)
-	m.cellFailures.Add(st.CellFailures)
-	m.cellPanics.Add(st.CellPanics)
-	m.fuelExhausted.Add(st.FuelExhausted)
-	m.deadlineExceeded.Add(st.DeadlineExceeded)
-	m.faultsInjected.Add(st.FaultsInjected)
+	m.mu.Lock()
+	m.degradation.Add(st.Resilience)
+	m.mu.Unlock()
 }
 
 // Metrics is the /metrics document.
@@ -68,17 +58,11 @@ type Metrics struct {
 		QueueDepth          int64 `json:"queue_depth"`
 		Draining            bool  `json:"draining"`
 	} `json:"server"`
+	// Degradation is the running total of every request's exper.Resilience
+	// counters, plus the shared caches' tier-ups.
 	Degradation struct {
-		NCodeFallbacks   int64 `json:"ncode_fallbacks"`
-		BCodeFallbacks   int64 `json:"bcode_fallbacks"`
-		TraceRecaptures  int64 `json:"trace_recaptures"`
-		InterpFallbacks  int64 `json:"interp_fallbacks"`
-		CellFailures     int64 `json:"cell_failures"`
-		CellPanics       int64 `json:"cell_panics"`
-		FuelExhausted    int64 `json:"fuel_exhausted"`
-		DeadlineExceeded int64 `json:"deadline_exceeded"`
-		FaultsInjected   int64 `json:"faults_injected"`
-		TierUps          int64 `json:"tier_ups"`
+		exper.Resilience
+		TierUps int64 `json:"tier_ups"`
 	} `json:"degradation"`
 	Cache struct {
 		Compiled  int64 `json:"compiled"`
@@ -87,19 +71,8 @@ type Metrics struct {
 		BCodeLen  int   `json:"bcode_len"`
 		NCodeLen  int   `json:"ncode_len"`
 	} `json:"cache"`
-	Store *StoreMetrics `json:"store,omitempty"`
-}
-
-// StoreMetrics mirrors store.Stats for the /metrics document.
-type StoreMetrics struct {
-	Hits           int64 `json:"hits"`
-	Misses         int64 `json:"misses"`
-	MemHits        int64 `json:"mem_hits"`
-	Puts           int64 `json:"puts"`
-	Evictions      int64 `json:"evictions"`
-	CorruptDropped int64 `json:"corrupt_dropped"`
-	IOShortReads   int64 `json:"io_short_reads"`
-	IOOpenErrors   int64 `json:"io_open_errors"`
+	// Store is the shared artifact store's counters (absent without one).
+	Store *store.Stats `json:"store,omitempty"`
 }
 
 // Snapshot assembles the current /metrics document.
@@ -116,15 +89,9 @@ func (s *Server) Snapshot() *Metrics {
 	out.Server.QueueDepth = s.adm.QueueDepth()
 	out.Server.Draining = s.draining.Load()
 
-	out.Degradation.NCodeFallbacks = s.met.ncodeFallbacks.Load()
-	out.Degradation.BCodeFallbacks = s.met.bcodeFallbacks.Load()
-	out.Degradation.TraceRecaptures = s.met.traceRecaptures.Load()
-	out.Degradation.InterpFallbacks = s.met.interpFallbacks.Load()
-	out.Degradation.CellFailures = s.met.cellFailures.Load()
-	out.Degradation.CellPanics = s.met.cellPanics.Load()
-	out.Degradation.FuelExhausted = s.met.fuelExhausted.Load()
-	out.Degradation.DeadlineExceeded = s.met.deadlineExceeded.Load()
-	out.Degradation.FaultsInjected = s.met.faultsInjected.Load()
+	s.met.mu.Lock()
+	out.Degradation.Resilience = s.met.degradation
+	s.met.mu.Unlock()
 	// Tier-ups are counted where promotion happens: in the shared caches'
 	// counters, not in any request's private Runner.
 	out.Degradation.TierUps = s.ctrs.TierUps.Load()
@@ -137,16 +104,7 @@ func (s *Server) Snapshot() *Metrics {
 
 	if s.cfg.Store != nil {
 		st := s.cfg.Store.Stats()
-		out.Store = &StoreMetrics{
-			Hits:           st.Hits,
-			Misses:         st.Misses,
-			MemHits:        st.MemHits,
-			Puts:           st.Puts,
-			Evictions:      st.Evictions,
-			CorruptDropped: st.CorruptDropped,
-			IOShortReads:   st.IOShortReads,
-			IOOpenErrors:   st.IOOpenErrors,
-		}
+		out.Store = &st
 	}
 	return &out
 }

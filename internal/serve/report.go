@@ -56,17 +56,13 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	exec := s.exec
-	switch q.Get("exec") {
-	case "":
-	case "native":
-		exec = sim.ExecNative
-	case "bcode":
-		exec = sim.ExecBytecode
-	case "tree":
-		exec = sim.ExecTree
-	default:
-		writeError(w, badRequest(fmt.Sprintf("unknown exec tier %q (want native, bcode or tree)", q.Get("exec"))))
-		return
+	if name := q.Get("exec"); name != "" {
+		mode, ok := sim.ParseExecMode(name)
+		if !ok {
+			writeError(w, badRequest(fmt.Sprintf("unknown exec tier %q (want native, bcode or tree)", name)))
+			return
+		}
+		exec = mode
 	}
 
 	// The report shares the eval path's budgets: the server's fuel cap and

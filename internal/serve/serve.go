@@ -141,15 +141,13 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{cfg: cfg, adm: newAdmission(cfg.MaxInflight, cfg.MaxQueue)}
-	switch cfg.Exec {
-	case "", "native":
-		s.exec = sim.ExecNative
-	case "bcode":
-		s.exec = sim.ExecBytecode
-	case "tree":
-		s.exec = sim.ExecTree
-	default:
-		panic(fmt.Sprintf("serve: unknown Config.Exec %q (want native, bcode or tree)", cfg.Exec))
+	s.exec = sim.ExecNative
+	if cfg.Exec != "" {
+		mode, ok := sim.ParseExecMode(cfg.Exec)
+		if !ok {
+			panic(fmt.Sprintf("serve: unknown Config.Exec %q (want native, bcode or tree)", cfg.Exec))
+		}
+		s.exec = mode
 	}
 	s.bc = bcode.NewCache(&s.ctrs)
 	s.nc = ncode.NewCache(&s.ctrs)

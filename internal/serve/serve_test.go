@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -536,5 +538,92 @@ func TestDedupSharesResult(t *testing.T) {
 		// unlikely, but don't fail the build on a scheduling fluke — the
 		// deterministic dedup contract is TestFlightGroup's job.
 		t.Log("no dedup observed (scheduling fluke); flight semantics covered by TestFlightGroup")
+	}
+}
+
+// keyPaths returns the sorted dotted paths of every scalar in a JSON object.
+func keyPaths(t *testing.T, data []byte) []string {
+	t.Helper()
+	var doc map[string]any
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var paths []string
+	var walk func(prefix string, v map[string]any)
+	walk = func(prefix string, v map[string]any) {
+		for k, x := range v {
+			if m, ok := x.(map[string]any); ok {
+				walk(prefix+k+".", m)
+			} else {
+				paths = append(paths, prefix+k)
+			}
+		}
+	}
+	walk("", doc)
+	sort.Strings(paths)
+	return paths
+}
+
+// TestStatsAndMetricsSchema pins the key sets of /v1/eval's stats and of
+// /metrics, the documents clients and the CI smoke jobs read.
+func TestStatsAndMetricsSchema(t *testing.T) {
+	degradation := []string{
+		"bcode_fallbacks", "cell_failures", "cell_panics", "deadline_exceeded", "faults_injected",
+		"fuel_exhausted", "interp_fallbacks", "ncode_fallbacks", "trace_recaptures",
+	}
+	prefixed := func(prefix string, keys ...string) []string {
+		out := make([]string, len(keys))
+		for i, k := range keys {
+			out[i] = prefix + k
+		}
+		return out
+	}
+	// A leader's stats; a deduplicated follower's add "deduped".
+	wantStats := append([]string{"elapsed_ms", "exec", "fuel"}, degradation...)
+	wantMetrics := slices.Concat(
+		prefixed("cache.", "bcode_len", "compiled", "evictions", "hits", "ncode_len"),
+		prefixed("degradation.", append(slices.Clone(degradation), "tier_ups")...),
+		prefixed("server.", "admission_rejections", "dedup_hits", "drain_rejections", "draining",
+			"eval_errors", "evals", "inflight", "queue_depth", "reports", "requests"),
+	)
+	wantStore := prefixed("store.", "bytes_read", "bytes_written", "corrupt_dropped", "evictions", "hits",
+		"io_open_errors", "io_short_reads", "mem_hits", "misses", "puts")
+	sort.Strings(wantStats)
+	sort.Strings(wantMetrics)
+
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []Config{{}, {Store: st}} {
+		_, ts := newTestServer(t, cfg)
+		body, err := json.Marshal(EvalRequest{Bench: "fft", Pipeline: "NAIVE", MemLat: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/eval", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eval struct {
+			Stats json.RawMessage `json:"stats"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&eval)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := keyPaths(t, eval.Stats); !slices.Equal(got, wantStats) {
+			t.Errorf("/v1/eval stats keys:\ngot  %v\nwant %v", got, wantStats)
+		}
+
+		_, _, metrics := get(t, ts.URL+"/metrics")
+		want := wantMetrics
+		if cfg.Store != nil {
+			want = slices.Concat(wantMetrics, wantStore)
+		}
+		if got := keyPaths(t, metrics); !slices.Equal(got, want) {
+			t.Errorf("/metrics keys (store %t):\ngot  %v\nwant %v", cfg.Store != nil, got, want)
+		}
 	}
 }

@@ -38,6 +38,17 @@ func (m ExecMode) String() string {
 	return fmt.Sprintf("execmode(%d)", int(m))
 }
 
+// ParseExecMode returns the backend whose String is name: "native", "bcode"
+// or "tree". Callers word their own error for any other name.
+func ParseExecMode(name string) (ExecMode, bool) {
+	for _, m := range []ExecMode{ExecBytecode, ExecTree, ExecNative} {
+		if m.String() == name {
+			return m, true
+		}
+	}
+	return 0, false
+}
+
 // execBC executes one tree through its compiled bytecode, mirroring execTree
 // exactly: same operation accounting, commit bits, trace patterns and
 // profiling. Trees the compiler declined fall back to the tree walker.

@@ -722,17 +722,6 @@ func (r *Runner) clamp(a int64) int64 {
 	return a
 }
 
-func guardOK(op *ir.Op, regs []ir.Value) bool {
-	if op.Guard == ir.NoReg {
-		return true
-	}
-	nz := regs[op.Guard].I != 0
-	if op.GuardNeg {
-		return !nz
-	}
-	return nz
-}
-
 // execTree executes one tree over the register frame, returning the taken
 // exit op. Ops run in Seq order, which is a topological order of the
 // dependence graph (see treeCtx).

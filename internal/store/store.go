@@ -106,29 +106,35 @@ const footerSize = 12
 var ErrCorrupt = errors.New("store: corrupt artifact")
 
 // Stats are the store's cumulative counters. All fields are totals since
-// Open; a Stats value is a snapshot, not an atomic cut.
+// Open; a Stats value is a snapshot, not an atomic cut. The JSON names are
+// the schema of the store section of spdbench's BENCH_spdbench.json and of
+// spdd's /metrics.
 type Stats struct {
 	// Hits counts Gets served (from the memory front or disk); Misses the
 	// Gets that found nothing usable. Hits + Misses == Gets.
-	Hits, Misses int64
+	Hits   int64 `json:"hits"`
+	Misses int64 `json:"misses"`
 	// MemHits is the subset of Hits served from the in-memory LRU front
 	// without touching disk.
-	MemHits int64
+	MemHits int64 `json:"mem_hits"`
 	// Puts counts artifacts written; BytesWritten their total payload bytes
 	// (excluding footers). BytesRead totals payload bytes read from disk.
-	Puts, BytesRead, BytesWritten int64
+	Puts         int64 `json:"puts"`
+	BytesRead    int64 `json:"bytes_read"`
+	BytesWritten int64 `json:"bytes_written"`
 	// Evictions counts entries dropped from the memory front on capacity.
-	Evictions int64
+	Evictions int64 `json:"evictions"`
 	// CorruptDropped counts on-disk artifacts deleted because they failed
 	// the footer check or their typed decoder; each one cost its caller a
 	// recompute and was repaired by the subsequent Put.
-	CorruptDropped int64
+	CorruptDropped int64 `json:"corrupt_dropped"`
 	// IOShortReads and IOOpenErrors count injected store I/O faults
 	// (ArmIOFaults): short reads surface as corruption (the footer check
 	// fails, the file is dropped and repaired by the recompute's Put), while
 	// transient open errors surface as a plain miss with the file left
 	// intact, so the next Get succeeds.
-	IOShortReads, IOOpenErrors int64
+	IOShortReads int64 `json:"io_short_reads"`
+	IOOpenErrors int64 `json:"io_open_errors"`
 }
 
 // DefaultMemBytes is the default capacity of the in-memory LRU front.
