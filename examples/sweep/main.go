@@ -35,15 +35,17 @@ func main() {
 	}
 
 	r := exper.New()
+	// Asking for the SPEC program before measuring it keeps the runner from
+	// releasing it after the measurement.
+	prep, err := r.Prepared(b, disamb.Spec, *memLat)
+	if err != nil {
+		log.Fatal(err)
+	}
 	st, err := r.Measure(b, disamb.Static, *memLat)
 	if err != nil {
 		log.Fatal(err)
 	}
 	sp, err := r.Measure(b, disamb.Spec, *memLat)
-	if err != nil {
-		log.Fatal(err)
-	}
-	prep, err := r.Prepared(b, disamb.Spec, *memLat)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -23,11 +23,16 @@ type Env struct {
 
 	// Profiling asks for the per-Seq commit and address tables used by
 	// profiling runs: Committed[seq] for guarded instructions and
-	// Addrs[seq] for memory instructions. Both are indexed by instruction
-	// position (== ir.Op.Seq) and must cover the whole program.
+	// Addrs[seq] for memory instructions — the address operand as computed,
+	// before the clamp, which is what an address compare sees. Both are
+	// indexed by instruction position (== ir.Op.Seq) and must cover the
+	// whole program. Olds, when non-nil under Profiling, receives at
+	// Olds[seq] the word each committed store overwrote, so a caller can
+	// restore the memory a tree execution started from.
 	Profiling bool
 	Committed []bool
 	Addrs     []int64
+	Olds      []ir.Value
 }
 
 // Exec runs the program over env and reports the taken exit's instruction
@@ -171,7 +176,11 @@ func (p *Prog) Exec(env *Env) (taken, dup int, ncommit int64) {
 		case Load:
 			regs[in.Dest] = mem[env.specAddr(pc, regs[in.A].I, memHi, profiling)]
 		case Store:
-			mem[env.specAddr(pc, regs[in.A].I, memHi, profiling)] = regs[in.B]
+			a := env.specAddr(pc, regs[in.A].I, memHi, profiling)
+			if env.Olds != nil {
+				env.Olds[pc] = mem[a]
+			}
+			mem[a] = regs[in.B]
 		case PrintI:
 			env.Print(regs[in.A], false)
 		case PrintF:
@@ -190,17 +199,18 @@ func (p *Prog) Exec(env *Env) (taken, dup int, ncommit int64) {
 // specAddr resolves one memory instruction's effective address: the
 // speculative address is clamped into the memory image (non-faulting memory,
 // so a garbage address from a squashed path reads or writes a real word
-// instead of trapping) and, under profiling, recorded in the per-Seq address
-// table — the dependence profiler observes every issued access, committed or
-// squashed. Shared by the Load, Store and squashed-guard paths.
+// instead of trapping) and, under profiling, recorded unclamped in the
+// per-Seq address table — the dependence profiler observes every issued
+// access, committed or squashed. Shared by the Load, Store and
+// squashed-guard paths.
 func (env *Env) specAddr(pc int, a, memHi int64, profiling bool) int64 {
+	if profiling {
+		env.Addrs[pc] = a
+	}
 	if a < 0 {
 		a = 0
 	} else if a > memHi {
 		a = memHi
-	}
-	if profiling {
-		env.Addrs[pc] = a
 	}
 	return a
 }

@@ -198,23 +198,29 @@ func PrepareOpts(src string, o Options) (*Prepared, error) {
 // pointers into the interpreted program), the run's output, and its
 // execution trace. NAIVE, STATIC and PERFECT execute exactly the interpreted
 // operation stream (their transforms change arcs only), so Trace replays
-// against all three; SPEC's transformed program needs its own (Capture).
+// against all three; SPEC's transformed program executes differently, and
+// Derive builds its trace from the run's execution keys instead.
 type Profiled struct {
 	Profile *sim.Profile
 	Output  string
 	Trace   *trace.Trace
+	// Prog is the program profiled (ProfileRun's argument, never mutated by
+	// the run), and Keys the run's execution keys and their witnesses.
+	Prog *ir.Program
+	Keys *sim.KeyLog
 }
 
-// ProfileRun interprets prog once, profiling and recording it, under o's
-// execution settings: Exec, TierUp, MaxOps, Ctx and the compiled-code
-// caches (MemLat only names the semantic model). The run executes a private
-// clone that is dropped when it returns, so prog stays untouched and may be
-// shared.
+// ProfileRun interprets prog once, profiling and recording it and keeping
+// its execution keys (sim.Runner.Keys), under o's execution settings: Exec,
+// TierUp, MaxOps, Ctx and the compiled-code caches (MemLat only names the
+// semantic model). The run executes a private clone that is dropped when it
+// returns, so prog stays untouched and may be shared; Derive reads it, so it
+// must not change while the run is in use.
 func ProfileRun(prog *ir.Program, o Options) (*Profiled, error) {
 	bc, nc := o.caches()
 	rec := trace.NewRecorder()
-	run := &Profiled{Profile: sim.NewProfile()}
-	r := &sim.Runner{Prog: prog.Clone(), SemLat: machine.Infinite(o.MemLat).LatencyFunc(), Prof: run.Profile, Rec: rec, MaxOps: o.MaxOps, Ctx: o.Ctx, Exec: o.Exec, TierUp: o.TierUp, BCode: bc, NCode: nc}
+	run := &Profiled{Profile: sim.NewProfile(), Prog: prog, Keys: &sim.KeyLog{Trees: speculable(prog)}}
+	r := &sim.Runner{Prog: prog.Clone(), SemLat: machine.Infinite(o.MemLat).LatencyFunc(), Prof: run.Profile, Rec: rec, Keys: run.Keys, MaxOps: o.MaxOps, Ctx: o.Ctx, Exec: o.Exec, TierUp: o.TierUp, BCode: bc, NCode: nc}
 	res, err := r.Run()
 	if err != nil {
 		return nil, fmt.Errorf("profiling run: %w", err)
@@ -222,6 +228,26 @@ func ProfileRun(prog *ir.Program, o Options) (*Profiled, error) {
 	run.Output = res.Output
 	run.Trace = rec.Finish(res.Ops, res.Committed)
 	return run, nil
+}
+
+// speculable marks, by PIdx, the trees of prog SpD may transform: those
+// with an arc that stays ambiguous under static disambiguation, which SpD
+// runs first (alias.ResolveTree removes the arcs it disproves and makes
+// the ones it proves definite). Only their executions need keys.
+func speculable(prog *ir.Program) []bool {
+	trees := treesByPIdx(prog)
+	marks := make([]bool, len(trees))
+	for i, t := range trees {
+		if t == nil {
+			continue
+		}
+		for _, a := range t.Arcs {
+			if v := alias.Test(a.From.Ref, a.To.Ref); a.Ambiguous && v != alias.VerdictNo && v != alias.VerdictAlways {
+				marks[i] = true
+			}
+		}
+	}
+	return marks
 }
 
 // PrepareFrom is PrepareOpts for a program whose profiling run already

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"specdis/internal/bcode"
+	"specdis/internal/compile"
 	"specdis/internal/ir"
 	"specdis/internal/machine"
 	"specdis/internal/ncode"
@@ -115,6 +116,9 @@ func (r *LintReport) Clean() bool { return len(r.Findings) == 0 }
 
 // Lint prepares src under all four disambiguators and every configured
 // memory latency and runs the full verifier battery over each result. The
+// source is compiled once and profiled at most once: every cell prepares a
+// private clone of the compiled program, and the cells that read a profile
+// share one ProfileRun, taken when the first of them needs it. The
 // returned error covers infrastructure failures only (the source does not
 // compile, an uncorrupted program fails to run); invariant violations are
 // Findings in the report.
@@ -136,6 +140,22 @@ func Lint(src string, o LintOptions) (*LintReport, error) {
 		maxOps = DefaultLintMaxOps
 	}
 
+	// One pair of compiled-code caches for every cell, unless the caller
+	// shares its own.
+	if o.BCode == nil {
+		o.BCode = bcode.NewCache(nil)
+	}
+	if o.NCode == nil {
+		o.NCode = ncode.NewCache(nil)
+	}
+	prog, err := compile.Compile(src)
+	if err != nil {
+		return nil, fmt.Errorf("lint %s/mem%d: %w", Kinds[0], memLats[0], err)
+	}
+	var run *Profiled
+	var runErr error
+	profiled := false
+
 	rep := &LintReport{}
 	// NAIVE's checked cell doubles as the arc-lattice base for every
 	// refined pipeline: its conservative arc set must be a superset of
@@ -149,7 +169,22 @@ func Lint(src string, o LintOptions) (*LintReport, error) {
 				break
 			}
 			cell := fmt.Sprintf("%s/mem%d", kind, lat)
-			p, err := PrepareOpts(src, Options{Kind: kind, MemLat: lat, SpD: params, Exec: o.Exec, MaxOps: maxOps, BCode: o.BCode, NCode: o.NCode})
+			po := Options{Kind: kind, MemLat: lat, SpD: params, Exec: o.Exec, MaxOps: maxOps, BCode: o.BCode, NCode: o.NCode, Prog: prog.Clone()}
+			var p *Prepared
+			if !kind.ReadsProfile() {
+				p, err = PrepareFrom(nil, po)
+			} else {
+				if !profiled {
+					profiled = true
+					run, runErr = ProfileRun(prog, po)
+				}
+				if err = runErr; err == nil {
+					p, err = PrepareFrom(run, po)
+				} else {
+					// Worded as the cell's own profiling run.
+					err = fmt.Errorf("%s %w", kind, err)
+				}
+			}
 			if err != nil {
 				if cls := resilience.Classify(err); cls == resilience.ClassFuel || cls == resilience.ClassDeadline {
 					rep.Stats.Skipped++

@@ -86,10 +86,12 @@ type TraceStats struct {
 	// "interp" when every cell interprets its own program.
 	Mode string `json:"mode"`
 	// TraceCaptures counts distinct execution traces materialized, whether
-	// recorded by a shared profiling run or captured by a dedicated recording
-	// interpretation. TraceHits counts trace requests served from the cache
-	// instead.
+	// recorded by a shared profiling run, derived from its execution keys, or
+	// captured by a dedicated recording interpretation; TraceDerived counts
+	// the derived ones among them. TraceHits counts trace requests served
+	// from the cache instead.
 	TraceCaptures int64 `json:"captures"`
+	TraceDerived  int64 `json:"derived"`
 	TraceHits     int64 `json:"cache_hits"`
 	// TraceEvents and TraceBytes total the recorded events and the encoded
 	// histogram bytes of all captured traces.
@@ -200,6 +202,7 @@ func (r *Runner) Stats() Stats {
 		TraceStats: TraceStats{
 			Mode:          traceMode,
 			TraceCaptures: captures,
+			TraceDerived:  r.nTraceDerived.Load(),
 			TraceHits:     reqs - captures,
 			TraceEvents:   r.nTraceEvents.Load(),
 			TraceBytes:    r.nTraceBytes.Load(),

@@ -107,7 +107,7 @@ type Runner struct {
 
 	base   group[string, *ir.Program]
 	runs   group[string, *disamb.Profiled]
-	prep   group[prepKey, *disamb.Prepared]
+	prep   group[prepKey, *prepCell]
 	meas   group[prepKey, *measCell]
 	traces group[prepKey, *trace.Trace]
 	sums   group[prepKey, *store.PrepSummary]
@@ -121,6 +121,7 @@ type Runner struct {
 	nSimOps         atomic.Int64
 	nTraceReqs      atomic.Int64
 	nTraceCaptures  atomic.Int64
+	nTraceDerived   atomic.Int64
 	nTraceEvents    atomic.Int64
 	nTraceBytes     atomic.Int64
 	nReplayCells    atomic.Int64
@@ -225,6 +226,17 @@ func latSlot(memLat int) (int, bool) {
 	return 0, false
 }
 
+// prepCell is one cached preparation: its summary for good, and the
+// prepared program until the measurement cell that reads it is done (see
+// Prepared).
+type prepCell struct {
+	sum *store.PrepSummary
+
+	mu     sync.Mutex
+	p      *disamb.Prepared // nil once released
+	pinned bool             // asked for through Prepared: never released
+}
+
 // Prepared returns (building and caching) the program for one pipeline.
 //
 // Pipelines that are not latency-sensitive share a single canonical cell
@@ -233,41 +245,104 @@ func latSlot(memLat int) (int, bool) {
 // order under every semantic model), so preparing per latency would only
 // duplicate work. PERFECT and both SPEC cells read one shared profiling run
 // of the benchmark (profiled) instead of interpreting it themselves.
+//
+// A measurement cell releases the program it measured once it is done,
+// since nothing in the evaluation grid reads it again (summaries are kept
+// apart), so a runner does not hold every prepared program to the end. A
+// program asked for here is never released; asking for one that was
+// prepares it again.
 func (r *Runner) Prepared(b *bench.Benchmark, kind disamb.Kind, memLat int) (*disamb.Prepared, error) {
-	key := prepKey{b.Name, kind, memLat}
+	return r.prepared(b, kind, memLat, true)
+}
+
+// prepKeyOf returns the cache key of a pipeline's preparation at memLat,
+// and the latency it is prepared for.
+func prepKeyOf(b *bench.Benchmark, kind disamb.Kind, memLat int) (prepKey, int) {
 	if !kind.LatencySensitive() {
-		key.memLat = 0
-		memLat = MemLats[0]
+		return prepKey{b.Name, kind, 0}, MemLats[0]
 	}
-	return r.prep.Do(key, func() (*disamb.Prepared, error) {
-		base, err := r.compiled(b)
+	return prepKey{b.Name, kind, memLat}, memLat
+}
+
+// prepCell returns (building and caching) one preparation cell.
+func (r *Runner) prepCell(b *bench.Benchmark, kind disamb.Kind, memLat int) (*prepCell, error) {
+	key, memLat := prepKeyOf(b, kind, memLat)
+	return r.prep.Do(key, func() (*prepCell, error) {
+		p, err := r.prepare(b, kind, key.memLat, memLat)
 		if err != nil {
 			return nil, err
 		}
-		r.nPrepares.Add(1)
-		var run *disamb.Profiled
-		if kind.ReadsProfile() {
-			if run, err = r.profiled(b); err != nil {
-				return nil, r.failCell(inherit(err, b.Name, kind, key.memLat), b.Name, kind, key.memLat, "prepare")
-			}
+		sum := &store.PrepSummary{BaseOps: p.BaseOps, AfterOps: p.Prog.OpCount(), Grafts: p.Grafts}
+		if p.SpD != nil {
+			sum.RAW, sum.WAR, sum.WAW = p.SpD.RAW, p.SpD.WAR, p.SpD.WAW
 		}
-		p, err := onLadder(r, r.Exec, func(mode sim.ExecMode) (p *disamb.Prepared, err error) {
-			// The preparation is a cell boundary: a panic anywhere in the
-			// pipeline is recovered into a structured CellError instead of
-			// killing the grid. A retried preparation keeps its rung's
-			// backend for every later run of this cell.
-			defer resilience.Recover(&err, b.Name, kind.String(), key.memLat, "prepare")
-			o := r.options(kind, memLat, mode)
-			// All of a benchmark's cells start from private clones of one
-			// compilation; each pipeline mutates only its own clone.
-			o.Prog = base.Clone()
-			return disamb.PrepareFrom(run, o)
-		})
-		if err != nil {
-			return nil, r.failCell(err, b.Name, kind, key.memLat, "prepare")
-		}
-		return p, nil
+		return &prepCell{sum: sum, p: p}, nil
 	})
+}
+
+// prepared returns a preparation cell's program, pinning it when pin is
+// set, and preparing it again if a measurement released it.
+func (r *Runner) prepared(b *bench.Benchmark, kind disamb.Kind, memLat int, pin bool) (*disamb.Prepared, error) {
+	c, err := r.prepCell(b, kind, memLat)
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.pinned = c.pinned || pin
+	if c.p == nil {
+		key, memLat := prepKeyOf(b, kind, memLat)
+		if c.p, err = r.prepare(b, kind, key.memLat, memLat); err != nil {
+			return nil, err
+		}
+	}
+	return c.p, nil
+}
+
+// release drops a preparation cell's program unless it is pinned.
+func (r *Runner) release(b *bench.Benchmark, kind disamb.Kind, memLat int) {
+	c, err := r.prepCell(b, kind, memLat) // cached: the caller measured it
+	if err != nil {
+		return
+	}
+	c.mu.Lock()
+	if !c.pinned {
+		c.p = nil
+	}
+	c.mu.Unlock()
+}
+
+// prepare runs one preparation: a private clone of the benchmark's
+// compiled base through the pipeline, on the execution-backend ladder.
+// cellLat is the cell's canonical latency, memLat the one it targets.
+func (r *Runner) prepare(b *bench.Benchmark, kind disamb.Kind, cellLat, memLat int) (*disamb.Prepared, error) {
+	base, err := r.compiled(b)
+	if err != nil {
+		return nil, err
+	}
+	r.nPrepares.Add(1)
+	var run *disamb.Profiled
+	if kind.ReadsProfile() {
+		if run, err = r.profiled(b); err != nil {
+			return nil, r.failCell(inherit(err, b.Name, kind, cellLat), b.Name, kind, cellLat, "prepare")
+		}
+	}
+	p, err := onLadder(r, r.Exec, func(mode sim.ExecMode) (p *disamb.Prepared, err error) {
+		// The preparation is a cell boundary: a panic anywhere in the
+		// pipeline is recovered into a structured CellError instead of
+		// killing the grid. A retried preparation keeps its rung's
+		// backend for every later run of this cell.
+		defer resilience.Recover(&err, b.Name, kind.String(), cellLat, "prepare")
+		o := r.options(kind, memLat, mode)
+		// All of a benchmark's cells start from private clones of one
+		// compilation; each pipeline mutates only its own clone.
+		o.Prog = base.Clone()
+		return disamb.PrepareFrom(run, o)
+	})
+	if err != nil {
+		return nil, r.failCell(err, b.Name, kind, cellLat, "prepare")
+	}
+	return p, nil
 }
 
 // profiled returns (running and caching) a benchmark's shared profiling run:
@@ -321,8 +396,8 @@ func (r *Runner) compiled(b *bench.Benchmark) (*ir.Program, error) {
 	})
 }
 
-// traceFor returns (capturing and caching) the execution trace replayed for
-// one measurement cell.
+// traceFor returns (deriving or capturing, and caching) the execution trace
+// replayed for one measurement cell.
 //
 // Traces depend only on what a cell's program *executes*, never on arcs or
 // schedules, so all latency-insensitive pipelines of a benchmark share one
@@ -331,8 +406,10 @@ func (r *Runner) compiled(b *bench.Benchmark) (*ir.Program, error) {
 // the trace the benchmark's shared profiling run recorded, so it costs no
 // interpretation of its own; a failed run fails it as PERFECT's
 // preparation, which reads the same run. SPEC's transformed programs get
-// their own per-latency traces, captured by one interpretation each
-// (disamb.Capture).
+// their own per-latency traces, derived from the same run's execution keys
+// (disamb.Derive) or, whenever the derivation declines, captured by one
+// interpretation each (disamb.Capture), which fails exactly as it always
+// did.
 func (r *Runner) traceFor(b *bench.Benchmark, kind disamb.Kind, memLat int) (*trace.Trace, error) {
 	key := prepKey{b.Name, kind, memLat}
 	if !kind.LatencySensitive() {
@@ -342,14 +419,23 @@ func (r *Runner) traceFor(b *bench.Benchmark, kind disamb.Kind, memLat int) (*tr
 	return r.traces.Do(key, func() (*trace.Trace, error) {
 		var tr *trace.Trace
 		if kind.LatencySensitive() {
-			p, err := r.Prepared(b, kind, memLat)
+			p, err := r.prepared(b, kind, memLat, false)
+			if err != nil {
+				return nil, err
+			}
+			run, err := r.profiled(b) // cached: the preparation read it
 			if err != nil {
 				return nil, err
 			}
 			r.nTraceCaptures.Add(1)
 			tr, err = func() (tr *trace.Trace, err error) {
-				// The capture run is a cell boundary too: contain crashes.
+				// Deriving or capturing is a cell boundary too: contain
+				// crashes.
 				defer resilience.Recover(&err, b.Name, kind.String(), memLat, "capture")
+				if tr, err := disamb.Derive(p, run); err == nil {
+					r.nTraceDerived.Add(1)
+					return tr, nil
+				}
 				return disamb.Capture(p)
 			}()
 			if err != nil {
@@ -402,9 +488,13 @@ func (r *Runner) Measure(b *bench.Benchmark, kind disamb.Kind, memLat int) (*Mea
 				}
 			}
 		}
-		p, err := r.Prepared(b, kind, memLat)
+		p, err := r.prepared(b, kind, memLat, false)
 		if err != nil {
 			return nil, err // registered by Prepared at its origin
+		}
+		if key.memLat == 0 || kind.LatencySensitive() {
+			// This is the grid's only reader of the program (see Prepared).
+			defer r.release(b, kind, memLat)
 		}
 		models := make([]machine.Model, 0, len(lats)*(MaxWidth+1))
 		for _, lat := range lats {

@@ -54,6 +54,14 @@ func TestTable63Shape(t *testing.T) {
 	if sum.raw2() != total.RAW2 || sum.waw6() != total.WAW6 {
 		t.Error("TOTAL row does not sum the benchmark rows")
 	}
+	// A slower memory only makes more dependences worth speculating on
+	// (§6.2): no count falls from 2- to 6-cycle memory (smooft's RAW count
+	// grows 10 -> 14).
+	for _, r := range rows {
+		if r.RAW6 < r.RAW2 || r.WAR6 < r.WAR2 || r.WAW6 < r.WAW2 {
+			t.Errorf("%s: applications fall from 2- to 6-cycle memory: %+v", r.Program, r)
+		}
+	}
 }
 
 type Table63 []exper.Table63Row
@@ -81,23 +89,27 @@ func TestFigure62Shape(t *testing.T) {
 	if len(rows) != 2*len(bench.All()) {
 		t.Fatalf("got %d rows", len(rows))
 	}
-	for _, r := range rows {
-		// PERFECT removes a superset of what STATIC removes; with the same
-		// scheduler it should never lose to STATIC by more than scheduling
-		// noise.
-		if r.Perfect < r.Static-0.02 {
-			t.Errorf("%s m%d: PERFECT (%.3f) below STATIC (%.3f)", r.Program, r.MemLat, r.Perfect, r.Static)
-		}
+	// Every row orders the disambiguators as their arc sets nest: NAIVE
+	// (speedup 0) <= STATIC <= SPEC <= PERFECT. The named exceptions are
+	// the §6.3 programs where SPEC beats PERFECT, and the test requires
+	// them to stay exceptions.
+	specBeatsPerfect := map[string]string{
+		"quick": "§6.3: the partition stores alias ~14% of the time, so even " +
+			"a perfect static disambiguator keeps the arc; SpD wins the other 86% dynamically",
+		"boolmin": "the espresso stand-in's arcs alias on some executions: the same trade as quick",
 	}
-	// The headline anecdote (§6.3): on quick, SPEC beats PERFECT.
-	found := false
 	for _, r := range rows {
-		if r.Program == "quick" && r.Spec > r.Perfect {
-			found = true
+		if r.Static < 0 || r.Spec < r.Static {
+			t.Errorf("%s m%d: want 0 <= STATIC <= SPEC, got %.4f, %.4f", r.Program, r.MemLat, r.Static, r.Spec)
 		}
-	}
-	if !found {
-		t.Error("quick: SPEC never outperforms PERFECT (paper's Figure 6-2 anecdote)")
+		if why, ok := specBeatsPerfect[r.Program]; ok {
+			if !(r.Static <= r.Perfect && r.Perfect < r.Spec) {
+				t.Errorf("%s m%d: no longer STATIC <= PERFECT < SPEC (%s): %.4f, %.4f, %.4f",
+					r.Program, r.MemLat, why, r.Static, r.Perfect, r.Spec)
+			}
+		} else if r.Perfect < r.Spec {
+			t.Errorf("%s m%d: PERFECT (%.4f) below SPEC (%.4f)", r.Program, r.MemLat, r.Perfect, r.Spec)
+		}
 	}
 }
 
@@ -118,19 +130,14 @@ func TestFigure63Shape(t *testing.T) {
 		t.Fatalf("non-NRC program %s in Figure 6-3", r.Program)
 	ok:
 	}
-	// §6.3: SpD slows narrow machines down and pays off on wide ones: at
-	// least one benchmark must show a negative at 1 FU and a positive at 8.
-	var sawNeg, sawPos bool
+	// §6.3: SpD's extra operations slow a 1-FU machine down on every NRC
+	// program, and its shorter paths pay off on an 8-FU one, at both
+	// latencies.
 	for _, r := range rows {
-		if r.Speedup[0] < 0 {
-			sawNeg = true
+		if r.Speedup[0] >= 0 || r.Speedup[exper.MaxWidth-1] <= 0 {
+			t.Errorf("%s m%d: want a loss at 1 FU and a gain at %d FU, got %.4f and %.4f",
+				r.Program, r.MemLat, exper.MaxWidth, r.Speedup[0], r.Speedup[exper.MaxWidth-1])
 		}
-		if r.Speedup[exper.MaxWidth-1] > 0.05 {
-			sawPos = true
-		}
-	}
-	if !sawNeg || !sawPos {
-		t.Errorf("resource crossover missing: neg@1FU=%v pos@8FU=%v", sawNeg, sawPos)
 	}
 }
 

@@ -299,3 +299,40 @@ func TestSharedProfileFailureAttribution(t *testing.T) {
 		}
 	}
 }
+
+// TestDeclinedDerivationFailsAsCapture pins how a budget the derivation
+// cannot honour surfaces: with fuel enough for the profiling run but not
+// for the SPEC program, Derive declines, the capture runs out of fuel, and
+// the SPEC cell fails at stage capture with class fuel, as before
+// derivation existed; the arc-only cells still measure.
+func TestDeclinedDerivationFailsAsCapture(t *testing.T) {
+	b := bench.ByName("moment")
+	probe := exper.New()
+	probe.Benchmarks = []*bench.Benchmark{b}
+	base, err := probe.Measure(b, disamb.Naive, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := probe.Measure(b, disamb.Spec, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec.Ops <= base.Ops {
+		t.Fatalf("SPEC executes %d ops, the base program %d: no budget separates them", spec.Ops, base.Ops)
+	}
+
+	r := exper.New()
+	r.Benchmarks = []*bench.Benchmark{b}
+	r.Fuel = base.Ops
+	_, err = r.Measure(b, disamb.Spec, 6)
+	var ce *resilience.CellError
+	if !errors.As(err, &ce) || ce.Stage != "capture" || ce.Class != resilience.ClassFuel {
+		t.Fatalf("SPEC over budget: err = %v, want a fuel failure at stage capture", err)
+	}
+	if _, err := r.Measure(b, disamb.Naive, 2); err != nil {
+		t.Fatalf("NAIVE under the same budget: %v", err)
+	}
+	if st := r.Stats(); st.TraceDerived != 0 || st.CellFailures != 1 || st.FuelExhausted != 1 {
+		t.Errorf("stats = %+v, want no derived trace and one fuel failure", st)
+	}
+}

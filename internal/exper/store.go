@@ -78,18 +78,11 @@ func (r *Runner) Summary(b *bench.Benchmark, kind disamb.Kind, memLat int) (*sto
 				return s, nil
 			}
 		}
-		p, err := r.Prepared(b, kind, memLat)
+		c, err := r.prepCell(b, kind, memLat)
 		if err != nil {
 			return nil, err
 		}
-		s := &store.PrepSummary{
-			BaseOps:  p.BaseOps,
-			AfterOps: p.Prog.OpCount(),
-			Grafts:   p.Grafts,
-		}
-		if p.SpD != nil {
-			s.RAW, s.WAR, s.WAW = p.SpD.RAW, p.SpD.WAR, p.SpD.WAW
-		}
+		s := c.sum
 		if r.storeOK() {
 			store.PutPrep(r.Store, skey, s)
 		}

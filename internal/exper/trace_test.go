@@ -4,6 +4,8 @@ import (
 	"testing"
 	"time"
 
+	"specdis/internal/bench"
+	"specdis/internal/disamb"
 	"specdis/internal/exper"
 )
 
@@ -32,7 +34,7 @@ func TestTraceReplayEquivalence(t *testing.T) {
 	}
 
 	ist := interp.Stats()
-	if ist.ReplayCells != 0 || ist.TraceCaptures != 0 || ist.TraceEvents != 0 {
+	if ist.ReplayCells != 0 || ist.TraceCaptures != 0 || ist.TraceDerived != 0 || ist.TraceEvents != 0 {
 		t.Errorf("interp backend did trace work: %+v", ist)
 	}
 	if ist.InterpCells != ist.Measures {
@@ -54,6 +56,11 @@ func TestTraceReplayEquivalence(t *testing.T) {
 	}
 	if rst.TraceHits < 0 {
 		t.Errorf("negative trace cache hits: %+v", rst)
+	}
+	// Every SPEC program's trace is derived from its benchmark's profiling
+	// run: no capture interprets.
+	if want := int64(2 * len(replaySeq.Benchmarks)); rst.TraceDerived != want {
+		t.Errorf("derived %d SPEC traces, want %d: %+v", rst.TraceDerived, want, rst)
 	}
 	// Trace-class sharing: strictly fewer captures than trace requests (the
 	// arc-only pipelines share one trace per benchmark).
@@ -123,5 +130,50 @@ func TestStatsWhileWarming(t *testing.T) {
 			check(r.Stats())
 			time.Sleep(100 * time.Microsecond)
 		}
+	}
+}
+
+// TestMeasureReleasesPrepared pins the runner's hold on prepared programs:
+// a measurement cell releases the program it measured, summaries still come
+// from the preparation without repeating it, and a program asked for before
+// its measurement stays with the caller.
+func TestMeasureReleasesPrepared(t *testing.T) {
+	b := bench.ByName("fft")
+	r := exper.New()
+	r.Benchmarks = []*bench.Benchmark{b}
+	for _, lat := range exper.MemLats {
+		if _, err := r.Measure(b, disamb.Spec, lat); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Summary(b, disamb.Spec, lat); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := r.Stats().Prepares; got != 2 {
+		t.Fatalf("measuring and summarizing SPEC at both latencies prepared %d times, want 2", got)
+	}
+	if _, err := r.Prepared(b, disamb.Spec, 2); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Stats().Prepares; got != 3 {
+		t.Errorf("asking for a measured program prepared %d times in all, want 3 (it was released)", got)
+	}
+
+	pinned := exper.New()
+	pinned.Benchmarks = []*bench.Benchmark{b}
+	p, err := pinned.Prepared(b, disamb.Naive, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lat := range exper.MemLats {
+		if _, err := pinned.Measure(b, disamb.Naive, lat); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p2, err := pinned.Prepared(b, disamb.Naive, 6); err != nil || p2 != p {
+		t.Errorf("a program asked for before its measurement was not kept (err %v)", err)
+	}
+	if got := pinned.Stats().Prepares; got != 1 {
+		t.Errorf("pinned program prepared %d times, want 1", got)
 	}
 }

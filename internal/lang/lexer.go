@@ -156,6 +156,28 @@ func (l *Lexer) Next() (Token, error) {
 	return Token{}, errf(pos, "unexpected character %q", string(c))
 }
 
+// tokenBound sizes LexAll's token slice: one token per run of identifier
+// characters and one per other non-space character outside // comments,
+// plus EOF. That overcounts two-character operators, float literals and
+// block comments, and undercounts only a literal run straight into an
+// identifier ("2x"), so one allocation nearly always fits.
+func tokenBound(src string) int {
+	n := 1
+	for i := 0; i < len(src); i++ {
+		switch c := src[i]; {
+		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
+		case c == '/' && i+1 < len(src) && src[i+1] == '/':
+			for i < len(src) && src[i] != '\n' {
+				i++
+			}
+		case isIdentCont(c) && i > 0 && isIdentCont(src[i-1]):
+		default:
+			n++
+		}
+	}
+	return n
+}
+
 // operators maps every operator spelling to its token kind.
 var operators = map[string]TokKind{
 	"==": TokEq, "!=": TokNe, "<=": TokLe, ">=": TokGe,
@@ -172,7 +194,7 @@ var operators = map[string]TokKind{
 // LexAll tokenizes the whole input (including the trailing EOF token).
 func LexAll(src string) ([]Token, error) {
 	l := NewLexer(src)
-	var out []Token
+	out := make([]Token, 0, tokenBound(src))
 	for {
 		t, err := l.Next()
 		if err != nil {

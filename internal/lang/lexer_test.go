@@ -168,6 +168,22 @@ func TestLexerAllocatesNothingPerToken(t *testing.T) {
 	}
 }
 
+// TestLexAllAllocatesOncePerProgram pins LexAll's allocation cost: its
+// token slice is sized from the source (tokenBound) before lexing, so each
+// suite program costs one allocation, never a regrowth.
+func TestLexAllAllocatesOncePerProgram(t *testing.T) {
+	for _, b := range bench.Everything() {
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := LexAll(b.Source); err != nil {
+				t.Fatalf("%s: %v", b.Name, err)
+			}
+		})
+		if allocs != 1 {
+			t.Errorf("%s: LexAll allocated %.0f times, want 1", b.Name, allocs)
+		}
+	}
+}
+
 // tokenSink keeps the benchmarked tokens live.
 var tokenSink []Token
 

@@ -137,9 +137,9 @@ func (e *emitter) one(pc int, profiling bool) step {
 	case bcode.Load:
 		if profiling {
 			return func(env *Env) {
-				addr := clamp(env.Regs[a].I, int64(len(env.Mem))-1)
-				env.Addrs[pc] = addr
-				env.Regs[d] = env.Mem[addr]
+				raw := env.Regs[a].I
+				env.Addrs[pc] = raw
+				env.Regs[d] = env.Mem[clamp(raw, int64(len(env.Mem))-1)]
 			}
 		}
 		return func(env *Env) {
@@ -148,8 +148,12 @@ func (e *emitter) one(pc int, profiling bool) step {
 	case bcode.Store:
 		if profiling {
 			return func(env *Env) {
-				addr := clamp(env.Regs[a].I, int64(len(env.Mem))-1)
-				env.Addrs[pc] = addr
+				raw := env.Regs[a].I
+				env.Addrs[pc] = raw
+				addr := clamp(raw, int64(len(env.Mem))-1)
+				if env.Olds != nil {
+					env.Olds[pc] = env.Mem[addr]
+				}
 				env.Mem[addr] = env.Regs[b]
 			}
 		}
@@ -191,14 +195,14 @@ func (e *emitter) guarded(in bcode.Instr, pc int, profiling bool) step {
 		if profiling {
 			return func(env *Env) {
 				r := env.Regs
-				addr := clamp(r[a].I, int64(len(env.Mem))-1)
-				env.Addrs[pc] = addr
+				raw := r[a].I
+				env.Addrs[pc] = raw
 				ok := (r[g].I != 0) == want
 				env.Committed[pc] = ok
 				if ok {
 					env.Bits[bb] |= mask
 					env.ncommit++
-					r[d] = env.Mem[addr]
+					r[d] = env.Mem[clamp(raw, int64(len(env.Mem))-1)]
 				}
 			}
 		}
@@ -214,13 +218,17 @@ func (e *emitter) guarded(in bcode.Instr, pc int, profiling bool) step {
 		if profiling {
 			return func(env *Env) {
 				r := env.Regs
-				addr := clamp(r[a].I, int64(len(env.Mem))-1)
-				env.Addrs[pc] = addr
+				raw := r[a].I
+				env.Addrs[pc] = raw
 				ok := (r[g].I != 0) == want
 				env.Committed[pc] = ok
 				if ok {
 					env.Bits[bb] |= mask
 					env.ncommit++
+					addr := clamp(raw, int64(len(env.Mem))-1)
+					if env.Olds != nil {
+						env.Olds[pc] = env.Mem[addr]
+					}
 					env.Mem[addr] = r[b]
 				}
 			}

@@ -82,9 +82,12 @@ type Env struct {
 	// instruction position (== ir.Op.Seq); the profiling chain fills
 	// Committed for guarded instructions and Addrs for memory instructions
 	// (squashed ones included — the dependence profiler observes every
-	// issued access).
+	// issued access), with the address operand as computed, before the
+	// clamp. Olds, when non-nil, receives at Olds[seq] the word each
+	// committed store overwrote (profiling chain only), as in bcode.Env.
 	Committed []bool
 	Addrs     []int64
+	Olds      []ir.Value
 
 	// Per-execution exit state, reset by Prog.Exec.
 	taken, dup int

@@ -341,8 +341,9 @@ func TestFusionSkipsGuardedAndDiv(t *testing.T) {
 // TestSquashedMemorySampling proves the profiling chains still sample the
 // speculative address of squashed guarded loads and stores — the dependence
 // profiler observes every issued access, committed or not — while the
-// architectural write stays suppressed. This covers both the plain guarded
-// memory closures and the bounds clamp on a wild negative address.
+// architectural write stays suppressed. This covers the plain guarded
+// memory closures on a wild negative address, which the sample records as
+// computed, before the bounds clamp: an address compare sees that value.
 func TestSquashedMemorySampling(t *testing.T) {
 	fn, tr := newTree()
 	g := constOp(fn, tr, iv(0)) // guard register: false
@@ -366,10 +367,10 @@ func TestSquashedMemorySampling(t *testing.T) {
 	if render(bc) != render(nc) {
 		t.Fatalf("engines diverged\nbcode: %+v\nncode: %+v", bc, nc)
 	}
-	// The clamp maps -5 to address 0; the sample must record the clamped
-	// address even though the guard squashed both accesses.
-	if nc.addrs[ld.Seq] != 0 || nc.addrs[st.Seq] != 0 {
-		t.Errorf("squashed access addrs = %d/%d, want 0/0", nc.addrs[ld.Seq], nc.addrs[st.Seq])
+	// The sample must record the address operand -5 unclamped (the clamp
+	// would map it to word 0) even though the guard squashed both accesses.
+	if nc.addrs[ld.Seq] != -5 || nc.addrs[st.Seq] != -5 {
+		t.Errorf("squashed access addrs = %d/%d, want -5/-5", nc.addrs[ld.Seq], nc.addrs[st.Seq])
 	}
 	if nc.committed[ld.Seq] || nc.committed[st.Seq] {
 		t.Error("squashed accesses marked committed")

@@ -87,51 +87,51 @@ func (e *emitter) pair(pc int, profiling bool) step {
 				return func(env *Env) {
 					r := env.Regs
 					hi := int64(len(env.Mem)) - 1
-					addr := clamp(r[a1].I, hi)
-					env.Addrs[pc] = addr
-					r[d1] = env.Mem[addr]
-					addr2 := clamp(r[a2].I, hi)
-					env.Addrs[pc+1] = addr2
-					r[d2] = env.Mem[addr2]
+					raw := r[a1].I
+					env.Addrs[pc] = raw
+					r[d1] = env.Mem[clamp(raw, hi)]
+					raw2 := r[a2].I
+					env.Addrs[pc+1] = raw2
+					r[d2] = env.Mem[clamp(raw2, hi)]
 				}
 			case bcode.Add:
 				return func(env *Env) {
 					r := env.Regs
-					addr := clamp(r[a1].I, int64(len(env.Mem))-1)
-					env.Addrs[pc] = addr
-					r[d1] = env.Mem[addr]
+					raw := r[a1].I
+					env.Addrs[pc] = raw
+					r[d1] = env.Mem[clamp(raw, int64(len(env.Mem))-1)]
 					r[d2] = intV(r[a2].I + r[b2].I)
 				}
 			case bcode.Sub:
 				return func(env *Env) {
 					r := env.Regs
-					addr := clamp(r[a1].I, int64(len(env.Mem))-1)
-					env.Addrs[pc] = addr
-					r[d1] = env.Mem[addr]
+					raw := r[a1].I
+					env.Addrs[pc] = raw
+					r[d1] = env.Mem[clamp(raw, int64(len(env.Mem))-1)]
 					r[d2] = intV(r[a2].I - r[b2].I)
 				}
 			case bcode.FMul:
 				return func(env *Env) {
 					r := env.Regs
-					addr := clamp(r[a1].I, int64(len(env.Mem))-1)
-					env.Addrs[pc] = addr
-					r[d1] = env.Mem[addr]
+					raw := r[a1].I
+					env.Addrs[pc] = raw
+					r[d1] = env.Mem[clamp(raw, int64(len(env.Mem))-1)]
 					r[d2] = fltV(r[a2].F * r[b2].F)
 				}
 			case bcode.FAdd:
 				return func(env *Env) {
 					r := env.Regs
-					addr := clamp(r[a1].I, int64(len(env.Mem))-1)
-					env.Addrs[pc] = addr
-					r[d1] = env.Mem[addr]
+					raw := r[a1].I
+					env.Addrs[pc] = raw
+					r[d1] = env.Mem[clamp(raw, int64(len(env.Mem))-1)]
 					r[d2] = fltV(r[a2].F + r[b2].F)
 				}
 			case bcode.FSub:
 				return func(env *Env) {
 					r := env.Regs
-					addr := clamp(r[a1].I, int64(len(env.Mem))-1)
-					env.Addrs[pc] = addr
-					r[d1] = env.Mem[addr]
+					raw := r[a1].I
+					env.Addrs[pc] = raw
+					r[d1] = env.Mem[clamp(raw, int64(len(env.Mem))-1)]
 					r[d2] = fltV(r[a2].F - r[b2].F)
 				}
 			default:
@@ -273,9 +273,8 @@ func (e *emitter) aluLoad(pc int, sub bool, profiling bool) step {
 					v = r[a1].I - r[b1].I
 				}
 				r[d1] = intV(v)
-				addr := clamp(v, int64(len(env.Mem))-1)
-				env.Addrs[ldPC] = addr
-				r[d2] = env.Mem[addr]
+				env.Addrs[ldPC] = v
+				r[d2] = env.Mem[clamp(v, int64(len(env.Mem))-1)]
 			}
 		}
 		if sub {
@@ -301,9 +300,9 @@ func (e *emitter) aluLoad(pc int, sub bool, profiling bool) step {
 			} else {
 				r[d1] = intV(r[a1].I + r[b1].I)
 			}
-			addr := clamp(r[a2].I, int64(len(env.Mem))-1)
-			env.Addrs[ldPC] = addr
-			r[d2] = env.Mem[addr]
+			raw := r[a2].I
+			env.Addrs[ldPC] = raw
+			r[d2] = env.Mem[clamp(raw, int64(len(env.Mem))-1)]
 		}
 	}
 	if sub {

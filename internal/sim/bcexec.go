@@ -69,6 +69,9 @@ func (r *Runner) execBC(t *ir.Tree, regs []ir.Value) (*ir.Op, error) {
 	// ctx build; rewriting the other slice headers here would cost four GC
 	// write barriers per execution.
 	c.benv.Regs = regs
+	if c.keyed != nil {
+		c.keyed.snapshot(regs)
+	}
 	takenSeq, dupSeq, ncommit := c.bc.Exec(&c.benv)
 	return r.finishPacked(t, c, takenSeq, dupSeq, ncommit)
 }
@@ -93,7 +96,7 @@ func (r *Runner) finishPacked(t *ir.Tree, c *treeCtx, takenSeq, dupSeq int, ncom
 		r.Rec.Tree(t.PIdx, c.exitOf[takenSeq], c.bits)
 	}
 	if r.Prof != nil {
-		r.profileExec(c, c.exitOf[takenSeq])
+		r.profileExec(c, c.exitOf[takenSeq], c.bits)
 	}
 	return taken, nil
 }

@@ -35,6 +35,7 @@ func (r *Runner) execNC(t *ir.Tree, regs []ir.Value) (*ir.Op, error) {
 		if r.Prof != nil {
 			c.nenv.Committed = c.committed
 			c.nenv.Addrs = c.addrs
+			c.nenv.Olds = c.olds()
 		}
 		if ctrs := r.NCode.Counters(); ctrs != nil {
 			ctrs.TierUps.Add(1)
@@ -52,6 +53,9 @@ func (r *Runner) execNC(t *ir.Tree, regs []ir.Value) (*ir.Op, error) {
 	// ctx build; rewriting the other slice headers here would cost four GC
 	// write barriers per execution.
 	c.nenv.Regs = regs
+	if c.keyed != nil {
+		c.keyed.snapshot(regs)
+	}
 	takenSeq, dupSeq, ncommit := c.nc.Exec(&c.nenv, r.Prof != nil)
 	return r.finishPacked(t, c, takenSeq, dupSeq, ncommit)
 }

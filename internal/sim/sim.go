@@ -185,8 +185,14 @@ type Runner struct {
 	// only be supplied once the program's tree structure is final; left
 	// nil, each Runner rebuilds shapes itself.
 	Shapes *ShapeCache
+	// Keys, when non-nil, makes a profiling run that also records (Prof and
+	// Rec set) key every execution of a tree with memory-dependence arcs by
+	// its pattern and its arcs' alias outcomes, keeping one witness per key
+	// (see KeyLog). The trace and profile are unchanged by it.
+	Keys *KeyLog
 
 	mem        []ir.Value
+	memHi      int64 // len(mem) - 1: the clamp bound
 	out        bytes.Buffer
 	ops        int64
 	committed  int64
@@ -338,6 +344,10 @@ type treeCtx struct {
 
 	profExit []int64 // per-exit execution counts (profiling runs)
 
+	// keyed is the tree's witness state under Runner.Keys (nil otherwise,
+	// and for trees without arcs).
+	keyed *keyedTree
+
 	// The dependence profile accumulates densely during profiling runs on
 	// every engine (profileExec), and Run folds it into Prof and the t.Arcs
 	// counters once at the end (foldProfile): nexec counts tree executions
@@ -354,6 +364,11 @@ func (r *Runner) ctx(t *ir.Tree) *treeCtx {
 	if c := r.ctxes[t.PIdx]; c != nil {
 		return c
 	}
+	return r.newCtx(t)
+}
+
+// newCtx builds and caches tree t's context on its first execution.
+func (r *Runner) newCtx(t *ir.Tree) *treeCtx {
 	var shape *treeShape
 	if r.Shapes != nil {
 		shape = r.Shapes.of(t)
@@ -375,6 +390,9 @@ func (r *Runner) ctx(t *ir.Tree) *treeCtx {
 	if r.Rec != nil {
 		c.recBits = make([]byte, c.bitBytes())
 	}
+	if r.Keys.keys(t) {
+		c.keyed = newKeyedTree(t)
+	}
 	profiling := r.Prof != nil
 	switch r.Exec {
 	case ExecBytecode:
@@ -384,6 +402,7 @@ func (r *Runner) ctx(t *ir.Tree) *treeCtx {
 			if profiling {
 				c.benv.Committed = c.committed
 				c.benv.Addrs = c.addrs
+				c.benv.Olds = c.olds()
 			}
 		}
 	case ExecNative:
@@ -399,6 +418,7 @@ func (r *Runner) ctx(t *ir.Tree) *treeCtx {
 				if profiling {
 					c.benv.Committed = c.committed
 					c.benv.Addrs = c.addrs
+					c.benv.Olds = c.olds()
 				}
 			}
 		} else if c.nc = r.ncodeProg(t); c.nc != nil {
@@ -407,6 +427,7 @@ func (r *Runner) ctx(t *ir.Tree) *treeCtx {
 			if profiling {
 				c.nenv.Committed = c.committed
 				c.nenv.Addrs = c.addrs
+				c.nenv.Olds = c.olds()
 			}
 		}
 	}
@@ -472,7 +493,11 @@ func (r *Runner) Run() (*Result, error) {
 	if r.SemLat == nil {
 		return nil, fmt.Errorf("sim: SemLat is required")
 	}
+	if r.Keys != nil && (r.Prof == nil || r.Rec == nil) {
+		return nil, fmt.Errorf("sim: Keys needs a profiling, recording run")
+	}
 	r.mem = make([]ir.Value, r.Prog.MemSize)
+	r.memHi = int64(len(r.mem)) - 1
 	for _, g := range r.Prog.Globals {
 		copy(r.mem[g.Base:g.Base+g.Size], g.Init)
 	}
@@ -578,16 +603,29 @@ func (r *Runner) foldProfile() error {
 
 // profileExec counts one tree execution into the run's dense profiling
 // tables: the tree and its taken exit, and for every arc whether both
-// endpoints committed and whether they touched the same address. The
-// executors leave each op's commit status in c.committed and each memory
-// op's address in c.addrs.
-func (r *Runner) profileExec(c *treeCtx, exitIdx int) {
+// endpoints committed and whether they touched the same word. The executors
+// leave each op's commit status in c.committed and each memory op's
+// unclamped address in c.addrs; bits are the execution's packed commit
+// bits. Under Runner.Keys it also notes the execution's key, whose alias
+// bits are every arc's outcome as an address compare sees it: the unclamped
+// addresses equal, committed or not.
+func (r *Runner) profileExec(c *treeCtx, exitIdx int, bits []byte) {
 	c.profExit[exitIdx]++
 	c.nexec++
-	addrs := c.addrs
+	addrs, hi := c.addrs, r.memHi
+	var alias []byte
+	if c.keyed != nil {
+		alias = c.keyed.alias
+		clear(alias)
+	}
 	awTo, awAlias := c.awTo, c.awAlias
 	for k, f := range c.awFrom {
-		if addrs[f] == addrs[awTo[k]] {
+		if a, b := addrs[f], addrs[awTo[k]]; a == b {
+			awAlias[k]++
+			if alias != nil {
+				setBit(alias, int(c.awIdx[k]))
+			}
+		} else if sameWord(a, b, hi) {
 			awAlias[k]++
 		}
 	}
@@ -596,15 +634,46 @@ func (r *Runner) profileExec(c *treeCtx, exitIdx int) {
 		gdTo := c.gdTo
 		for k, f := range c.gdFrom {
 			to := gdTo[k]
+			if alias != nil && addrs[f] == addrs[to] {
+				setBit(alias, int(c.gdIdx[k]))
+			}
 			if committed[f] && committed[to] {
 				c.gdExec[k]++
-				if addrs[f] == addrs[to] {
+				if sameWord(addrs[f], addrs[to], hi) {
 					c.gdAlias[k]++
 				}
 			}
 		}
 	}
+	if alias != nil {
+		r.noteKey(c, exitIdx, bits)
+	}
 }
+
+// sameWord reports whether unclamped addresses a and b clamp to the same
+// word of a memory whose last index is hi.
+func sameWord(a, b, hi int64) bool {
+	if a == b {
+		return true
+	}
+	if uint64(a) <= uint64(hi) && uint64(b) <= uint64(hi) {
+		return false
+	}
+	return clampTo(a, hi) == clampTo(b, hi)
+}
+
+// clampTo clamps address a into [0, hi], the non-faulting memory's bounds.
+func clampTo(a, hi int64) int64 {
+	if a < 0 {
+		return 0
+	}
+	if a > hi {
+		return hi
+	}
+	return a
+}
+
+func setBit(b []byte, k int) { b[k>>3] |= 1 << uint(k&7) }
 
 func (r *Runner) getFrame(n int) []ir.Value {
 	if k := len(r.framePool); k > 0 && cap(r.framePool[k-1]) >= n {
@@ -712,16 +781,6 @@ func (r *Runner) call(fn *ir.Function, fnOrd int, args []ir.Value) (ir.Value, er
 	}
 }
 
-func (r *Runner) clamp(a int64) int64 {
-	if a < 0 {
-		return 0
-	}
-	if a >= int64(len(r.mem)) {
-		return int64(len(r.mem)) - 1
-	}
-	return a
-}
-
 // execTree executes one tree over the register frame, returning the taken
 // exit op. Ops run in Seq order, which is a topological order of the
 // dependence graph (see treeCtx).
@@ -731,6 +790,9 @@ func (r *Runner) execTree(t *ir.Tree, regs []ir.Value) (*ir.Op, error) {
 		return nil, err
 	}
 
+	if c.keyed != nil {
+		c.keyed.snapshot(regs)
+	}
 	profiling := r.Prof != nil
 	var taken *ir.Op
 	var ncommit int64
@@ -749,20 +811,24 @@ func (r *Runner) execTree(t *ir.Tree, regs []ir.Value) (*ir.Op, error) {
 
 		switch op.Kind {
 		case ir.OpLoad:
-			a := r.clamp(regs[op.Args[0]].I)
+			a := regs[op.Args[0]].I
 			if profiling {
 				c.addrs[i] = a
 			}
 			if ok {
-				regs[op.Dest] = r.mem[a]
+				regs[op.Dest] = r.mem[clampTo(a, r.memHi)]
 			}
 		case ir.OpStore:
-			a := r.clamp(regs[op.Args[0]].I)
+			a := regs[op.Args[0]].I
 			if profiling {
 				c.addrs[i] = a
 			}
 			if ok {
-				r.mem[a] = regs[op.Args[1]]
+				w := clampTo(a, r.memHi)
+				if c.keyed != nil {
+					c.keyed.olds[i] = r.mem[w]
+				}
+				r.mem[w] = regs[op.Args[1]]
 			}
 		case ir.OpPrint:
 			if ok {
@@ -788,18 +854,16 @@ func (r *Runner) execTree(t *ir.Tree, regs []ir.Value) (*ir.Op, error) {
 	r.committed += ncommit + int64(len(t.Ops)-len(c.guarded))
 
 	if r.Rec != nil {
-		for b := range c.recBits {
-			c.recBits[b] = 0
-		}
+		clear(c.recBits)
 		for k, i := range c.guarded {
 			if c.committed[i] {
-				c.recBits[k>>3] |= 1 << uint(k&7)
+				setBit(c.recBits, k)
 			}
 		}
 		r.Rec.Tree(t.PIdx, c.exitOf[taken.Seq], c.recBits)
 	}
 	if profiling {
-		r.profileExec(c, c.exitOf[taken.Seq])
+		r.profileExec(c, c.exitOf[taken.Seq], c.recBits)
 	}
 	return taken, nil
 }
@@ -943,14 +1007,17 @@ func cvtFI(f float64) ir.Value {
 	return intV(int64(f))
 }
 
-func (r *Runner) printVal(v ir.Value, isFloat bool) {
+func (r *Runner) printVal(v ir.Value, isFloat bool) { writeVal(&r.out, v, isFloat) }
+
+// writeVal writes one printed value and its newline, as a committed print
+// op emits it.
+func writeVal(w *bytes.Buffer, v ir.Value, isFloat bool) {
 	if isFloat {
-		f := v.F
 		// Round to 6 significant decimals so that output checksums are
 		// robust against benign floating-point noise across schedules.
-		r.out.WriteString(strconv.FormatFloat(f, 'g', 6, 64))
+		w.WriteString(strconv.FormatFloat(v.F, 'g', 6, 64))
 	} else {
-		r.out.WriteString(strconv.FormatInt(v.I, 10))
+		w.WriteString(strconv.FormatInt(v.I, 10))
 	}
-	r.out.WriteByte('\n')
+	w.WriteByte('\n')
 }

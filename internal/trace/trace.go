@@ -347,6 +347,10 @@ func (r *Recorder) Tree(pidx, exit int, bits []byte) {
 	r.entries = append(r.entries, HistEntry{Idx: pidx, Exit: exit, Bits: append([]byte(nil), bits...), Count: 1})
 }
 
+// Patterns returns the number of distinct patterns recorded so far: the
+// histogram index the next new pattern will take.
+func (r *Recorder) Patterns() int { return len(r.entries) }
+
 // Call records entry into the function with the given Program.Order index.
 func (r *Recorder) Call(fn int) {
 	if fn < 0 {
@@ -363,12 +367,20 @@ func (r *Recorder) Ret() { r.events++ }
 // recorded run's dynamic operation totals. The recorder must not be used
 // afterwards.
 func (r *Recorder) Finish(ops, committed int64) *Trace {
+	return FromHist(&Hist{Entries: r.entries, MaxFn: r.maxFn}, r.events, r.trees, ops, committed)
+}
+
+// FromHist encodes and seals a histogram built without a Recorder, with the
+// totals of the run it describes: the trace a Recorder would have finished
+// after recording that run, byte for byte, when h lists its patterns in
+// first-appearance order.
+func FromHist(h *Hist, events, treeExecs, ops, committed int64) *Trace {
 	t := &Trace{
-		Events:    r.events,
-		TreeExecs: r.trees,
+		Events:    events,
+		TreeExecs: treeExecs,
 		Ops:       ops,
 		Committed: committed,
-		data:      appendHist(nil, &Hist{Entries: r.entries, MaxFn: r.maxFn}),
+		data:      appendHist(nil, h),
 	}
 	t.seal()
 	return t
