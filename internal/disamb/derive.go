@@ -156,14 +156,14 @@ func (d *deriver) run(k *sim.Key) (*sim.TreeRun, error) {
 	bt, st := d.base[k.PIdx], d.spec[k.PIdx]
 	orig, err := sim.RunWitness(bt, &k.Witness, bt.Fn.NumRegs, d.memSize)
 	if err != nil {
-		return nil, fmt.Errorf("%w: original tree on its witness: %v", ErrNotDerived, err)
+		return nil, fmt.Errorf("%w: original tree on its witness: %w", ErrNotDerived, err)
 	}
 	if exitIndex(bt, orig.Exit) != k.Exit || !bytes.Equal(orig.Bits, k.Bits) {
 		return nil, fmt.Errorf("%w: witness of tree %s does not reproduce its execution", ErrNotDerived, bt.Name)
 	}
 	spec, err := sim.RunWitness(st, &k.Witness, st.Fn.NumRegs, d.memSize)
 	if err != nil {
-		return nil, fmt.Errorf("%w: transformed tree on a witness: %v", ErrNotDerived, err)
+		return nil, fmt.Errorf("%w: transformed tree on a witness: %w", ErrNotDerived, err)
 	}
 	if err := d.check(bt, st, orig, spec); err != nil {
 		return nil, fmt.Errorf("%w: tree %s: %s", ErrWitnessCheck, bt.Name, err)

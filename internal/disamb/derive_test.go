@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"specdis/internal/bench"
@@ -275,4 +277,90 @@ func BenchmarkDerive(b *testing.B) {
 			}
 		}
 	})
+}
+
+// staleCompare finds, in tree name of p's SPEC program, an SpD address
+// compare that reads a register every definition of which sits under an
+// earlier SpD application's alias guard: on the no-alias path that register
+// keeps a value from an earlier execution. It describes the first one, or
+// returns "".
+func staleCompare(p *disamb.Prepared, name string) string {
+	var guards []ir.Reg // alias guard of each application on the tree, in order
+	var tree *ir.Tree
+	for _, app := range p.SpD.Apps {
+		if app.Tree.Name == name && len(app.Pairs) > 0 {
+			tree = app.Tree
+			guards = append(guards, app.Pairs[0].Guard)
+		}
+	}
+	for j, g := range guards {
+		for _, cmp := range tree.Ops {
+			if cmp.Kind != ir.OpCmpEQ || cmp.Dest != g {
+				continue
+			}
+			for _, r := range cmp.Args {
+				var defs []*ir.Op
+				for _, op := range tree.Ops {
+					if op.Dest == r {
+						defs = append(defs, op)
+					}
+				}
+				stale := len(defs) > 0
+				for _, d := range defs {
+					stale = stale && !d.GuardNeg && slices.Contains(guards[:j], d.Guard)
+				}
+				if stale {
+					return fmt.Sprintf("%%%d %s reads r%d, defined only by %%%d under alias guard r%d", cmp.ID, cmp.Kind, r, defs[0].ID, defs[0].Guard)
+				}
+			}
+		}
+	}
+	return ""
+}
+
+// TestChainedSpDComparesStaleAddress pins a named exception to derivation
+// (EXPERIMENTS.md, "Measurement backends"). On generated program seed 28 at
+// memory latency 2, SpD applies twice in tree main.b5, and the second
+// application's address compare reads an address register that only the
+// first application's alias-side ops define. On the no-alias path it
+// compares a stale address, so which copy commits depends on history, not
+// on the tree's entry state: Derive declines with sim.ErrOutsideWitness and
+// the cell is captured. Both copies compute the same values, so the
+// program's output does not change: Capture, which fails when its output
+// differs from the profiling run's, succeeds.
+func TestChainedSpDComparesStaleAddress(t *testing.T) {
+	const retire = "if the SpD transform no longer chains an application onto an earlier one's alias side, retire this named exception (this test and its note in EXPERIMENTS.md)"
+	prog, err := compile.Compile(newProgGen(28).generate())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, minGain := range []float64{0.01, 0.25} {
+		params := spd.DefaultParams()
+		params.MinGain = minGain
+		o := disamb.Options{Kind: disamb.Spec, MemLat: 2, SpD: params, MaxOps: 5_000_000}
+		run, err := disamb.ProfileRun(prog, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.Prog = prog.Clone()
+		p, err := disamb.PrepareFrom(run, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stale := staleCompare(p, "main.b5")
+		if stale == "" {
+			t.Fatalf("MinGain %v: no SpD address compare in main.b5 reads a register only an earlier application's alias side defines; %s", minGain, retire)
+		}
+		_, derr := disamb.Derive(p, run)
+		if !errors.Is(derr, sim.ErrOutsideWitness) || !errors.Is(derr, disamb.ErrNotDerived) {
+			t.Fatalf("MinGain %v (%s): Derive error %v, want one wrapping sim.ErrOutsideWitness; %s", minGain, stale, derr, retire)
+		}
+		if run.Output == "" {
+			t.Fatalf("MinGain %v: the program prints nothing, so Capture checks no output", minGain)
+		}
+		if _, err := disamb.Capture(p); err != nil {
+			t.Fatalf("MinGain %v (%s): the capture's output differs from the original program's: %v", minGain, stale, err)
+		}
+		t.Logf("MinGain %v: %s; Derive: %v", minGain, stale, derr)
+	}
 }

@@ -101,6 +101,10 @@ type Prepared struct {
 	// one pair for a whole sweep via Options.
 	BCode *bcode.Cache
 	NCode *ncode.Cache
+	// Sched shares list schedules across every Plans call of this
+	// preparation (Options.Sched). It is keyed by dependence-graph content
+	// and holds no tree, so it may be shared across preparations too.
+	Sched *sched.Cache
 	// Shapes shares the simulator's tree skeletons across every run of
 	// this preparation (Measure sweeps, Capture, replay). Unlike
 	// the compiled-code caches it keys on tree identity, so it is created
@@ -157,6 +161,11 @@ type Options struct {
 	// to different cells, re-preparations of one source — compile once.
 	BCode *bcode.Cache
 	NCode *ncode.Cache
+	// Sched, when non-nil, is a shared schedule cache every Plans call of
+	// the preparation schedules through; left nil, the preparation creates
+	// a private one. Sharing one across a sweep schedules each distinct
+	// dependence graph once.
+	Sched *sched.Cache
 }
 
 // verifyStage checks the program's structural and speculation-safety
@@ -289,6 +298,9 @@ func prepare(src string, o Options, run *Profiled) (*Prepared, error) {
 	}
 	p := &Prepared{Kind: kind, MemLat: memLat, Prog: prog, BaseOps: prog.OpCount(), MaxOps: o.MaxOps, Ctx: o.Ctx, Exec: o.Exec, TierUp: o.TierUp}
 	p.BCode, p.NCode = o.caches()
+	if p.Sched = o.Sched; p.Sched == nil {
+		p.Sched = sched.NewCache()
+	}
 	lat := machine.Infinite(memLat).LatencyFunc()
 
 	// profile returns the profile grafting, PERFECT and SPEC read, with its
@@ -458,21 +470,31 @@ func removeSuperfluous(prog *ir.Program) {
 // Plans builds pricing plans for each machine model over the prepared
 // program's trees. Op latencies depend only on a model's memory latency, so
 // each tree's dependence graph is built once per distinct memory latency and
-// shared by every model's list-scheduling pass — for the usual nine-model
-// Measure call that is one graph per tree instead of nine.
+// scheduled at every width of that latency's models in one p.Sched lookup:
+// a graph whose content the cache has seen reuses its tables, and a new one
+// is list-scheduled narrowest width first until a width no longer
+// constrains it (sched.Cache). Every plan of a latency installs the shared,
+// read-only completion tables.
 func Plans(p *Prepared, models []machine.Model) []*sim.Plan {
 	plans := make([]*sim.Plan, len(models))
+	var lats []int              // distinct memory latencies, in model order
 	byMemLat := map[int][]int{} // memory latency -> model indices
+	widths := map[int][]int{}   // memory latency -> those models' widths
 	for i, m := range models {
 		plans[i] = sim.NewPlan(m.Name)
+		if _, ok := byMemLat[m.MemLatency]; !ok {
+			lats = append(lats, m.MemLatency)
+		}
 		byMemLat[m.MemLatency] = append(byMemLat[m.MemLatency], i)
+		widths[m.MemLatency] = append(widths[m.MemLatency], m.NumFUs)
 	}
 	for _, name := range p.Prog.Order {
 		for _, t := range p.Prog.Funcs[name].Trees {
-			for memLat, idxs := range byMemLat {
+			for _, memLat := range lats {
 				g := ir.BuildDepGraph(t, machine.Infinite(memLat).LatencyFunc())
-				for _, i := range idxs {
-					plans[i].SetTree(t, sched.FromGraph(g, models[i].NumFUs).Comp)
+				comps := p.Sched.Comps(g, widths[memLat])
+				for k, i := range byMemLat[memLat] {
+					plans[i].SetTree(t, comps[k])
 				}
 			}
 		}
@@ -527,9 +549,11 @@ func (o MeasureOpt) maxOps(p *Prepared) int64 {
 // Capture records an execution trace of the prepared program for replay
 // pricing, with one fresh interpretation validated against the profiling
 // output when there is one. A sweep replays NAIVE, STATIC and PERFECT from
-// their program's shared profiling run (Profiled.Trace), so there only
-// SPEC, whose transform changes what executes, and the replacement of a
-// trace that failed its integrity check need a capture.
+// their program's shared profiling run (Profiled.Trace) and derives SPEC's
+// trace from that run too (Derive), so it captures only when a derivation
+// declines and on the recapture rung, which replaces a trace that failed
+// its integrity check. Capture is also the oracle derived traces are tested
+// against.
 func Capture(p *Prepared) (*trace.Trace, error) {
 	_, tr, err := record(p, MeasureOpt{}, "capture run")
 	return tr, err

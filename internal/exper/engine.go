@@ -9,6 +9,7 @@ import (
 
 	"specdis/internal/bench"
 	"specdis/internal/disamb"
+	"specdis/internal/sched"
 )
 
 // group is a singleflight-style memoizing call group: the first Do for a key
@@ -74,10 +75,16 @@ type Stats struct {
 	// identical totals, and a warm store run reports the cold run's.
 	SimOps int64 `json:"sim_ops"`
 
-	TraceStats  `json:"trace"`
-	ExecStats   `json:"exec"`
-	Resilience  `json:"resilience"`
-	StoreServed `json:"store"`
+	TraceStats `json:"trace"`
+	ExecStats  `json:"exec"`
+	// CacheStats is the scheduling section: the runner's shared schedule
+	// cache counts the dependence graphs the cells' plans built (graphs),
+	// the ones it list-scheduled (distinct) and the list-scheduler runs
+	// they took (list_runs). Every cell builds its plans once, so the
+	// three are equal at every Par, with or without TraceReplay.
+	sched.CacheStats `json:"sched"`
+	Resilience       `json:"resilience"`
+	StoreServed      `json:"store"`
 }
 
 // TraceStats is the trace-sharing section of Stats.
@@ -218,6 +225,7 @@ func (r *Runner) Stats() Stats {
 			NativeFused:    r.bcodeCtrs.Fused.Load(),
 			TierUps:        r.bcodeCtrs.TierUps.Load(),
 		},
+		CacheStats: r.schedules().Stats(),
 		Resilience: Resilience{
 			CellFailures:     r.nCellFails.Load(),
 			CellPanics:       r.nPanics.Load(),

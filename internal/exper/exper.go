@@ -28,6 +28,7 @@ import (
 	"specdis/internal/machine"
 	"specdis/internal/ncode"
 	"specdis/internal/resilience"
+	"specdis/internal/sched"
 	"specdis/internal/sim"
 	"specdis/internal/spd"
 	"specdis/internal/store"
@@ -55,7 +56,9 @@ type Runner struct {
 	// New; `spdbench -trace=interp` turns it off). Every cell is priced by
 	// replaying a trace against its models' schedules. With TraceReplay,
 	// NAIVE, STATIC and PERFECT replay their benchmark's shared profiling
-	// run and each SPEC program is captured once, so no cell interprets.
+	// run, and each SPEC program's trace is derived from that run
+	// (disamb.Derive), captured by an interpretation only when the
+	// derivation declines or on the recapture rung, so no cell interprets.
 	// Without it, every cell interprets its own program and prices that
 	// run's trace (disamb.MeasureWith): the setting checks the sharing
 	// policy, not a second pricing algorithm. Reports are byte-identical
@@ -147,6 +150,19 @@ type Runner struct {
 	cacheOnce sync.Once
 	bcCache   *bcode.Cache
 	ncCache   *ncode.Cache
+
+	// The schedule cache is shared the same way, by every preparation of
+	// the runner: keyed by dependence-graph content, it schedules each
+	// distinct graph once per runner instead of once per cell.
+	schedOnce  sync.Once
+	schedCache *sched.Cache
+}
+
+// schedules returns the runner's shared schedule cache, creating it on
+// first use.
+func (r *Runner) schedules() *sched.Cache {
+	r.schedOnce.Do(func() { r.schedCache = sched.NewCache() })
+	return r.schedCache
 }
 
 // caches returns the runner's shared compiled-code caches, creating them on
@@ -370,8 +386,8 @@ func (r *Runner) profiled(b *bench.Benchmark) (*disamb.Profiled, error) {
 
 // options returns the settings every preparation and interpretation of the
 // runner shares: its SpD parameters, verifier, fuel and context, the given
-// backend under its tier-up threshold, and its compiled-code caches and
-// counters.
+// backend under its tier-up threshold, its compiled-code caches and
+// counters, and its schedule cache.
 func (r *Runner) options(kind disamb.Kind, memLat int, mode sim.ExecMode) disamb.Options {
 	bcc, ncc := r.caches()
 	return disamb.Options{
@@ -379,7 +395,7 @@ func (r *Runner) options(kind disamb.Kind, memLat int, mode sim.ExecMode) disamb
 		Verify: r.Verify,
 		MaxOps: r.Fuel, Ctx: r.Ctx,
 		Exec: mode, TierUp: r.TierUp, ExecCounters: &r.bcodeCtrs,
-		BCode: bcc, NCode: ncc,
+		BCode: bcc, NCode: ncc, Sched: r.schedules(),
 	}
 }
 

@@ -115,7 +115,7 @@ func (r *Runner) measureCell(b *bench.Benchmark, kind disamb.Kind, cellLat, memL
 		tr = tr.Clone()
 		tr.FlipByte(int(fault.N))
 	}
-	res, rerr := disamb.ReplayMeasureWith(p, models, tr, opt)
+	res, rerr := replayCell(b, kind, cellLat, p, models, tr, opt)
 	if rerr == nil {
 		r.nReplayCells.Add(1)
 		return res, nil
@@ -132,7 +132,7 @@ func (r *Runner) measureCell(b *bench.Benchmark, kind disamb.Kind, cellLat, memL
 		if fault.Kind == resilience.FaultFlipTrace && fault.Times > 1 {
 			tr2.FlipByte(int(fault.N))
 		}
-		res, rerr = disamb.ReplayMeasureWith(p, models, tr2, opt)
+		res, rerr = replayCell(b, kind, cellLat, p, models, tr2, opt)
 		if rerr == nil {
 			r.nReplayCells.Add(1)
 			return res, nil
@@ -147,6 +147,14 @@ func (r *Runner) measureCell(b *bench.Benchmark, kind disamb.Kind, cellLat, memL
 	// Rung: replay unusable → measure the cell from its own interpretation.
 	r.nInterpFallback.Add(1)
 	return r.interpMeasure(b, kind, cellLat, p, models, opt, fault)
+}
+
+// replayCell prices one cell by replaying tr. Building its plans schedules
+// the cell's trees, so a replay is a cell boundary too: a panic is recovered
+// into the cell's own CellError.
+func replayCell(b *bench.Benchmark, kind disamb.Kind, cellLat int, p *disamb.Prepared, models []machine.Model, tr *trace.Trace, opt disamb.MeasureOpt) (res *sim.Result, err error) {
+	defer resilience.Recover(&err, b.Name, kind.String(), cellLat, "measure")
+	return disamb.ReplayMeasureWith(p, models, tr, opt)
 }
 
 // recaptureCell records a fresh trace for one cell, containing panics.

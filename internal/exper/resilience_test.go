@@ -3,12 +3,15 @@ package exper_test
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"specdis/internal/bench"
 	"specdis/internal/disamb"
 	"specdis/internal/exper"
+	"specdis/internal/ir"
 	"specdis/internal/resilience"
 	"specdis/internal/sim"
 )
@@ -334,5 +337,73 @@ func TestDeclinedDerivationFailsAsCapture(t *testing.T) {
 	}
 	if st := r.Stats(); st.TraceDerived != 0 || st.CellFailures != 1 || st.FuelExhausted != 1 {
 		t.Errorf("stats = %+v, want no derived trace and one fuel failure", st)
+	}
+}
+
+// addCycle gives the first arc-free tree of prog with a register flow a
+// dependence cycle: an arc from the reading op back to the definition it
+// reads, so list-scheduling the tree panics. Clones of one program get the
+// same cycle in the same tree.
+func addCycle(t *testing.T, prog *ir.Program) {
+	t.Helper()
+	for _, name := range prog.Order {
+		for _, tr := range prog.Funcs[name].Trees {
+			if len(tr.Arcs) > 0 {
+				continue
+			}
+			for _, use := range tr.Ops {
+				for _, def := range tr.Ops[:use.Seq] {
+					if def.Dest != ir.NoReg && slices.Contains(use.Args, def.Dest) {
+						tr.Arcs = append(tr.Arcs, &ir.MemArc{From: use, To: def, Kind: ir.DepRAW})
+						return
+					}
+				}
+			}
+		}
+	}
+	t.Fatal("no tree to give a cycle")
+}
+
+// TestSchedulePanicFailsItsCell makes scheduling panic in two cells that
+// schedule the same graph through the runner's shared cache: the NAIVE and
+// STATIC programs get the same dependence cycle in an arc-free tree. Each
+// cell must fail on its own with a recovered panic at stage measure, no
+// cell may wait forever on the key the other's panic abandoned, and the
+// benchmark's other cells must still measure.
+func TestSchedulePanicFailsItsCell(t *testing.T) {
+	b := bench.ByName("moment")
+	r := exper.New()
+	r.Benchmarks = []*bench.Benchmark{b}
+	for _, kind := range []disamb.Kind{disamb.Naive, disamb.Static} {
+		p, err := r.Prepared(b, kind, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addCycle(t, p.Prog)
+	}
+	errs := make(chan error, 2)
+	for _, kind := range []disamb.Kind{disamb.Naive, disamb.Static} {
+		go func() {
+			_, err := r.Measure(b, kind, 2)
+			errs <- err
+		}()
+	}
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-errs:
+			var ce *resilience.CellError
+			if !errors.As(err, &ce) || ce.Class != resilience.ClassPanic || ce.Stage != "measure" ||
+				!strings.Contains(err.Error(), "dependence cycle") {
+				t.Fatalf("err = %v, want the list scheduler's recovered panic at stage measure", err)
+			}
+		case <-time.After(time.Minute):
+			t.Fatal("a cell is still waiting on a schedule whose computation panicked")
+		}
+	}
+	if _, err := r.Measure(b, disamb.Spec, 2); err != nil {
+		t.Fatalf("SPEC cell: %v", err)
+	}
+	if st := r.Stats(); st.CellFailures != 2 || st.CellPanics != 2 {
+		t.Errorf("stats: %+v, want 2 failed cells, both panics", st)
 	}
 }

@@ -73,6 +73,11 @@ func TestTraceReplayEquivalence(t *testing.T) {
 	if rst.SimOps != ist.SimOps || rst.Measures != ist.Measures || rst.Prepares != ist.Prepares {
 		t.Errorf("work differs across backends: replay %+v, interp %+v", rst, ist)
 	}
+	// Every cell builds its plans once either way, through the runner's
+	// schedule cache: the same graphs, distinct keys and list runs.
+	if rst.CacheStats != ist.CacheStats || rst.Distinct == 0 || rst.Distinct >= rst.Graphs {
+		t.Errorf("schedule counters: replay %+v, interp %+v", rst.CacheStats, ist.CacheStats)
+	}
 }
 
 // TestStatsWhileWarming polls Stats from another goroutine while a parallel

@@ -9,10 +9,14 @@
 // the O(cycles·ready²) of a naive per-slot rescan. The selection order is
 // identical to the reference scan scheduler (see listScheduleRef), so the
 // produced schedules are bit-for-bit the same.
+//
+// A Cache schedules each distinct dependence graph of a sweep once, at every
+// requested width in one call (see comps).
 package sched
 
 import (
 	"fmt"
+	"sort"
 
 	"specdis/internal/ir"
 	"specdis/internal/machine"
@@ -186,29 +190,55 @@ func (s *schedState) popPending() int {
 	return top
 }
 
-// listSchedule is the heap-based list scheduler. Selection order matches
-// listScheduleRef exactly; only the mechanics differ: issueable ops sit in a
-// priority heap instead of being rescanned per slot, ops whose earliest
-// cycle is in the future wait in a time-keyed heap, and empty cycles are
-// skipped in one step.
-func listSchedule(g *ir.DepGraph, numFUs int) *Schedule {
+// lister list-schedules one graph at one width after another. The
+// critical-path heights and exit flags are computed once per graph, and the
+// heaps and per-op scratch are allocated once and reset per run.
+type lister struct {
+	g      *ir.DepGraph
+	st     schedState
+	npreds []int
+	issue  []int64
+}
+
+func newLister(g *ir.DepGraph) *lister {
 	n := len(g.Tree.Ops)
-	issue := make([]int64, n)
-	npreds := make([]int, n)
+	l := &lister{
+		g: g,
+		st: schedState{
+			isExit:   make([]bool, n),
+			h:        height(g),
+			earliest: make([]int64, n),
+			ready:    make([]int, 0, n),
+			pending:  make([]int, 0, n),
+		},
+		npreds: make([]int, n),
+		issue:  make([]int64, n),
+	}
+	for i, op := range g.Tree.Ops {
+		l.st.isExit[i] = op.Kind == ir.OpExit
+	}
+	return l
+}
+
+// run is the heap-based list scheduler: it schedules the graph on numFUs
+// units into l.issue. Selection order matches listScheduleRef exactly; only
+// the mechanics differ: issueable ops sit in a priority heap instead of
+// being rescanned per slot, ops whose earliest cycle is in the future wait
+// in a time-keyed heap, and empty cycles are skipped in one step.
+//
+// run reports whether the width ever constrained a choice: whether some
+// cycle ended with an op ready to issue and no slot left for it. An
+// unconstrained run issued every ready op in the cycle it became ready, so
+// a run on any wider machine pops the same ops in the same order and makes
+// the same schedule.
+func (l *lister) run(numFUs int) (constrained bool) {
+	g, st, issue, npreds := l.g, &l.st, l.issue, l.npreds
+	n := len(issue)
+	st.ready, st.pending = st.ready[:0], st.pending[:0]
 	for i := 0; i < n; i++ {
 		npreds[i] = len(g.Pred[i])
 		issue[i] = -1
-	}
-	h := height(g)
-
-	st := &schedState{
-		isExit:   make([]bool, n),
-		h:        h,
-		earliest: make([]int64, n),
-		ready:    make([]int, 0, n),
-	}
-	for i, op := range g.Tree.Ops {
-		st.isExit[i] = op.Kind == ir.OpExit
+		st.earliest[i] = 0
 	}
 	for i := 0; i < n; i++ {
 		if npreds[i] == 0 {
@@ -249,14 +279,64 @@ func listSchedule(g *ir.DepGraph, numFUs int) *Schedule {
 				}
 			}
 		}
+		// The slot loop stops on an empty ready heap or on no slots left.
+		constrained = constrained || len(st.ready) > 0
 		cycle++
 	}
+	return constrained
+}
 
-	s := &Schedule{Issue: issue, Comp: make([]int64, n)}
-	for i := 0; i < n; i++ {
-		s.Comp[i] = issue[i] + int64(g.Latency(i))
+// comp returns the completion cycles of the last run's schedule.
+func (l *lister) comp() []int64 {
+	c := make([]int64, len(l.issue))
+	for i, at := range l.issue {
+		c[i] = at + int64(l.g.Latency(i))
 	}
-	return s
+	return c
+}
+
+// listSchedule list-schedules g on numFUs units.
+func listSchedule(g *ir.DepGraph, numFUs int) *Schedule {
+	l := newLister(g)
+	l.run(numFUs)
+	return &Schedule{Issue: l.issue, Comp: l.comp()}
+}
+
+// comps returns g's completion-cycle tables at every width in ns (0 = the
+// infinite machine), parallel to ns, with each table equal to
+// FromGraph(g, ns[i]).Comp, and the number of list-scheduler runs it took.
+// Widths are scheduled narrowest first on one lister, and from the first
+// run that no width constrained (lister.run) on, every wider width shares
+// that run's table.
+func comps(g *ir.DepGraph, ns []int) (out [][]int64, runs int) {
+	order := make([]int, len(ns))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return ns[order[a]] < ns[order[b]] })
+	out = make([][]int64, len(ns))
+	var (
+		l         *lister
+		saturated []int64 // the table of the first unconstrained run
+	)
+	for _, k := range order {
+		switch n := ns[k]; {
+		case n <= 0:
+			out[k] = FromGraph(g, 0).Comp
+		case saturated != nil:
+			out[k] = saturated
+		default:
+			if l == nil {
+				l = newLister(g)
+			}
+			constrained := l.run(n)
+			runs++
+			if out[k] = l.comp(); !constrained {
+				saturated = out[k]
+			}
+		}
+	}
+	return out, runs
 }
 
 // listScheduleRef is the original cycle-driven scan scheduler, kept as the
