@@ -140,6 +140,13 @@ func TestCompileRejects(t *testing.T) {
 	}
 }
 
+// newEnv returns an Env over regs, mem and bits whose sample tables, which
+// every execution fills, cover tr.
+func newEnv(tr *ir.Tree, regs, mem []ir.Value, bits []byte) *bcode.Env {
+	return &bcode.Env{Regs: regs, Mem: mem, Bits: bits,
+		Committed: make([]bool, len(tr.Ops)), Addrs: make([]int64, len(tr.Ops))}
+}
+
 func TestExecGuardsAndCommitBits(t *testing.T) {
 	tr := buildGuarded(t)
 	p, err := bcode.Compile(tr)
@@ -149,7 +156,7 @@ func TestExecGuardsAndCommitBits(t *testing.T) {
 	regs := make([]ir.Value, tr.Fn.NumRegs)
 	mem := make([]ir.Value, 8)
 	bits := make([]byte, (p.NumGuarded+7)/8)
-	env := &bcode.Env{Regs: regs, Mem: mem, Bits: bits}
+	env := newEnv(tr, regs, mem, bits)
 	taken, dup, ncommit := p.Exec(env)
 	if taken != 6 || dup != -1 {
 		t.Fatalf("taken=%d dup=%d, want 6, -1", taken, dup)
@@ -171,6 +178,11 @@ func TestExecGuardsAndCommitBits(t *testing.T) {
 	if mem[3].I != 10 {
 		t.Errorf("guarded store wrote mem[3]=%d, want 10", mem[3].I)
 	}
+	// The samples: the add and the store committed, the sub did not, and
+	// the store's address was recorded.
+	if !env.Committed[3] || env.Committed[4] || !env.Committed[5] || env.Addrs[5] != 3 {
+		t.Errorf("samples: committed %v, store addr %d, want add and store committed at addr 3", env.Committed, env.Addrs[5])
+	}
 }
 
 func TestExecDuplicateExit(t *testing.T) {
@@ -181,7 +193,7 @@ func TestExecDuplicateExit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := &bcode.Env{Regs: make([]ir.Value, 1), Mem: make([]ir.Value, 1), Bits: make([]byte, 1)}
+	env := newEnv(tr, make([]ir.Value, 1), make([]ir.Value, 1), make([]byte, 1))
 	taken, dup, _ := p.Exec(env)
 	if taken != 0 || dup != 1 {
 		t.Errorf("taken=%d dup=%d, want 0, 1 (second committed exit reported)", taken, dup)
@@ -205,10 +217,14 @@ func TestExecMemoryClamping(t *testing.T) {
 	for _, c := range []struct{ addr, want int64 }{{-5, 11}, {99, 22}, {3, 0}} {
 		regs := make([]ir.Value, fn.NumRegs)
 		regs[r0] = ir.Value{I: c.addr, F: float64(c.addr)}
-		env := &bcode.Env{Regs: regs, Mem: mem, Bits: make([]byte, 1)}
+		env := newEnv(tr, regs, mem, make([]byte, 1))
 		p.Exec(env)
 		if regs[r1].I != c.want {
 			t.Errorf("load [%d] = %d, want %d", c.addr, regs[r1].I, c.want)
+		}
+		// The sample keeps the address as computed, before the clamp.
+		if env.Addrs[0] != c.addr {
+			t.Errorf("load [%d] sampled address %d", c.addr, env.Addrs[0])
 		}
 	}
 }

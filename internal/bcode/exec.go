@@ -8,7 +8,8 @@ import (
 
 // Env is the machine state one tree execution reads and mutates. The
 // executor touches nothing else, so the caller (internal/sim's Runner) keeps
-// ownership of memory, output and trace recording.
+// ownership of memory, output and trace recording. Every execution fills the
+// sample tables, so Committed and Addrs are required.
 type Env struct {
 	// Regs is the current function invocation's register frame.
 	Regs []ir.Value
@@ -21,15 +22,14 @@ type Env struct {
 	// Print emits one committed print op's value.
 	Print func(v ir.Value, isFloat bool)
 
-	// Profiling asks for the per-Seq commit and address tables used by
-	// profiling runs: Committed[seq] for guarded instructions and
-	// Addrs[seq] for memory instructions — the address operand as computed,
-	// before the clamp, which is what an address compare sees. Both are
-	// indexed by instruction position (== ir.Op.Seq) and must cover the
-	// whole program. Olds, when non-nil under Profiling, receives at
+	// Committed[seq] and Addrs[seq] are the per-Seq commit and address
+	// samples a profiling run folds: Committed for guarded instructions and
+	// Addrs for memory instructions, squashed ones included — the address
+	// operand as computed, before the clamp, which is what an address
+	// compare sees. Both are indexed by instruction position (== ir.Op.Seq)
+	// and must cover the whole program. Olds, when non-nil, receives at
 	// Olds[seq] the word each committed store overwrote, so a caller can
 	// restore the memory a tree execution started from.
-	Profiling bool
 	Committed []bool
 	Addrs     []int64
 	Olds      []ir.Value
@@ -47,22 +47,19 @@ func (p *Prog) Exec(env *Env) (taken, dup int, ncommit int64) {
 	bits := env.Bits
 	consts := p.Consts
 	memHi := int64(len(mem)) - 1
-	profiling := env.Profiling
 	taken, dup = -1, -1
 
 	for pc := 0; pc < len(code); pc++ {
 		in := &code[pc]
 		if g := in.Guard; g >= 0 {
 			ok := (regs[g].I != 0) != in.GNeg
-			if profiling {
-				env.Committed[pc] = ok
-			}
+			env.Committed[pc] = ok
 			if !ok {
-				// Squashed: no architectural effect. Profiling still
-				// samples the (speculatively computed) memory address, as
-				// the dependence profiler observes every issued access.
-				if profiling && (in.Op == Load || in.Op == Store) {
-					env.specAddr(pc, regs[in.A].I, memHi, true)
+				// Squashed: no architectural effect, but the (speculatively
+				// computed) memory address is still sampled, as the
+				// dependence profiler observes every issued access.
+				if in.Op == Load || in.Op == Store {
+					env.specAddr(pc, regs[in.A].I, memHi)
 				}
 				continue
 			}
@@ -174,9 +171,9 @@ func (p *Prog) Exec(env *Env) (taken, dup int, ncommit int64) {
 		case Log:
 			regs[in.Dest] = fltV(math.Log(regs[in.A].F))
 		case Load:
-			regs[in.Dest] = mem[env.specAddr(pc, regs[in.A].I, memHi, profiling)]
+			regs[in.Dest] = mem[env.specAddr(pc, regs[in.A].I, memHi)]
 		case Store:
-			a := env.specAddr(pc, regs[in.A].I, memHi, profiling)
+			a := env.specAddr(pc, regs[in.A].I, memHi)
 			if env.Olds != nil {
 				env.Olds[pc] = mem[a]
 			}
@@ -197,16 +194,13 @@ func (p *Prog) Exec(env *Env) (taken, dup int, ncommit int64) {
 }
 
 // specAddr resolves one memory instruction's effective address: the
-// speculative address is clamped into the memory image (non-faulting memory,
-// so a garbage address from a squashed path reads or writes a real word
-// instead of trapping) and, under profiling, recorded unclamped in the
-// per-Seq address table — the dependence profiler observes every issued
-// access, committed or squashed. Shared by the Load, Store and
-// squashed-guard paths.
-func (env *Env) specAddr(pc int, a, memHi int64, profiling bool) int64 {
-	if profiling {
-		env.Addrs[pc] = a
-	}
+// speculative address is recorded unclamped in the per-Seq address table —
+// the dependence profiler observes every issued access, committed or
+// squashed — and clamped into the memory image (non-faulting memory, so a
+// garbage address from a squashed path reads or writes a real word instead
+// of trapping). Shared by the Load, Store and squashed-guard paths.
+func (env *Env) specAddr(pc int, a, memHi int64) int64 {
+	env.Addrs[pc] = a
 	if a < 0 {
 		a = 0
 	} else if a > memHi {

@@ -407,7 +407,7 @@ func prepare(src string, o Options, run *Profiled) (*Prepared, error) {
 		// a debug preparation proves not just the IR transforms (layers 1–3
 		// above) but the code the executable tiers would actually run and
 		// the timelines the evaluation would report.
-		if err := verifyCompiled(prog, lat); err != nil {
+		if err := verifyCompiled(prog, memLat); err != nil {
 			return nil, err
 		}
 	}
@@ -420,31 +420,18 @@ func prepare(src string, o Options, run *Profiled) (*Prepared, error) {
 }
 
 // verifyCompiled runs verification layers 4 and 5 over every tree of a
-// prepared program: compile to the bytecode and native tiers (trees outside
-// a tier's repertoire run on the reference walker and are skipped), run the
-// translation validator on each artifact, then list-schedule on a 5-FU
-// machine and replay the result through the soundness auditor. Used by the
-// Verify debug option and, through it, the end-to-end differential fuzzer.
-func verifyCompiled(prog *ir.Program, lat ir.LatencyFunc) error {
-	for _, name := range prog.Order {
-		for _, t := range prog.Funcs[name].Trees {
-			if bp, err := bcode.Compile(t); err == nil {
-				if err := verify.BCode(t, bp); err != nil {
-					return fmt.Errorf("bytecode of %s/%s fails translation validation: %w", name, t.Name, err)
-				}
-			}
-			if np, err := ncode.Compile(t); err == nil {
-				if err := verify.NCode(t, np); err != nil {
-					return fmt.Errorf("native code of %s/%s fails translation validation: %w", name, t.Name, err)
-				}
-			}
-			const nFUs = 5
-			g := ir.BuildDepGraph(t, lat)
-			s := sched.FromGraph(g, nFUs)
-			if err := verify.Schedule(g, s, nFUs); err != nil {
-				return fmt.Errorf("schedule of %s/%s fails soundness audit: %w", name, t.Name, err)
-			}
-		}
+// prepared program, exactly as Lint does (lintCode, lintSchedules on a 5-FU
+// machine): translation-validate both compiled tiers (trees outside a
+// tier's repertoire run on the reference walker and are skipped), then
+// validate and audit a finite-machine list schedule. The first finding is
+// the error. Used by the Verify debug option and, through it, the
+// end-to-end differential fuzzer.
+func verifyCompiled(prog *ir.Program, memLat int) error {
+	var o LintOptions
+	var rep LintReport
+	fs := append(lintCode(prog, &o, &rep), lintSchedules(prog, memLat, 5, &o, &rep)...)
+	if len(fs) > 0 {
+		return fmt.Errorf("compiled code failed verification: %d finding(s), first: %s", len(fs), fs[0])
 	}
 	return nil
 }

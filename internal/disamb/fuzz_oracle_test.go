@@ -25,20 +25,20 @@ func validateCompiled(t *testing.T, p *disamb.Prepared, src string) {
 	for _, name := range p.Prog.Order {
 		for _, tr := range p.Prog.Funcs[name].Trees {
 			if bp, err := bcode.Compile(tr); err == nil {
-				if err := verify.BCode(tr, bp); err != nil {
-					t.Fatalf("%s: bytecode of %s/%s fails translation validation: %v\n%s", p.Kind, name, tr.Name, err, src)
+				if fs := verify.CheckBCode(tr, bp); len(fs) > 0 {
+					t.Fatalf("%s: bytecode of %s/%s fails translation validation: %v\n%s", p.Kind, name, tr.Name, fs, src)
 				}
 			}
 			if np, err := ncode.Compile(tr); err == nil {
-				if err := verify.NCode(tr, np); err != nil {
-					t.Fatalf("%s: native code of %s/%s fails translation validation: %v\n%s", p.Kind, name, tr.Name, err, src)
+				if fs := verify.CheckNCode(tr, np); len(fs) > 0 {
+					t.Fatalf("%s: native code of %s/%s fails translation validation: %v\n%s", p.Kind, name, tr.Name, fs, src)
 				}
 			}
 			const nFUs = 3
 			g := ir.BuildDepGraph(tr, lat)
 			s := sched.FromGraph(g, nFUs)
-			if err := verify.Schedule(g, s, nFUs); err != nil {
-				t.Fatalf("%s: schedule of %s/%s fails soundness audit: %v\n%s", p.Kind, name, tr.Name, err, src)
+			if fs := verify.AuditSchedule(g, s, nFUs); len(fs) > 0 {
+				t.Fatalf("%s: schedule of %s/%s fails soundness audit: %v\n%s", p.Kind, name, tr.Name, fs, src)
 			}
 		}
 	}

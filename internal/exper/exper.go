@@ -329,8 +329,11 @@ func (r *Runner) release(b *bench.Benchmark, kind disamb.Kind, memLat int) {
 }
 
 // prepare runs one preparation: a private clone of the benchmark's
-// compiled base through the pipeline, on the execution-backend ladder.
-// cellLat is the cell's canonical latency, memLat the one it targets.
+// compiled base through the pipeline. It interprets nothing (NAIVE and
+// STATIC never profile, PERFECT and SPEC read the shared run), so it walks
+// no execution-backend ladder: a failure here is the pipeline's, and
+// would fail the same way on every backend. cellLat is the cell's
+// canonical latency, memLat the one it targets.
 func (r *Runner) prepare(b *bench.Benchmark, kind disamb.Kind, cellLat, memLat int) (*disamb.Prepared, error) {
 	base, err := r.compiled(b)
 	if err != nil {
@@ -343,18 +346,17 @@ func (r *Runner) prepare(b *bench.Benchmark, kind disamb.Kind, cellLat, memLat i
 			return nil, r.failCell(inherit(err, b.Name, kind, cellLat), b.Name, kind, cellLat, "prepare")
 		}
 	}
-	p, err := onLadder(r, r.Exec, func(mode sim.ExecMode) (p *disamb.Prepared, err error) {
+	p, err := func() (p *disamb.Prepared, err error) {
 		// The preparation is a cell boundary: a panic anywhere in the
 		// pipeline is recovered into a structured CellError instead of
-		// killing the grid. A retried preparation keeps its rung's
-		// backend for every later run of this cell.
+		// killing the grid.
 		defer resilience.Recover(&err, b.Name, kind.String(), cellLat, "prepare")
-		o := r.options(kind, memLat, mode)
+		o := r.options(kind, memLat, r.Exec)
 		// All of a benchmark's cells start from private clones of one
 		// compilation; each pipeline mutates only its own clone.
 		o.Prog = base.Clone()
 		return disamb.PrepareFrom(run, o)
-	})
+	}()
 	if err != nil {
 		return nil, r.failCell(err, b.Name, kind, cellLat, "prepare")
 	}

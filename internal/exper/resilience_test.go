@@ -190,6 +190,47 @@ func TestNativePanicExhaustsLadder(t *testing.T) {
 	}
 }
 
+// TestPreparationFailureWalksNoLadder makes PERFECT's preparation fail
+// deterministically: one arc dropped from fft's compiled base after its
+// profiling run leaves the shared profile describing a different program.
+// A preparation interprets nothing, so the failure must surface once, at
+// stage prepare, without a backend retry or a fallback counted.
+func TestPreparationFailureWalksNoLadder(t *testing.T) {
+	b := bench.ByName("fft")
+	r := exper.New()
+	r.Benchmarks = []*bench.Benchmark{b}
+	// NAIVE replays the shared profiling run's trace, so measuring it runs
+	// that profiling run.
+	if _, err := r.Measure(b, disamb.Naive, 2); err != nil {
+		t.Fatal(err)
+	}
+	base, err := r.Base(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	main := base.Funcs[base.Main]
+	dropped := false
+	for _, tr := range main.Trees {
+		if n := len(tr.Arcs); n > 0 {
+			tr.Arcs = tr.Arcs[:n-1]
+			dropped = true
+			break
+		}
+	}
+	if !dropped {
+		t.Fatal("fft's main has no tree with arcs")
+	}
+	_, err = r.Prepared(b, disamb.Perfect, 2)
+	var ce *resilience.CellError
+	if !errors.As(err, &ce) || ce.Stage != "prepare" || !strings.Contains(err.Error(), "profile does not match") {
+		t.Fatalf("err = %v, want a profile mismatch at stage prepare", err)
+	}
+	st := r.Stats()
+	if st.NCodeFallbacks != 0 || st.BCodeFallbacks != 0 || st.CellFailures != 1 {
+		t.Fatalf("stats = %+v, want one failed cell and no ladder rung taken", st)
+	}
+}
+
 func TestDropScheduleIsTypedFailure(t *testing.T) {
 	cell := resilience.CellName("moment", "NAIVE", 0)
 	r, b := faulted(map[string]resilience.Fault{

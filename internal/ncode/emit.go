@@ -14,9 +14,9 @@ type emitter struct {
 	consts []ir.Value
 }
 
-// emit builds the full step slice for one specialization. Execution is a
-// tight branchless loop over the slice (Prog.Exec).
-func (e *emitter) emit(plan []FuseKind, profiling bool) []step {
+// emit builds the step slice. Execution is a tight branchless loop over the
+// slice (Prog.Exec).
+func (e *emitter) emit(plan []FuseKind) []step {
 	steps := make([]step, 0, len(e.code))
 	for pc := range e.code {
 		var s step
@@ -24,13 +24,13 @@ func (e *emitter) emit(plan []FuseKind, profiling bool) []step {
 		case FuseConsumed:
 			continue
 		case FuseCmpExit:
-			s = e.cmpExit(pc, profiling)
+			s = e.cmpExit(pc)
 		case FuseConstAlu:
 			s = e.constAlu(pc)
 		case FusePair:
-			s = e.pair(pc, profiling)
+			s = e.pair(pc)
 		default:
-			s = e.one(pc, profiling)
+			s = e.one(pc)
 		}
 		if s != nil {
 			steps = append(steps, s)
@@ -40,10 +40,10 @@ func (e *emitter) emit(plan []FuseKind, profiling bool) []step {
 }
 
 // one emits the step for a single (unfused) instruction. Nops emit nothing.
-func (e *emitter) one(pc int, profiling bool) step {
+func (e *emitter) one(pc int) step {
 	in := e.code[pc]
 	if in.Guard >= 0 {
-		return e.guarded(in, pc, profiling)
+		return e.guarded(in, pc)
 	}
 	a, b, d := int(in.A), int(in.B), int(in.Dest)
 	switch in.Op {
@@ -135,30 +135,20 @@ func (e *emitter) one(pc int, profiling bool) step {
 	case bcode.Log:
 		return func(env *Env) { r := env.Regs; r[d] = fltV(math.Log(r[a].F)) }
 	case bcode.Load:
-		if profiling {
-			return func(env *Env) {
-				raw := env.Regs[a].I
-				env.Addrs[pc] = raw
-				env.Regs[d] = env.Mem[clamp(raw, int64(len(env.Mem))-1)]
-			}
-		}
 		return func(env *Env) {
-			env.Regs[d] = env.Mem[clamp(env.Regs[a].I, int64(len(env.Mem))-1)]
+			raw := env.Regs[a].I
+			env.Addrs[pc] = raw
+			env.Regs[d] = env.Mem[clamp(raw, int64(len(env.Mem))-1)]
 		}
 	case bcode.Store:
-		if profiling {
-			return func(env *Env) {
-				raw := env.Regs[a].I
-				env.Addrs[pc] = raw
-				addr := clamp(raw, int64(len(env.Mem))-1)
-				if env.Olds != nil {
-					env.Olds[pc] = env.Mem[addr]
-				}
-				env.Mem[addr] = env.Regs[b]
-			}
-		}
 		return func(env *Env) {
-			env.Mem[clamp(env.Regs[a].I, int64(len(env.Mem))-1)] = env.Regs[b]
+			raw := env.Regs[a].I
+			env.Addrs[pc] = raw
+			addr := clamp(raw, int64(len(env.Mem))-1)
+			if env.Olds != nil {
+				env.Olds[pc] = env.Mem[addr]
+			}
+			env.Mem[addr] = env.Regs[b]
 		}
 	case bcode.PrintI:
 		return func(env *Env) { env.Print(env.Regs[a], false) }
@@ -182,9 +172,9 @@ func (e *emitter) one(pc int, profiling bool) step {
 
 // guarded emits one closure for a guarded instruction: guard polarity is
 // pre-resolved into `want`, the commit-bit byte and mask are pre-bound, and
-// the profiling chain additionally records the commit outcome (and, for
-// memory ops, the speculative address even when squashed).
-func (e *emitter) guarded(in bcode.Instr, pc int, profiling bool) step {
+// the closure records the commit outcome (and, for memory ops, the
+// speculative address even when squashed).
+func (e *emitter) guarded(in bcode.Instr, pc int) step {
 	g := int(in.Guard)
 	want := !in.GNeg
 	bb, mask := int(in.GIdx>>3), byte(1)<<(in.GIdx&7)
@@ -192,95 +182,51 @@ func (e *emitter) guarded(in bcode.Instr, pc int, profiling bool) step {
 
 	switch in.Op {
 	case bcode.Load:
-		if profiling {
-			return func(env *Env) {
-				r := env.Regs
-				raw := r[a].I
-				env.Addrs[pc] = raw
-				ok := (r[g].I != 0) == want
-				env.Committed[pc] = ok
-				if ok {
-					env.Bits[bb] |= mask
-					env.ncommit++
-					r[d] = env.Mem[clamp(raw, int64(len(env.Mem))-1)]
-				}
-			}
-		}
 		return func(env *Env) {
 			r := env.Regs
-			if (r[g].I != 0) == want {
+			raw := r[a].I
+			env.Addrs[pc] = raw
+			ok := (r[g].I != 0) == want
+			env.Committed[pc] = ok
+			if ok {
 				env.Bits[bb] |= mask
 				env.ncommit++
-				r[d] = env.Mem[clamp(r[a].I, int64(len(env.Mem))-1)]
+				r[d] = env.Mem[clamp(raw, int64(len(env.Mem))-1)]
 			}
 		}
 	case bcode.Store:
-		if profiling {
-			return func(env *Env) {
-				r := env.Regs
-				raw := r[a].I
-				env.Addrs[pc] = raw
-				ok := (r[g].I != 0) == want
-				env.Committed[pc] = ok
-				if ok {
-					env.Bits[bb] |= mask
-					env.ncommit++
-					addr := clamp(raw, int64(len(env.Mem))-1)
-					if env.Olds != nil {
-						env.Olds[pc] = env.Mem[addr]
-					}
-					env.Mem[addr] = r[b]
-				}
-			}
-		}
 		return func(env *Env) {
 			r := env.Regs
-			if (r[g].I != 0) == want {
+			raw := r[a].I
+			env.Addrs[pc] = raw
+			ok := (r[g].I != 0) == want
+			env.Committed[pc] = ok
+			if ok {
 				env.Bits[bb] |= mask
 				env.ncommit++
-				env.Mem[clamp(r[a].I, int64(len(env.Mem))-1)] = r[b]
+				addr := clamp(raw, int64(len(env.Mem))-1)
+				if env.Olds != nil {
+					env.Olds[pc] = env.Mem[addr]
+				}
+				env.Mem[addr] = r[b]
 			}
 		}
 	case bcode.PrintI, bcode.PrintF:
 		isFloat := in.Op == bcode.PrintF
-		if profiling {
-			return func(env *Env) {
-				ok := (env.Regs[g].I != 0) == want
-				env.Committed[pc] = ok
-				if ok {
-					env.Bits[bb] |= mask
-					env.ncommit++
-					env.Print(env.Regs[a], isFloat)
-				}
-			}
-		}
 		return func(env *Env) {
-			if (env.Regs[g].I != 0) == want {
+			ok := (env.Regs[g].I != 0) == want
+			env.Committed[pc] = ok
+			if ok {
 				env.Bits[bb] |= mask
 				env.ncommit++
 				env.Print(env.Regs[a], isFloat)
 			}
 		}
 	case bcode.Exit:
-		if profiling {
-			return func(env *Env) {
-				ok := (env.Regs[g].I != 0) == want
-				env.Committed[pc] = ok
-				if ok {
-					env.Bits[bb] |= mask
-					env.ncommit++
-					if env.taken >= 0 {
-						if env.dup < 0 {
-							env.dup = pc
-						}
-						return
-					}
-					env.taken = pc
-				}
-			}
-		}
 		return func(env *Env) {
-			if (env.Regs[g].I != 0) == want {
+			ok := (env.Regs[g].I != 0) == want
+			env.Committed[pc] = ok
+			if ok {
 				env.Bits[bb] |= mask
 				env.ncommit++
 				if env.taken >= 0 {
@@ -294,18 +240,10 @@ func (e *emitter) guarded(in bcode.Instr, pc int, profiling bool) step {
 		}
 	case bcode.Nop:
 		// Only the guard bit is observable (a discarded guarded result).
-		if profiling {
-			return func(env *Env) {
-				ok := (env.Regs[g].I != 0) == want
-				env.Committed[pc] = ok
-				if ok {
-					env.Bits[bb] |= mask
-					env.ncommit++
-				}
-			}
-		}
 		return func(env *Env) {
-			if (env.Regs[g].I != 0) == want {
+			ok := (env.Regs[g].I != 0) == want
+			env.Committed[pc] = ok
+			if ok {
 				env.Bits[bb] |= mask
 				env.ncommit++
 			}
@@ -319,147 +257,77 @@ func (e *emitter) guarded(in bcode.Instr, pc int, profiling bool) step {
 	// the generic tail below pays an indirect evaluator call per execution.
 	switch in.Op {
 	case bcode.Move:
-		if profiling {
-			return func(env *Env) {
-				r := env.Regs
-				ok := (r[g].I != 0) == want
-				env.Committed[pc] = ok
-				if ok {
-					env.Bits[bb] |= mask
-					env.ncommit++
-					r[d] = r[a]
-				}
-			}
-		}
 		return func(env *Env) {
 			r := env.Regs
-			if (r[g].I != 0) == want {
+			ok := (r[g].I != 0) == want
+			env.Committed[pc] = ok
+			if ok {
 				env.Bits[bb] |= mask
 				env.ncommit++
 				r[d] = r[a]
 			}
 		}
 	case bcode.Add:
-		if profiling {
-			return func(env *Env) {
-				r := env.Regs
-				ok := (r[g].I != 0) == want
-				env.Committed[pc] = ok
-				if ok {
-					env.Bits[bb] |= mask
-					env.ncommit++
-					r[d] = intV(r[a].I + r[b].I)
-				}
-			}
-		}
 		return func(env *Env) {
 			r := env.Regs
-			if (r[g].I != 0) == want {
+			ok := (r[g].I != 0) == want
+			env.Committed[pc] = ok
+			if ok {
 				env.Bits[bb] |= mask
 				env.ncommit++
 				r[d] = intV(r[a].I + r[b].I)
 			}
 		}
 	case bcode.Sub:
-		if profiling {
-			return func(env *Env) {
-				r := env.Regs
-				ok := (r[g].I != 0) == want
-				env.Committed[pc] = ok
-				if ok {
-					env.Bits[bb] |= mask
-					env.ncommit++
-					r[d] = intV(r[a].I - r[b].I)
-				}
-			}
-		}
 		return func(env *Env) {
 			r := env.Regs
-			if (r[g].I != 0) == want {
+			ok := (r[g].I != 0) == want
+			env.Committed[pc] = ok
+			if ok {
 				env.Bits[bb] |= mask
 				env.ncommit++
 				r[d] = intV(r[a].I - r[b].I)
 			}
 		}
 	case bcode.Mul:
-		if profiling {
-			return func(env *Env) {
-				r := env.Regs
-				ok := (r[g].I != 0) == want
-				env.Committed[pc] = ok
-				if ok {
-					env.Bits[bb] |= mask
-					env.ncommit++
-					r[d] = intV(r[a].I * r[b].I)
-				}
-			}
-		}
 		return func(env *Env) {
 			r := env.Regs
-			if (r[g].I != 0) == want {
+			ok := (r[g].I != 0) == want
+			env.Committed[pc] = ok
+			if ok {
 				env.Bits[bb] |= mask
 				env.ncommit++
 				r[d] = intV(r[a].I * r[b].I)
 			}
 		}
 	case bcode.FAdd:
-		if profiling {
-			return func(env *Env) {
-				r := env.Regs
-				ok := (r[g].I != 0) == want
-				env.Committed[pc] = ok
-				if ok {
-					env.Bits[bb] |= mask
-					env.ncommit++
-					r[d] = fltV(r[a].F + r[b].F)
-				}
-			}
-		}
 		return func(env *Env) {
 			r := env.Regs
-			if (r[g].I != 0) == want {
+			ok := (r[g].I != 0) == want
+			env.Committed[pc] = ok
+			if ok {
 				env.Bits[bb] |= mask
 				env.ncommit++
 				r[d] = fltV(r[a].F + r[b].F)
 			}
 		}
 	case bcode.FSub:
-		if profiling {
-			return func(env *Env) {
-				r := env.Regs
-				ok := (r[g].I != 0) == want
-				env.Committed[pc] = ok
-				if ok {
-					env.Bits[bb] |= mask
-					env.ncommit++
-					r[d] = fltV(r[a].F - r[b].F)
-				}
-			}
-		}
 		return func(env *Env) {
 			r := env.Regs
-			if (r[g].I != 0) == want {
+			ok := (r[g].I != 0) == want
+			env.Committed[pc] = ok
+			if ok {
 				env.Bits[bb] |= mask
 				env.ncommit++
 				r[d] = fltV(r[a].F - r[b].F)
 			}
 		}
 	case bcode.FMul:
-		if profiling {
-			return func(env *Env) {
-				r := env.Regs
-				ok := (r[g].I != 0) == want
-				env.Committed[pc] = ok
-				if ok {
-					env.Bits[bb] |= mask
-					env.ncommit++
-					r[d] = fltV(r[a].F * r[b].F)
-				}
-			}
-		}
 		return func(env *Env) {
 			r := env.Regs
-			if (r[g].I != 0) == want {
+			ok := (r[g].I != 0) == want
+			env.Committed[pc] = ok
+			if ok {
 				env.Bits[bb] |= mask
 				env.ncommit++
 				r[d] = fltV(r[a].F * r[b].F)
@@ -482,21 +350,11 @@ func (e *emitter) guarded(in bcode.Instr, pc int, profiling bool) step {
 	if b < 0 {
 		b = a // one-operand forms: read a harmless in-range register
 	}
-	if profiling {
-		return func(env *Env) {
-			r := env.Regs
-			ok := (r[g].I != 0) == want
-			env.Committed[pc] = ok
-			if ok {
-				env.Bits[bb] |= mask
-				env.ncommit++
-				r[d] = ev(r[a], r[b])
-			}
-		}
-	}
 	return func(env *Env) {
 		r := env.Regs
-		if (r[g].I != 0) == want {
+		ok := (r[g].I != 0) == want
+		env.Committed[pc] = ok
+		if ok {
 			env.Bits[bb] |= mask
 			env.ncommit++
 			r[d] = ev(r[a], r[b])
@@ -507,39 +365,21 @@ func (e *emitter) guarded(in bcode.Instr, pc int, profiling bool) step {
 // cmpExit emits the compare+exit superinstruction: one closure computes the
 // compare, writes the (observable) boolean register, and resolves the exit
 // whose guard the compare feeds — commit bit, duplicate-exit detection and
-// profiling commit sample included.
-func (e *emitter) cmpExit(pc int, profiling bool) step {
+// commit sample included.
+func (e *emitter) cmpExit(pc int) step {
 	in, ex := e.code[pc], e.code[pc+1]
 	cmp := cmpFor(in.Op)
 	a, b, d := int(in.A), int(in.B), int(in.Dest)
 	want := !ex.GNeg
 	bb, mask := int(ex.GIdx>>3), byte(1)<<(ex.GIdx&7)
 	exitPC := pc + 1
-	if profiling {
-		return func(env *Env) {
-			r := env.Regs
-			v := cmp(r[a], r[b])
-			r[d] = b2i(v)
-			ok := v == want
-			env.Committed[exitPC] = ok
-			if ok {
-				env.Bits[bb] |= mask
-				env.ncommit++
-				if env.taken >= 0 {
-					if env.dup < 0 {
-						env.dup = exitPC
-					}
-					return
-				}
-				env.taken = exitPC
-			}
-		}
-	}
 	return func(env *Env) {
 		r := env.Regs
 		v := cmp(r[a], r[b])
 		r[d] = b2i(v)
-		if v == want {
+		ok := v == want
+		env.Committed[exitPC] = ok
+		if ok {
 			env.Bits[bb] |= mask
 			env.ncommit++
 			if env.taken >= 0 {

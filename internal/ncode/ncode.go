@@ -4,25 +4,26 @@
 // The bytecode engine (internal/bcode) already pays operand resolution once,
 // at compile time, but its executor still spends every dynamic instruction on
 // a central `for { switch instr.Op }`: a loop bound check, an instruction
-// fetch, a guard-presence test, an indirect dispatch, and (under profiling) a
-// `profiling` flag test. The native tier compiles those costs away with
-// closure-threaded dispatch: each instruction becomes one closure with its
-// operand indices, constant payload, guard register, polarity and commit-bit
-// mask already bound, and execution is a single tight loop over the flat
-// closure slice — no opcode decode, no guard-presence test, no profiling
-// test per step. (A tail-calling chain where each closure invokes the next
-// was measured and rejected: Go has no tail-call elimination, so every step
-// paid a full call frame and the chain ran slower than the bytecode switch.)
+// fetch, a guard-presence test and an indirect dispatch. The native tier
+// compiles those costs away with closure-threaded dispatch: each instruction
+// becomes one closure with its operand indices, constant payload, guard
+// register, polarity and commit-bit mask already bound, and execution is a
+// single tight loop over the flat closure slice — no opcode decode and no
+// guard-presence test per step. (A tail-calling chain where each closure
+// invokes the next was measured and rejected: Go has no tail-call
+// elimination, so every step paid a full call frame and the chain ran slower
+// than the bytecode switch.)
 //
-// Two further specializations happen at compile time rather than run time:
+// Guards are pre-resolved at compile time: unguarded ops get closures with
+// no guard test at all; guarded ops get one closure whose polarity is
+// pre-resolved into a captured `want` boolean (no GNeg branch per step).
 //
-//   - Guard pre-resolution. Unguarded ops get closures with no guard test at
-//     all; guarded ops get one closure whose polarity is pre-resolved into a
-//     captured `want` boolean (no GNeg branch per step).
-//
-//   - Profiling specialization. Every tree compiles to two chains — plain and
-//     profiling — so the per-instruction `env.Profiling` test disappears; the
-//     profiling chain has the per-Seq commit and address sampling bound in.
+// Each tree compiles to one chain, and every run samples what a profiling
+// run needs: guarded closures record their commit outcome and memory
+// closures their unclamped address, squashed ones included, in the Env's
+// per-Seq tables. Whether a run profiles is the caller's business alone
+// (internal/sim folds the samples into a profile only when asked), so the
+// chain has no profiling mode to select.
 //
 // On top of that, a fusion pass tiles the stream greedily with the measured
 // hot-pair catalog of two-word superinstructions: an unguarded compare
@@ -35,12 +36,12 @@
 // pairs: a wider superinstruction built by composing its members' closures
 // removes no calls, and measured no faster (docs/PERFORMANCE.md).
 // Loads/stores keep the non-faulting bounds clamp, commit-bit write and
-// profiling address sample folded into the one memory closure.
+// address sample folded into the one memory closure.
 //
 // Execution semantics are exactly those of the tree walker and the bytecode
 // engine (guarded write-back, clamped non-faulting memory, non-trapping
-// integer division): outputs, commit bits, taken exits and operation counts
-// are byte-for-byte identical, which the differential fuzzers
+// integer division): outputs, commit bits, taken exits, operation counts and
+// samples are byte-for-byte identical, which the differential fuzzers
 // (FuzzNativeVsBCode, FuzzBytecodeVsTree in internal/disamb) and the
 // semantics tests in internal/sim pin. Compilation is exactly as strict as
 // bcode.Compile — ncode lowers through the bytecode stream, so any tree the
@@ -63,8 +64,8 @@ type step func(*Env)
 
 // Env is the machine state one tree execution reads and mutates, mirroring
 // bcode.Env: the caller (internal/sim's Runner) keeps ownership of memory,
-// output and trace recording. The profiling tables are only touched by the
-// profiling chain, so a caller that never profiles may leave them nil.
+// output and trace recording. Every execution fills the sample tables, so
+// Committed and Addrs are required.
 type Env struct {
 	// Regs is the current function invocation's register frame.
 	Regs []ir.Value
@@ -78,13 +79,13 @@ type Env struct {
 	// Print emits one committed print op's value.
 	Print func(v ir.Value, isFloat bool)
 
-	// Committed[seq] and Addrs[seq] are the profiling tables, indexed by
-	// instruction position (== ir.Op.Seq); the profiling chain fills
-	// Committed for guarded instructions and Addrs for memory instructions
-	// (squashed ones included — the dependence profiler observes every
-	// issued access), with the address operand as computed, before the
-	// clamp. Olds, when non-nil, receives at Olds[seq] the word each
-	// committed store overwrote (profiling chain only), as in bcode.Env.
+	// Committed[seq] and Addrs[seq] are the sample tables, indexed by
+	// instruction position (== ir.Op.Seq) and covering the whole program:
+	// the chain fills Committed for guarded instructions and Addrs for
+	// memory instructions (squashed ones included — the dependence profiler
+	// observes every issued access), with the address operand as computed,
+	// before the clamp. Olds, when non-nil, receives at Olds[seq] the word
+	// each committed store overwrote, as in bcode.Env.
 	Committed []bool
 	Addrs     []int64
 	Olds      []ir.Value
@@ -94,46 +95,41 @@ type Env struct {
 	ncommit    int64
 }
 
-// Prog is one tree compiled to native closure chains.
+// Prog is one tree compiled to a native closure chain.
 type Prog struct {
-	// Name is the name of the tree the chains were compiled from; like
+	// Name is the name of the tree the chain was compiled from; like
 	// bcode.Prog, a cached program keeps the name, never the tree.
 	Name string
 	// NumGuarded is the number of guarded instructions (= commit-bit width).
 	NumGuarded int
-	// Steps counts the closures of one chain; Fused counts the
+	// Steps counts the closures of the chain; Fused counts the
 	// superinstructions the fusion pass formed (each saves one dispatch).
 	Steps, Fused int
 
-	// Src is the bytecode program the chains were lowered through, and Plan
+	// Src is the bytecode program the chain was lowered through, and Plan
 	// the fusion plan applied to it — retained so the translation validator
 	// (internal/verify.CheckNCode) can audit the compiled artifact against
 	// the source tree without recompiling.
 	Src  *bcode.Prog
 	Plan []FuseKind
 
-	plain, prof []step
+	steps []step
 }
 
-// Exec runs the compiled tree over env, selecting the plain or profiling
-// specialization, and reports the taken exit's instruction index (-1 if no
-// exit committed), the index of the first duplicate committed exit (-1
-// normally; a non-negative value makes the caller fail the execution with
-// the reference interpreter's two-exits error), and how many guarded
-// instructions committed.
-func (p *Prog) Exec(env *Env, profiling bool) (taken, dup int, ncommit int64) {
+// Exec runs the compiled tree over env and reports the taken exit's
+// instruction index (-1 if no exit committed), the index of the first
+// duplicate committed exit (-1 normally; a non-negative value makes the
+// caller fail the execution with the reference interpreter's two-exits
+// error), and how many guarded instructions committed.
+func (p *Prog) Exec(env *Env) (taken, dup int, ncommit int64) {
 	env.taken, env.dup, env.ncommit = -1, -1, 0
-	steps := p.plain
-	if profiling {
-		steps = p.prof
-	}
-	for _, s := range steps {
+	for _, s := range p.steps {
 		s(env)
 	}
 	return env.taken, env.dup, env.ncommit
 }
 
-// Compile lowers one decision tree to closure chains. Lowering goes through
+// Compile lowers one decision tree to a closure chain. Lowering goes through
 // the bytecode stream, so the strictness contract is bcode.Compile's: any
 // tree outside the repertoire errors, and callers fall back to the reference
 // tree walker.
@@ -150,9 +146,8 @@ func Compile(t *ir.Tree) (*Prog, error) {
 		}
 	}
 	e := &emitter{code: bp.Code, consts: bp.Consts}
-	p.plain = e.emit(plan, false)
-	p.Steps = len(p.plain)
-	p.prof = e.emit(plan, true)
+	p.steps = e.emit(plan)
+	p.Steps = len(p.steps)
 	return p, nil
 }
 

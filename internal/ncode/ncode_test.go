@@ -45,76 +45,68 @@ type state struct {
 }
 
 // execBC runs the tree on the bytecode engine.
-func execBC(t *testing.T, tr *ir.Tree, regs, mem []ir.Value, profiling bool) *state {
+func execBC(t *testing.T, tr *ir.Tree, regs, mem []ir.Value) *state {
 	t.Helper()
 	p, err := bcode.Compile(tr)
 	if err != nil {
 		t.Fatalf("bcode.Compile: %v", err)
 	}
-	s := &state{
-		regs: append([]ir.Value(nil), regs...),
-		mem:  append([]ir.Value(nil), mem...),
-		bits: make([]byte, (p.NumGuarded+7)/8),
-	}
+	s := newState(tr, regs, mem, p.NumGuarded)
 	env := bcode.Env{
-		Regs: s.regs, Mem: s.mem, Bits: s.bits,
-		Print: func(v ir.Value, isFloat bool) { s.printed = append(s.printed, fmt.Sprint(v, isFloat)) },
-	}
-	if profiling {
-		env.Profiling = true
-		env.Committed = make([]bool, len(tr.Ops))
-		env.Addrs = make([]int64, len(tr.Ops))
+		Regs: s.regs, Mem: s.mem, Bits: s.bits, Print: s.print,
+		Committed: s.committed, Addrs: s.addrs,
 	}
 	s.taken, s.dup, s.ncommit = p.Exec(&env)
-	s.committed, s.addrs = env.Committed, env.Addrs
 	return s
 }
 
 // execNC runs the tree on the native closure-chain engine.
-func execNC(t *testing.T, tr *ir.Tree, regs, mem []ir.Value, profiling bool) *state {
+func execNC(t *testing.T, tr *ir.Tree, regs, mem []ir.Value) *state {
 	t.Helper()
 	p, err := ncode.Compile(tr)
 	if err != nil {
 		t.Fatalf("ncode.Compile: %v", err)
 	}
-	s := &state{
-		regs: append([]ir.Value(nil), regs...),
-		mem:  append([]ir.Value(nil), mem...),
-		bits: make([]byte, (p.NumGuarded+7)/8),
-	}
+	s := newState(tr, regs, mem, p.NumGuarded)
 	env := ncode.Env{
-		Regs: s.regs, Mem: s.mem, Bits: s.bits,
-		Print: func(v ir.Value, isFloat bool) { s.printed = append(s.printed, fmt.Sprint(v, isFloat)) },
+		Regs: s.regs, Mem: s.mem, Bits: s.bits, Print: s.print,
+		Committed: s.committed, Addrs: s.addrs,
 	}
-	if profiling {
-		env.Committed = make([]bool, len(tr.Ops))
-		env.Addrs = make([]int64, len(tr.Ops))
-	}
-	s.taken, s.dup, s.ncommit = p.Exec(&env, profiling)
-	s.committed, s.addrs = env.Committed, env.Addrs
+	s.taken, s.dup, s.ncommit = p.Exec(&env)
 	return s
+}
+
+// newState returns a state holding copies of regs and mem, with commit bits
+// for nguarded instructions and the sample tables every execution fills.
+func newState(tr *ir.Tree, regs, mem []ir.Value, nguarded int) *state {
+	return &state{
+		regs:      append([]ir.Value(nil), regs...),
+		mem:       append([]ir.Value(nil), mem...),
+		bits:      make([]byte, (nguarded+7)/8),
+		committed: make([]bool, len(tr.Ops)),
+		addrs:     make([]int64, len(tr.Ops)),
+	}
+}
+
+// print records one committed print.
+func (s *state) print(v ir.Value, isFloat bool) {
+	s.printed = append(s.printed, fmt.Sprint(v, isFloat))
 }
 
 // render flattens a state for comparison. NaN renders as a stable token, so
 // equality survives values reflect.DeepEqual would reject (NaN != NaN).
 func render(s *state) string { return fmt.Sprintf("%+v", s) }
 
-// diff runs the tree on both engines under both specializations and fails on
-// any observable divergence. It returns the native plain-chain state.
+// diff runs the tree on both engines and fails on any observable
+// divergence, samples included. It returns the native state.
 func diff(t *testing.T, tr *ir.Tree, regs, mem []ir.Value) *state {
 	t.Helper()
-	var plain *state
-	for _, profiling := range []bool{false, true} {
-		bc := execBC(t, tr, regs, mem, profiling)
-		nc := execNC(t, tr, regs, mem, profiling)
-		if render(bc) != render(nc) {
-			t.Fatalf("engines diverged (profiling=%v)\nbcode: %+v\nncode: %+v", profiling, bc, nc)
-		}
-		if !profiling {
-			plain = nc
-		}
+	bc := execBC(t, tr, regs, mem)
+	nc := execNC(t, tr, regs, mem)
+	if render(bc) != render(nc) {
+		t.Fatalf("engines diverged\nbcode: %+v\nncode: %+v", bc, nc)
 	}
-	return plain
+	return nc
 }
 
 // TestFusionPlan pins the pairwise tiler on a tree that exercises the plan
@@ -204,8 +196,7 @@ func TestCmpExitFusion(t *testing.T) {
 // TestPairAddressForwarding exercises the add/sub + load superinstruction
 // (aluLoad), with the load both consuming the computed sum as its address —
 // the closure forwards it without a register round trip — and reading an
-// unrelated address register, including the profiling chain's address
-// sample. The offset constant precedes a Div (outside every catalog), so it
+// unrelated address register, including the address sample. The offset constant precedes a Div (outside every catalog), so it
 // cannot fuse into the add as const+arith and the add is free to pair with
 // the load.
 func TestPairAddressForwarding(t *testing.T) {
@@ -257,9 +248,8 @@ func TestPairAddressForwarding(t *testing.T) {
 			if s.regs[rd].I != 100+wantAddr {
 				t.Errorf("sub=%v forward=%v: loaded %d, want %d", sub, forward, s.regs[rd].I, 100+wantAddr)
 			}
-			nc := execNC(t, tr, make([]ir.Value, fn.NumRegs), mem, true)
-			if nc.addrs[ld.Seq] != wantAddr {
-				t.Errorf("sub=%v forward=%v: profiled addr = %d, want %d", sub, forward, nc.addrs[ld.Seq], wantAddr)
+			if s.addrs[ld.Seq] != wantAddr {
+				t.Errorf("sub=%v forward=%v: sampled addr = %d, want %d", sub, forward, s.addrs[ld.Seq], wantAddr)
 			}
 		}
 	}
@@ -338,12 +328,12 @@ func TestFusionSkipsGuardedAndDiv(t *testing.T) {
 	diff(t, tr, make([]ir.Value, fn.NumRegs), make([]ir.Value, 8))
 }
 
-// TestSquashedMemorySampling proves the profiling chains still sample the
-// speculative address of squashed guarded loads and stores — the dependence
-// profiler observes every issued access, committed or not — while the
-// architectural write stays suppressed. This covers the plain guarded
-// memory closures on a wild negative address, which the sample records as
-// computed, before the bounds clamp: an address compare sees that value.
+// TestSquashedMemorySampling proves the chains still sample the speculative
+// address of squashed guarded loads and stores — the dependence profiler
+// observes every issued access, committed or not — while the architectural
+// write stays suppressed. This covers the guarded memory closures on a wild
+// negative address, which the sample records as computed, before the
+// bounds clamp: an address compare sees that value.
 func TestSquashedMemorySampling(t *testing.T) {
 	fn, tr := newTree()
 	g := constOp(fn, tr, iv(0)) // guard register: false
@@ -362,11 +352,7 @@ func TestSquashedMemorySampling(t *testing.T) {
 	regs := make([]ir.Value, fn.NumRegs)
 	regs[rd] = iv(-1) // sentinel: must survive the squashed load
 
-	bc := execBC(t, tr, regs, mem, true)
-	nc := execNC(t, tr, regs, mem, true)
-	if render(bc) != render(nc) {
-		t.Fatalf("engines diverged\nbcode: %+v\nncode: %+v", bc, nc)
-	}
+	nc := diff(t, tr, regs, mem)
 	// The sample must record the address operand -5 unclamped (the clamp
 	// would map it to word 0) even though the guard squashed both accesses.
 	if nc.addrs[ld.Seq] != -5 || nc.addrs[st.Seq] != -5 {

@@ -11,7 +11,7 @@ import (
 // The one dataflow-aware combo is address arithmetic feeding a load: when
 // the load's address register is exactly the sum just computed, the closure
 // forwards the value instead of re-reading the register.
-func (e *emitter) pair(pc int, profiling bool) step {
+func (e *emitter) pair(pc int) step {
 	in, nx := e.code[pc], e.code[pc+1]
 	a1, b1, d1 := int(in.A), int(in.B), int(in.Dest)
 	a2, b2, d2 := int(nx.A), int(nx.B), int(nx.Dest)
@@ -27,7 +27,7 @@ func (e *emitter) pair(pc int, profiling bool) step {
 	case bcode.Add, bcode.Sub:
 		sub1 := in.Op == bcode.Sub
 		if nx.Op == bcode.Load {
-			return e.aluLoad(pc, sub1, profiling)
+			return e.aluLoad(pc, sub1)
 		}
 		// {Add,Sub} → {Add,Sub,Mul}
 		if sub1 {
@@ -78,103 +78,59 @@ func (e *emitter) pair(pc int, profiling bool) step {
 		}
 	case bcode.Load:
 		// Load → {Load, Add, Sub, FMul, FAdd, FSub}; the load's address is
-		// sampled under profiling (the dependence profiler observes every
-		// issued access). Each combo is written out inline — composing from
-		// sub-closures would reintroduce the indirect call fusion removes.
-		if profiling {
-			switch nx.Op {
-			case bcode.Load:
-				return func(env *Env) {
-					r := env.Regs
-					hi := int64(len(env.Mem)) - 1
-					raw := r[a1].I
-					env.Addrs[pc] = raw
-					r[d1] = env.Mem[clamp(raw, hi)]
-					raw2 := r[a2].I
-					env.Addrs[pc+1] = raw2
-					r[d2] = env.Mem[clamp(raw2, hi)]
-				}
-			case bcode.Add:
-				return func(env *Env) {
-					r := env.Regs
-					raw := r[a1].I
-					env.Addrs[pc] = raw
-					r[d1] = env.Mem[clamp(raw, int64(len(env.Mem))-1)]
-					r[d2] = intV(r[a2].I + r[b2].I)
-				}
-			case bcode.Sub:
-				return func(env *Env) {
-					r := env.Regs
-					raw := r[a1].I
-					env.Addrs[pc] = raw
-					r[d1] = env.Mem[clamp(raw, int64(len(env.Mem))-1)]
-					r[d2] = intV(r[a2].I - r[b2].I)
-				}
-			case bcode.FMul:
-				return func(env *Env) {
-					r := env.Regs
-					raw := r[a1].I
-					env.Addrs[pc] = raw
-					r[d1] = env.Mem[clamp(raw, int64(len(env.Mem))-1)]
-					r[d2] = fltV(r[a2].F * r[b2].F)
-				}
-			case bcode.FAdd:
-				return func(env *Env) {
-					r := env.Regs
-					raw := r[a1].I
-					env.Addrs[pc] = raw
-					r[d1] = env.Mem[clamp(raw, int64(len(env.Mem))-1)]
-					r[d2] = fltV(r[a2].F + r[b2].F)
-				}
-			case bcode.FSub:
-				return func(env *Env) {
-					r := env.Regs
-					raw := r[a1].I
-					env.Addrs[pc] = raw
-					r[d1] = env.Mem[clamp(raw, int64(len(env.Mem))-1)]
-					r[d2] = fltV(r[a2].F - r[b2].F)
-				}
-			default:
-				// Uncatalogued combo: the panic below reports it.
-			}
-			break
-		}
+		// sampled (the dependence profiler observes every issued access).
+		// Each combo is written out inline — composing from sub-closures
+		// would reintroduce the indirect call fusion removes.
 		switch nx.Op {
 		case bcode.Load:
 			return func(env *Env) {
 				r := env.Regs
 				hi := int64(len(env.Mem)) - 1
-				r[d1] = env.Mem[clamp(r[a1].I, hi)]
-				r[d2] = env.Mem[clamp(r[a2].I, hi)]
+				raw := r[a1].I
+				env.Addrs[pc] = raw
+				r[d1] = env.Mem[clamp(raw, hi)]
+				raw2 := r[a2].I
+				env.Addrs[pc+1] = raw2
+				r[d2] = env.Mem[clamp(raw2, hi)]
 			}
 		case bcode.Add:
 			return func(env *Env) {
 				r := env.Regs
-				r[d1] = env.Mem[clamp(r[a1].I, int64(len(env.Mem))-1)]
+				raw := r[a1].I
+				env.Addrs[pc] = raw
+				r[d1] = env.Mem[clamp(raw, int64(len(env.Mem))-1)]
 				r[d2] = intV(r[a2].I + r[b2].I)
 			}
 		case bcode.Sub:
 			return func(env *Env) {
 				r := env.Regs
-				r[d1] = env.Mem[clamp(r[a1].I, int64(len(env.Mem))-1)]
+				raw := r[a1].I
+				env.Addrs[pc] = raw
+				r[d1] = env.Mem[clamp(raw, int64(len(env.Mem))-1)]
 				r[d2] = intV(r[a2].I - r[b2].I)
 			}
 		case bcode.FMul:
 			return func(env *Env) {
 				r := env.Regs
-				r[d1] = env.Mem[clamp(r[a1].I, int64(len(env.Mem))-1)]
+				raw := r[a1].I
+				env.Addrs[pc] = raw
+				r[d1] = env.Mem[clamp(raw, int64(len(env.Mem))-1)]
 				r[d2] = fltV(r[a2].F * r[b2].F)
 			}
 		case bcode.FAdd:
 			return func(env *Env) {
 				r := env.Regs
-				r[d1] = env.Mem[clamp(r[a1].I, int64(len(env.Mem))-1)]
+				raw := r[a1].I
+				env.Addrs[pc] = raw
+				r[d1] = env.Mem[clamp(raw, int64(len(env.Mem))-1)]
 				r[d2] = fltV(r[a2].F + r[b2].F)
 			}
 		case bcode.FSub:
 			return func(env *Env) {
 				r := env.Regs
-				r[d1] = env.Mem[clamp(r[a1].I, int64(len(env.Mem))-1)]
+				raw := r[a1].I
+				env.Addrs[pc] = raw
+				r[d1] = env.Mem[clamp(raw, int64(len(env.Mem))-1)]
 				r[d2] = fltV(r[a2].F - r[b2].F)
 			}
 		default:
@@ -259,62 +215,32 @@ func (e *emitter) pair(pc int, profiling bool) step {
 // aluLoad emits the address-arithmetic-plus-load superinstruction. When the
 // load addresses the sum just computed, the value is forwarded; otherwise
 // the address register is read normally.
-func (e *emitter) aluLoad(pc int, sub bool, profiling bool) step {
+func (e *emitter) aluLoad(pc int, sub bool) step {
 	in, ld := e.code[pc], e.code[pc+1]
 	a1, b1, d1 := int(in.A), int(in.B), int(in.Dest)
 	a2, d2 := int(ld.A), int(ld.Dest)
 	ldPC := pc + 1
 	if a2 == d1 {
-		if profiling {
-			return func(env *Env) {
-				r := env.Regs
-				v := r[a1].I + r[b1].I
-				if sub {
-					v = r[a1].I - r[b1].I
-				}
-				r[d1] = intV(v)
-				env.Addrs[ldPC] = v
-				r[d2] = env.Mem[clamp(v, int64(len(env.Mem))-1)]
-			}
-		}
-		if sub {
-			return func(env *Env) {
-				r := env.Regs
-				v := r[a1].I - r[b1].I
-				r[d1] = intV(v)
-				r[d2] = env.Mem[clamp(v, int64(len(env.Mem))-1)]
-			}
-		}
 		return func(env *Env) {
 			r := env.Regs
 			v := r[a1].I + r[b1].I
-			r[d1] = intV(v)
-			r[d2] = env.Mem[clamp(v, int64(len(env.Mem))-1)]
-		}
-	}
-	if profiling {
-		return func(env *Env) {
-			r := env.Regs
 			if sub {
-				r[d1] = intV(r[a1].I - r[b1].I)
-			} else {
-				r[d1] = intV(r[a1].I + r[b1].I)
+				v = r[a1].I - r[b1].I
 			}
-			raw := r[a2].I
-			env.Addrs[ldPC] = raw
-			r[d2] = env.Mem[clamp(raw, int64(len(env.Mem))-1)]
-		}
-	}
-	if sub {
-		return func(env *Env) {
-			r := env.Regs
-			r[d1] = intV(r[a1].I - r[b1].I)
-			r[d2] = env.Mem[clamp(r[a2].I, int64(len(env.Mem))-1)]
+			r[d1] = intV(v)
+			env.Addrs[ldPC] = v
+			r[d2] = env.Mem[clamp(v, int64(len(env.Mem))-1)]
 		}
 	}
 	return func(env *Env) {
 		r := env.Regs
-		r[d1] = intV(r[a1].I + r[b1].I)
-		r[d2] = env.Mem[clamp(r[a2].I, int64(len(env.Mem))-1)]
+		if sub {
+			r[d1] = intV(r[a1].I - r[b1].I)
+		} else {
+			r[d1] = intV(r[a1].I + r[b1].I)
+		}
+		raw := r[a2].I
+		env.Addrs[ldPC] = raw
+		r[d2] = env.Mem[clamp(raw, int64(len(env.Mem))-1)]
 	}
 }

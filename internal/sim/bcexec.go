@@ -18,8 +18,10 @@ type ExecMode uint8
 // tree via Runner.TierUp. The tree walker is the reference interpreter both
 // compiled engines are differentially tested against; it also serves as the
 // automatic fallback for any tree the compilers decline. Every backend
-// executes, profiles and records identically, and none prices: a trace is
-// priced afterwards by the Replayer, whichever engine recorded it.
+// executes, samples and records identically, and has one execution mode:
+// each run samples commit outcomes and unclamped addresses, which the
+// Runner folds into a profile only under Runner.Prof. None prices: a trace
+// is priced afterwards by the Replayer, whichever engine recorded it.
 const (
 	ExecBytecode ExecMode = iota
 	ExecTree

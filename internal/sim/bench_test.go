@@ -25,9 +25,9 @@ func benchSetup(b *testing.B) *ir.Program {
 	return prog
 }
 
-// benchProfile times full profiling runs: raw execution plus the per-op
-// commit and address sampling — the cost the native tier's profiling
-// specialization targets.
+// benchProfile times full profiling runs: execution with its per-op commit
+// and address sampling, plus the Runner's fold of those samples into the
+// profile.
 func benchProfile(b *testing.B, mode sim.ExecMode) {
 	prog := benchSetup(b)
 	bcCache := bcode.NewCache(nil)
@@ -50,9 +50,10 @@ func benchProfile(b *testing.B, mode sim.ExecMode) {
 	}
 }
 
-// benchCapture times full trace-capture runs: the interpretation every timed
-// measurement needs before its trace can be priced, and the shape of the
-// SPEC capture cells trace sharing cannot shortcut.
+// benchCapture times full trace-capture runs: the interpretation a timed
+// measurement needs when no shared or derived trace serves it. The engines
+// sample commits and addresses here too; only the fold into a profile is
+// skipped.
 func benchCapture(b *testing.B, mode sim.ExecMode) {
 	prog := benchSetup(b)
 	bcCache := bcode.NewCache(nil)
@@ -82,8 +83,7 @@ func BenchmarkProfileTree(b *testing.B) { benchProfile(b, sim.ExecTree) }
 // BenchmarkProfileBytecode is BenchmarkProfileTree on the bytecode engine.
 func BenchmarkProfileBytecode(b *testing.B) { benchProfile(b, sim.ExecBytecode) }
 
-// BenchmarkProfileNative is BenchmarkProfileTree on the native tier's
-// profiling-specialized chains.
+// BenchmarkProfileNative is BenchmarkProfileTree on the native tier.
 func BenchmarkProfileNative(b *testing.B) { benchProfile(b, sim.ExecNative) }
 
 // BenchmarkCaptureTree times a trace-capture run (the capture-bound cell
@@ -144,6 +144,27 @@ func BenchmarkBytecodeCompile(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, t := range trees {
 			if _, err := bcode.Compile(t); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkNativeCompile times lowering every tree of the fft benchmark to
+// a native closure chain (one whole-program compile per iteration, through
+// the bytecode stream and the fusion pass).
+func BenchmarkNativeCompile(b *testing.B) {
+	prog := benchSetup(b)
+	prog.IndexTrees()
+	var trees []*ir.Tree
+	for _, name := range prog.Order {
+		trees = append(trees, prog.Funcs[name].Trees...)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, t := range trees {
+			if _, err := ncode.Compile(t); err != nil {
 				b.Fatal(err)
 			}
 		}

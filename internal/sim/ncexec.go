@@ -31,12 +31,6 @@ func (r *Runner) execNC(t *ir.Tree, regs []ir.Value) (*ir.Op, error) {
 		if c.nc = r.ncodeProg(t); c.nc == nil {
 			return r.execBC(t, regs)
 		}
-		c.nenv = ncode.Env{Mem: r.mem, Bits: c.bits, Print: r.printVal}
-		if r.Prof != nil {
-			c.nenv.Committed = c.committed
-			c.nenv.Addrs = c.addrs
-			c.nenv.Olds = c.olds()
-		}
 		if ctrs := r.NCode.Counters(); ctrs != nil {
 			ctrs.TierUps.Add(1)
 		}
@@ -56,7 +50,7 @@ func (r *Runner) execNC(t *ir.Tree, regs []ir.Value) (*ir.Op, error) {
 	if c.keyed != nil {
 		c.keyed.snapshot(regs)
 	}
-	takenSeq, dupSeq, ncommit := c.nc.Exec(&c.nenv, r.Prof != nil)
+	takenSeq, dupSeq, ncommit := c.nc.Exec(&c.nenv)
 	return r.finishPacked(t, c, takenSeq, dupSeq, ncommit)
 }
 

@@ -139,7 +139,10 @@ type Runner struct {
 	// callers state their model explicitly. Required.
 	SemLat ir.LatencyFunc
 	// Prof, when non-nil, collects profiling statistics into the profile and
-	// adds the run's arc counters to the program's arcs as well.
+	// adds the run's arc counters to the program's arcs as well. Every
+	// engine samples commit outcomes and addresses on every run; Prof only
+	// decides whether the Runner folds those samples, so a run without it
+	// leaves every arc's ExecCount and AliasCount as it found them.
 	Prof *Profile
 	// Rec, when non-nil, records the run's execution trace — the count of
 	// every (PIdx, taken exit, guard-commit bits) pattern the run executed,
@@ -314,6 +317,9 @@ func (s *treeShape) bitBytes() int { return (len(s.guarded) + 7) / 8 }
 type treeCtx struct {
 	*treeShape
 
+	// committed and addrs are the per-Seq samples every engine fills on
+	// every execution: each op's commit outcome and each memory op's
+	// unclamped address. profileExec reads them under Runner.Prof.
 	committed []bool
 	addrs     []int64
 	recBits   []byte // packed commit bits scratch for trace recording
@@ -330,7 +336,7 @@ type treeCtx struct {
 	tiered bool
 
 	// benv / nenv are the compiled executors' machine-state views, built
-	// once per tree with the bits, profiling tables, memory image and print
+	// once per tree with the bits, sample tables, memory image and print
 	// hook already bound; per execution only the register frame changes
 	// (see execBC / execNC).
 	benv bcode.Env
@@ -393,18 +399,9 @@ func (r *Runner) newCtx(t *ir.Tree) *treeCtx {
 	if r.Keys.keys(t) {
 		c.keyed = newKeyedTree(t)
 	}
-	profiling := r.Prof != nil
 	switch r.Exec {
 	case ExecBytecode:
-		if c.bc = r.bcodeProg(t); c.bc != nil {
-			c.bits = make([]byte, c.bitBytes())
-			c.benv = bcode.Env{Mem: r.mem, Bits: c.bits, Print: r.printVal, Profiling: profiling}
-			if profiling {
-				c.benv.Committed = c.committed
-				c.benv.Addrs = c.addrs
-				c.benv.Olds = c.olds()
-			}
-		}
+		c.bc = r.bcodeProg(t)
 	case ExecNative:
 		if r.TierUp > 0 {
 			// Adaptive tiering: start the tree on the bytecode engine and
@@ -412,24 +409,21 @@ func (r *Runner) newCtx(t *ir.Tree) *treeCtx {
 			// threshold. A tree the bytecode compiler declines runs on the
 			// walker (the native compiler, which lowers through bytecode,
 			// would decline it too).
-			if c.bc = r.bcodeProg(t); c.bc != nil {
-				c.bits = make([]byte, c.bitBytes())
-				c.benv = bcode.Env{Mem: r.mem, Bits: c.bits, Print: r.printVal, Profiling: profiling}
-				if profiling {
-					c.benv.Committed = c.committed
-					c.benv.Addrs = c.addrs
-					c.benv.Olds = c.olds()
-				}
-			}
-		} else if c.nc = r.ncodeProg(t); c.nc != nil {
-			c.bits = make([]byte, c.bitBytes())
-			c.nenv = ncode.Env{Mem: r.mem, Bits: c.bits, Print: r.printVal}
-			if profiling {
-				c.nenv.Committed = c.committed
-				c.nenv.Addrs = c.addrs
-				c.nenv.Olds = c.olds()
-			}
+			c.bc = r.bcodeProg(t)
+		} else {
+			c.nc = r.ncodeProg(t)
 		}
+	}
+	if c.bc != nil || c.nc != nil {
+		// Both engine views share the bits, sample tables and print hook
+		// (one method value, one allocation), so a tree promoted from
+		// bytecode to native keeps them.
+		c.bits = make([]byte, c.bitBytes())
+		printHook := r.printVal
+		c.benv = bcode.Env{Mem: r.mem, Bits: c.bits, Print: printHook,
+			Committed: c.committed, Addrs: c.addrs, Olds: c.olds()}
+		c.nenv = ncode.Env{Mem: r.mem, Bits: c.bits, Print: printHook,
+			Committed: c.committed, Addrs: c.addrs, Olds: c.olds()}
 	}
 	for _, op := range t.Ops {
 		if op.Kind == ir.OpExit && op.Exit == ir.ExitCall {
@@ -793,7 +787,6 @@ func (r *Runner) execTree(t *ir.Tree, regs []ir.Value) (*ir.Op, error) {
 	if c.keyed != nil {
 		c.keyed.snapshot(regs)
 	}
-	profiling := r.Prof != nil
 	var taken *ir.Op
 	var ncommit int64
 	for i, op := range t.Ops {
@@ -812,17 +805,13 @@ func (r *Runner) execTree(t *ir.Tree, regs []ir.Value) (*ir.Op, error) {
 		switch op.Kind {
 		case ir.OpLoad:
 			a := regs[op.Args[0]].I
-			if profiling {
-				c.addrs[i] = a
-			}
+			c.addrs[i] = a
 			if ok {
 				regs[op.Dest] = r.mem[clampTo(a, r.memHi)]
 			}
 		case ir.OpStore:
 			a := regs[op.Args[0]].I
-			if profiling {
-				c.addrs[i] = a
-			}
+			c.addrs[i] = a
 			if ok {
 				w := clampTo(a, r.memHi)
 				if c.keyed != nil {
@@ -862,7 +851,7 @@ func (r *Runner) execTree(t *ir.Tree, regs []ir.Value) (*ir.Op, error) {
 		}
 		r.Rec.Tree(t.PIdx, c.exitOf[taken.Seq], c.recBits)
 	}
-	if profiling {
+	if r.Prof != nil {
 		r.profileExec(c, c.exitOf[taken.Seq], c.recBits)
 	}
 	return taken, nil

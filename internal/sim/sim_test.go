@@ -1,15 +1,19 @@
 package sim_test
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
+	"specdis/internal/bcode"
 	"specdis/internal/bench"
 	"specdis/internal/compile"
 	"specdis/internal/ir"
 	"specdis/internal/machine"
+	"specdis/internal/ncode"
 	"specdis/internal/sched"
 	"specdis/internal/sim"
+	"specdis/internal/trace"
 )
 
 func compileSrc(t *testing.T, src string) *ir.Program {
@@ -171,6 +175,84 @@ func TestProfileServesClones(t *testing.T) {
 			t.Fatalf("%s: no tree executed", b.Name)
 		}
 	}
+}
+
+// TestProfilingOnlyFoldsSamples pins the engines' one execution mode: every
+// engine samples commit outcomes and addresses on every run, and
+// Runner.Prof only decides whether the Runner folds the samples. On every
+// suite program and engine configuration, a run with a recorder alone must
+// record the byte-identical trace, output and counts of a run that also
+// profiles, sharing its compiled code, and must leave every arc's counters
+// as it found them.
+func TestProfilingOnlyFoldsSamples(t *testing.T) {
+	engines := []struct {
+		name   string
+		mode   sim.ExecMode
+		tierUp int64
+	}{
+		{"tree", sim.ExecTree, 0},
+		{"bcode", sim.ExecBytecode, 0},
+		{"native", sim.ExecNative, 0},
+		{"native/tierup=1", sim.ExecNative, 1},
+		{"native/tierup=32", sim.ExecNative, 32},
+	}
+	for _, b := range bench.All() {
+		base := compileSrc(t, b.Source)
+		for _, e := range engines {
+			bc, nc := bcode.NewCache(nil), ncode.NewCache(nil)
+			run := func(prog *ir.Program, prof *sim.Profile) (*sim.Result, *trace.Trace) {
+				rec := trace.NewRecorder()
+				r := &sim.Runner{Prog: prog, SemLat: machine.Infinite(2).LatencyFunc(), Prof: prof, Rec: rec,
+					Exec: e.mode, TierUp: e.tierUp, BCode: bc, NCode: nc}
+				res, err := r.Run()
+				if err != nil {
+					t.Fatalf("%s/%s: %v", b.Name, e.name, err)
+				}
+				return res, rec.Finish(res.Ops, res.Committed)
+			}
+			profiled := base.Clone()
+			wantRes, wantTr := run(profiled, sim.NewProfile())
+			var counted int64
+			for _, a := range arcsOf(profiled) {
+				counted += a.ExecCount
+			}
+			if len(arcsOf(base)) > 0 && counted == 0 {
+				t.Fatalf("%s/%s: the profiling run counted no arc execution", b.Name, e.name)
+			}
+
+			// Seed the counters, so that leaving them alone is visible.
+			recorded := base.Clone()
+			arcs := arcsOf(recorded)
+			for k, a := range arcs {
+				a.ExecCount, a.AliasCount = int64(2*k+1), int64(k)
+			}
+			res, tr := run(recorded, nil)
+			if res.Output != wantRes.Output || res.Ops != wantRes.Ops || res.Committed != wantRes.Committed {
+				t.Fatalf("%s/%s: recording run gave output/ops/committed %q/%d/%d, profiling run %q/%d/%d",
+					b.Name, e.name, res.Output, res.Ops, res.Committed, wantRes.Output, wantRes.Ops, wantRes.Committed)
+			}
+			if !bytes.Equal(tr.Bytes(), wantTr.Bytes()) || tr.Events != wantTr.Events {
+				t.Fatalf("%s/%s: recording and profiling runs recorded different traces", b.Name, e.name)
+			}
+			for k, a := range arcs {
+				if a.ExecCount != int64(2*k+1) || a.AliasCount != int64(k) {
+					t.Fatalf("%s/%s: arc %d counters %d/%d after a run without Prof, want %d/%d",
+						b.Name, e.name, k, a.ExecCount, a.AliasCount, 2*k+1, k)
+				}
+			}
+		}
+	}
+}
+
+// arcsOf lists every memory-dependence arc of prog in program order.
+func arcsOf(prog *ir.Program) []*ir.MemArc {
+	var arcs []*ir.MemArc
+	for _, name := range prog.Order {
+		for _, tr := range prog.Funcs[name].Trees {
+			arcs = append(arcs, tr.Arcs...)
+		}
+	}
+	return arcs
 }
 
 func TestPlanPricingMatchesHandComputation(t *testing.T) {

@@ -38,10 +38,6 @@ import (
 	"specdis/internal/ir"
 )
 
-// BCode runs the bytecode translation validator and folds findings into one
-// error, or nil. This is the oracle form used by debug hooks and fuzzers.
-func BCode(t *ir.Tree, p *bcode.Prog) error { return asError(CheckBCode(t, p)) }
-
 // CheckBCode validates one compiled bytecode program against its source
 // tree. A nil program is vacuously valid (the tree runs on the reference
 // walker). The tree is taken as ground truth: callers lint the tree with

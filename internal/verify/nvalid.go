@@ -30,10 +30,6 @@ import (
 	"specdis/internal/ncode"
 )
 
-// NCode runs the native-tier translation validator and folds findings into
-// one error, or nil.
-func NCode(t *ir.Tree, p *ncode.Prog) error { return asError(CheckNCode(t, p)) }
-
 // CheckNCode validates one compiled native program against its source tree.
 // A nil program is vacuously valid (the tree runs on the reference walker).
 func CheckNCode(t *ir.Tree, p *ncode.Prog) []Finding {

@@ -26,12 +26,6 @@ import (
 	"specdis/internal/sched"
 )
 
-// Schedule runs the schedule-soundness auditor and folds findings into one
-// error, or nil.
-func Schedule(g *ir.DepGraph, s *sched.Schedule, numFUs int) error {
-	return asError(AuditSchedule(g, s, numFUs))
-}
-
 // AuditSchedule audits one schedule against the dependence graph it was
 // built from. numFUs is the machine width the schedule claims to fit
 // (numFUs <= 0: the infinite machine, no issue-width limit).
