@@ -137,6 +137,21 @@ func TestSpdbenchSingleExperiments(t *testing.T) {
 	if out, err := exec.Command(bin, "-bench", "nope").CombinedOutput(); err == nil {
 		t.Errorf("unknown benchmark accepted:\n%s", out)
 	}
+
+	// A mistyped -only name must fail, not print an empty report that
+	// compares equal to another empty one.
+	var stderr bytes.Buffer
+	cmd := exec.Command(bin, "-only", "nosuch")
+	cmd.Stderr = &stderr
+	out, err = cmd.Output()
+	if err == nil || len(out) > 0 {
+		t.Errorf("unknown experiment accepted (err %v), stdout:\n%s", err, out)
+	}
+	for _, name := range []string{"table61", "table62", "table63", "fig62", "fig63", "fig64", "ext", "overhead"} {
+		if !strings.Contains(stderr.String(), name) {
+			t.Errorf("unknown-experiment error does not list %s:\n%s", name, stderr.String())
+		}
+	}
 }
 
 // TestSpdbenchTraceBackends checks the -trace flag: both backends render the

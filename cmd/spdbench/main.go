@@ -41,10 +41,13 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"runtime/debug"
 	"runtime/pprof"
+	"slices"
+	"strings"
 	"time"
 
 	"specdis/internal/bench"
@@ -53,6 +56,49 @@ import (
 	"specdis/internal/sim"
 	"specdis/internal/store"
 )
+
+// experiment is one report of the evaluation.
+type experiment struct {
+	name string
+	// extra reports (the §7 extensions, the dynamic overhead) run only
+	// when -only names them, and end without a blank line.
+	extra bool
+	// timed reports compute cells; their wall time goes to the JSON.
+	timed bool
+	run   func(r *exper.Runner, out io.Writer) error
+}
+
+// experiments are the reports in print order, and the names -only accepts.
+// The four computed reports stream: each row prints the moment its cells
+// resolve, while later cells are still warming on the worker queue.
+var experiments = []experiment{
+	{name: "table61", run: func(_ *exper.Runner, out io.Writer) error { exper.RenderTable61(out); return nil }},
+	{name: "table62", run: func(r *exper.Runner, out io.Writer) error { exper.RenderTable62(out, r.Benchmarks); return nil }},
+	{name: "table63", timed: true, run: (*exper.Runner).StreamTable63},
+	{name: "fig62", timed: true, run: (*exper.Runner).StreamFigure62},
+	{name: "fig63", timed: true, run: (*exper.Runner).StreamFigure63},
+	{name: "fig64", timed: true, run: (*exper.Runner).StreamFigure64},
+	{name: "ext", extra: true, timed: true, run: func(r *exper.Runner, out io.Writer) error {
+		grows, err := r.ExtGrafting(6, 5)
+		if err != nil {
+			return err
+		}
+		crows, err := r.ExtCombined(6)
+		if err != nil {
+			return err
+		}
+		exper.RenderExtensions(out, grows, crows)
+		return nil
+	}},
+	{name: "overhead", extra: true, timed: true, run: func(r *exper.Runner, out io.Writer) error {
+		rows, err := r.DynamicOverhead(2)
+		if err != nil {
+			return err
+		}
+		exper.RenderOverhead(out, rows)
+		return nil
+	}},
+}
 
 // defaultFuel is the default per-interpretation dynamic-op budget: ten times
 // the full evaluation's pinned sim_ops total (46,553,404), so no legitimate
@@ -104,7 +150,11 @@ func run() int {
 	if os.Getenv("GOGC") == "" {
 		debug.SetGCPercent(400)
 	}
-	only := flag.String("only", "", "run a single experiment: table61|table62|table63|fig62|fig63|fig64|ext|overhead")
+	var names []string
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+	only := flag.String("only", "", "run a single experiment: "+strings.Join(names, "|"))
 	benchName := flag.String("bench", "", "restrict to one benchmark")
 	maxExpansion := flag.Float64("maxexpansion", 0, "override SpD MaxExpansion")
 	minGain := flag.Float64("mingain", -1, "override SpD MinGain")
@@ -121,6 +171,9 @@ func run() int {
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	verifyFlag := flag.Bool("verify", false, "run the static verifier after every pipeline stage of every cell (debug mode; see internal/verify)")
 	flag.Parse()
+	if *only != "" && !slices.Contains(names, *only) {
+		log.Fatalf("unknown -only experiment %q (want %s)", *only, strings.Join(names, ", "))
+	}
 
 	r := exper.New()
 	r.Par = *par
@@ -211,89 +264,25 @@ func run() int {
 		}()
 	}
 
-	want := func(name string) bool { return *only == "" || *only == name }
 	out := os.Stdout
 	report := benchReport{WallMS: map[string]float64{}, Par: *par}
 	start := time.Now()
-	timed := func(name string, fn func() error) {
+	for _, e := range experiments {
+		if *only != e.name && (*only != "" || e.extra) {
+			continue
+		}
 		t0 := time.Now()
-		if err := fn(); err != nil {
+		if err := e.run(r, out); err != nil {
 			// Cell failures are recorded in the rows, never returned; an
 			// error here is infrastructure (a benchmark fails to compile).
 			log.Fatal(err)
 		}
-		report.WallMS[name] = float64(time.Since(t0).Microseconds()) / 1000
-	}
-
-	if want("table61") {
-		exper.RenderTable61(out)
-		fmt.Fprintln(out)
-	}
-	if want("table62") {
-		exper.RenderTable62(out, r.Benchmarks)
-		fmt.Fprintln(out)
-	}
-	// The four computed reports stream: each row prints the moment its cells
-	// resolve, while later cells are still warming on the worker queue.
-	if want("table63") {
-		timed("table63", func() error {
-			if err := r.StreamTable63(out); err != nil {
-				return err
-			}
+		if !e.extra {
 			fmt.Fprintln(out)
-			return nil
-		})
-	}
-	if want("fig62") {
-		timed("fig62", func() error {
-			if err := r.StreamFigure62(out); err != nil {
-				return err
-			}
-			fmt.Fprintln(out)
-			return nil
-		})
-	}
-	if want("fig63") {
-		timed("fig63", func() error {
-			if err := r.StreamFigure63(out); err != nil {
-				return err
-			}
-			fmt.Fprintln(out)
-			return nil
-		})
-	}
-	if want("fig64") {
-		timed("fig64", func() error {
-			if err := r.StreamFigure64(out); err != nil {
-				return err
-			}
-			fmt.Fprintln(out)
-			return nil
-		})
-	}
-	if *only == "overhead" {
-		timed("overhead", func() error {
-			rows, err := r.DynamicOverhead(2)
-			if err != nil {
-				return err
-			}
-			exper.RenderOverhead(out, rows)
-			return nil
-		})
-	}
-	if *only == "ext" {
-		timed("ext", func() error {
-			grows, err := r.ExtGrafting(6, 5)
-			if err != nil {
-				return err
-			}
-			crows, err := r.ExtCombined(6)
-			if err != nil {
-				return err
-			}
-			exper.RenderExtensions(out, grows, crows)
-			return nil
-		})
+		}
+		if e.timed {
+			report.WallMS[e.name] = float64(time.Since(t0).Microseconds()) / 1000
+		}
 	}
 
 	st := r.Stats()

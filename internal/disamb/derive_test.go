@@ -23,7 +23,7 @@ import (
 // the captured one.
 func deriveAndCapture(t *testing.T, prog *ir.Program, memLat int, params spd.Params, maxOps int64) (derived *trace.Trace, derr error, captured *trace.Trace, p *disamb.Prepared) {
 	t.Helper()
-	o := disamb.Options{Kind: disamb.Spec, MemLat: memLat, SpD: params, MaxOps: maxOps}
+	o := disamb.Options{Kind: disamb.Spec, MemLat: memLat, SpD: params, Interp: disamb.Interp{MaxOps: maxOps}}
 	run, err := disamb.ProfileRun(prog, o)
 	if err != nil {
 		return nil, nil, nil, nil // the program does not run under the budget
@@ -243,7 +243,7 @@ func BenchmarkDerive(b *testing.B) {
 			b.Fatal(err)
 		}
 		// spdbench's engine settings: the native tier under adaptive tiering.
-		o := disamb.Options{Kind: disamb.Spec, SpD: spd.DefaultParams(), Exec: sim.ExecNative, TierUp: 32}
+		o := disamb.Options{Kind: disamb.Spec, SpD: spd.DefaultParams(), Interp: disamb.Interp{Exec: sim.ExecNative, TierUp: 32}}
 		run, err := disamb.ProfileRun(prog, o)
 		if err != nil {
 			b.Fatal(err)
@@ -337,7 +337,7 @@ func TestChainedSpDComparesStaleAddress(t *testing.T) {
 	for _, minGain := range []float64{0.01, 0.25} {
 		params := spd.DefaultParams()
 		params.MinGain = minGain
-		o := disamb.Options{Kind: disamb.Spec, MemLat: 2, SpD: params, MaxOps: 5_000_000}
+		o := disamb.Options{Kind: disamb.Spec, MemLat: 2, SpD: params, Interp: disamb.Interp{MaxOps: 5_000_000}}
 		run, err := disamb.ProfileRun(prog, o)
 		if err != nil {
 			t.Fatal(err)

@@ -80,37 +80,57 @@ type Prepared struct {
 	BaseOps int
 	// Grafts counts applied tree grafts (0 unless Options.Graft is set).
 	Grafts int
-	// MaxOps is Options.MaxOps, carried so Measure and Capture runs share
-	// the preparation's operation budget.
-	MaxOps int64
-	// Ctx is Options.Ctx, carried so Measure and Capture runs share the
-	// preparation's cancellation scope.
-	Ctx context.Context
-	// Exec is the execution backend every interpretation of this preparation
-	// uses (Options.Exec), and TierUp its adaptive-tiering hot threshold
-	// (Options.TierUp).
-	Exec   sim.ExecMode
-	TierUp int64
-	// BCode and NCode cache the program's compiled bytecode and native
-	// closure chains, so every interpretation of this preparation — the
-	// profiling run, Capture, Measure, verification reruns — shares one
-	// compilation of each tree. Both caches are content-addressed
-	// (ir.AppendExecKey), so they are safe across op-level transformations
-	// (a mutated tree re-keys and recompiles) and may be shared across
-	// preparations and program clones; sweep drivers (internal/exper) supply
-	// one pair for a whole sweep via Options.
-	BCode *bcode.Cache
-	NCode *ncode.Cache
+	// Interp is Options.Interp, with private compiled-code caches where the
+	// options shared none. A caller adjusts one run (exper's degradation
+	// ladder: backend, fuel) on a shallow copy of the Prepared.
+	Interp
 	// Sched shares list schedules across every Plans call of this
 	// preparation (Options.Sched). It is keyed by dependence-graph content
 	// and holds no tree, so it may be shared across preparations too.
 	Sched *sched.Cache
-	// Shapes shares the simulator's tree skeletons across every run of
-	// this preparation (Measure sweeps, Capture, replay). Unlike
-	// the compiled-code caches it keys on tree identity, so it is created
-	// only after preparation's op-level transformations are done and is
-	// never shared across preparations.
-	Shapes *sim.ShapeCache
+	// ChaosPlans, when non-nil, mutates the plans ReplayMeasure and Measure
+	// build before pricing (exper's schedule-dropping fault, set on a copy);
+	// Measure builds them only once its interpretation has succeeded.
+	ChaosPlans func([]*sim.Plan)
+	// ChaosPanicAt, when positive, arms the injected-panic hook of Capture's
+	// and Measure's interpretation (see sim.Runner.ChaosPanicAt); exper's
+	// panic faults set it on a copy, inside their resilience.Recover.
+	ChaosPanicAt int64
+}
+
+// Interp holds the settings of every interpretation of a program: the
+// shared profiling run (ProfileRun), a preparation's private one, Capture,
+// Measure and Lint's dynamic checks. Options and Prepared embed it, and
+// runner is the one place the package builds a sim.Runner.
+type Interp struct {
+	// Exec selects the execution backend (zero value: the bytecode engine).
+	Exec sim.ExecMode
+	// TierUp, under sim.ExecNative, defers each tree's native compile until
+	// it has executed TierUp times within a run (see sim.Runner.TierUp);
+	// zero compiles eagerly.
+	TierUp int64
+	// MaxOps bounds each interpretation's dynamic operation count (0 =
+	// sim.DefaultMaxOps). The fuzzers set a small budget so runaway
+	// generated programs fail fast.
+	MaxOps int64
+	// Ctx, when non-nil, cancels each interpretation with a typed deadline
+	// error (see sim.Runner.Ctx).
+	Ctx context.Context
+	// BCode and NCode, when non-nil, are the compiled-code caches of every
+	// interpretation. Content addressing (ir.AppendExecKey) makes them safe
+	// across op-level transformations, preparations and program clones, so
+	// a sweep (internal/exper) shares one pair and identical trees compile
+	// once.
+	BCode *bcode.Cache
+	NCode *ncode.Cache
+}
+
+// runner returns a Runner that interprets prog under these settings and
+// memLat's semantic model; the caller adds what the run collects (Prof,
+// Rec, Keys) and any injected-panic hook.
+func (in Interp) runner(prog *ir.Program, memLat int) *sim.Runner {
+	return &sim.Runner{Prog: prog, SemLat: machine.Infinite(memLat).LatencyFunc(), MaxOps: in.MaxOps, Ctx: in.Ctx,
+		Exec: in.Exec, TierUp: in.TierUp, BCode: in.BCode, NCode: in.NCode}
 }
 
 // Options configure a pipeline beyond the paper's defaults.
@@ -134,33 +154,10 @@ type Options struct {
 	// per-application debug hook), and PERFECT's arc removal — failing the
 	// preparation on the first invariant violation. Debug mode.
 	Verify bool
-	// MaxOps bounds the dynamic operation count of every interpretation of
-	// the prepared program — the profiling run here and the later Measure
-	// and Capture runs (0 = sim.DefaultMaxOps). The fuzzers set a small
-	// budget so runaway generated programs fail fast.
-	MaxOps int64
-	// Ctx, when non-nil, cancels every interpretation of the prepared
-	// program — the profiling run and the later Measure and Capture runs —
-	// with a typed deadline error (see sim.Runner.Ctx).
-	Ctx context.Context
-	// Exec selects the execution backend for every interpretation of the
-	// prepared program (zero value: the bytecode engine).
-	Exec sim.ExecMode
-	// TierUp, under sim.ExecNative, defers each tree's native compile until
-	// it has executed TierUp times within a run (see sim.Runner.TierUp);
-	// zero compiles eagerly.
-	TierUp int64
-	// ExecCounters, when non-nil, accumulates compilation and cache
-	// statistics across the preparation and everything derived from it
-	// (bytecode or native, per Exec).
-	ExecCounters *bcode.Counters
-	// BCode and NCode, when non-nil, are shared compiled-code caches the
-	// preparation (and everything derived from it) compiles through. Left
-	// nil, the preparation creates private caches wired to ExecCounters.
-	// Sharing one pair across a sweep lets identical trees — clones handed
-	// to different cells, re-preparations of one source — compile once.
-	BCode *bcode.Cache
-	NCode *ncode.Cache
+	// Interp configures every interpretation of the prepared program — the
+	// profiling run here and the later Measure and Capture runs, which read
+	// it from Prepared.
+	Interp
 	// Sched, when non-nil, is a shared schedule cache every Plans call of
 	// the preparation schedules through; left nil, the preparation creates
 	// a private one. Sharing one across a sweep schedules each distinct
@@ -169,19 +166,11 @@ type Options struct {
 }
 
 // verifyStage checks the program's structural and speculation-safety
-// invariants after a pipeline stage. pairs, when non-nil, adds the
-// pair-precise mutual-exclusion check over SpD's recorded duplications.
+// invariants after a pipeline stage, exactly as Lint's static half does
+// (lintStatic); the first finding is the error. pairs, when non-nil, adds
+// the pair-precise mutual-exclusion check over SpD's recorded duplications.
 func verifyStage(prog *ir.Program, stage string, pairs map[*ir.Tree][]verify.SpecPair) error {
-	fs := verify.CheckProgram(prog)
-	for _, name := range prog.Order {
-		for _, t := range prog.Funcs[name].Trees {
-			fs = append(fs, verify.CheckSpecTree(t)...)
-			if pairs != nil {
-				fs = append(fs, verify.CheckSpecPairs(t, pairs[t])...)
-			}
-		}
-	}
-	if len(fs) > 0 {
+	if fs := lintStatic(prog, pairs, nil); len(fs) > 0 {
 		return fmt.Errorf("verify after %s: %d finding(s), first: %s", stage, len(fs), fs[0])
 	}
 	return nil
@@ -220,22 +209,20 @@ type Profiled struct {
 }
 
 // ProfileRun interprets prog once, profiling and recording it and keeping
-// its execution keys (sim.Runner.Keys), under o's execution settings: Exec,
-// TierUp, MaxOps, Ctx and the compiled-code caches (MemLat only names the
-// semantic model). The run executes a private clone that is dropped when it
-// returns, so prog stays untouched and may be shared; Derive reads it, so it
-// must not change while the run is in use.
+// its execution keys (sim.Runner.Keys), under o.Interp (MemLat only names
+// the semantic model). The run executes a private clone that is dropped
+// when it returns, so prog stays untouched and may be shared; Derive reads
+// it, so it must not change while the run is in use.
 func ProfileRun(prog *ir.Program, o Options) (*Profiled, error) {
-	bc, nc := o.caches()
-	rec := trace.NewRecorder()
 	run := &Profiled{Profile: sim.NewProfile(), Prog: prog, Keys: &sim.KeyLog{Trees: speculable(prog)}}
-	r := &sim.Runner{Prog: prog.Clone(), SemLat: machine.Infinite(o.MemLat).LatencyFunc(), Prof: run.Profile, Rec: rec, Keys: run.Keys, MaxOps: o.MaxOps, Ctx: o.Ctx, Exec: o.Exec, TierUp: o.TierUp, BCode: bc, NCode: nc}
+	r := o.runner(prog.Clone(), o.MemLat)
+	r.Prof, r.Rec, r.Keys = run.Profile, trace.NewRecorder(), run.Keys
 	res, err := r.Run()
 	if err != nil {
 		return nil, fmt.Errorf("profiling run: %w", err)
 	}
 	run.Output = res.Output
-	run.Trace = rec.Finish(res.Ops, res.Committed)
+	run.Trace = r.Rec.Finish(res.Ops, res.Committed)
 	return run, nil
 }
 
@@ -273,19 +260,6 @@ func PrepareFrom(run *Profiled, o Options) (*Prepared, error) {
 	return prepare("", o, run)
 }
 
-// caches returns o's compiled-code caches, creating private ones wired to
-// o.ExecCounters where o supplies none.
-func (o Options) caches() (*bcode.Cache, *ncode.Cache) {
-	bc, nc := o.BCode, o.NCode
-	if bc == nil {
-		bc = bcode.NewCache(o.ExecCounters)
-	}
-	if nc == nil {
-		nc = ncode.NewCache(o.ExecCounters)
-	}
-	return bc, nc
-}
-
 func prepare(src string, o Options, run *Profiled) (*Prepared, error) {
 	kind, memLat := o.Kind, o.MemLat
 	prog := o.Prog
@@ -296,9 +270,14 @@ func prepare(src string, o Options, run *Profiled) (*Prepared, error) {
 			return nil, err
 		}
 	}
-	p := &Prepared{Kind: kind, MemLat: memLat, Prog: prog, BaseOps: prog.OpCount(), MaxOps: o.MaxOps, Ctx: o.Ctx, Exec: o.Exec, TierUp: o.TierUp}
-	p.BCode, p.NCode = o.caches()
-	if p.Sched = o.Sched; p.Sched == nil {
+	p := &Prepared{Kind: kind, MemLat: memLat, Prog: prog, BaseOps: prog.OpCount(), Interp: o.Interp, Sched: o.Sched}
+	if p.BCode == nil {
+		p.BCode = bcode.NewCache(nil)
+	}
+	if p.NCode == nil {
+		p.NCode = ncode.NewCache(nil)
+	}
+	if p.Sched == nil {
 		p.Sched = sched.NewCache()
 	}
 	lat := machine.Infinite(memLat).LatencyFunc()
@@ -317,14 +296,14 @@ func prepare(src string, o Options, run *Profiled) (*Prepared, error) {
 			p.Output = run.Output
 			return run.Profile, nil
 		}
-		prof := sim.NewProfile()
-		r := &sim.Runner{Prog: prog, SemLat: lat, Prof: prof, MaxOps: o.MaxOps, Ctx: o.Ctx, Exec: o.Exec, TierUp: o.TierUp, BCode: p.BCode, NCode: p.NCode}
+		r := p.runner(prog, memLat)
+		r.Prof = sim.NewProfile()
 		res, err := r.Run()
 		if err != nil {
 			return nil, fmt.Errorf("%s profiling run: %w", kind, err)
 		}
 		p.Output = res.Output
-		return prof, nil
+		return r.Prof, nil
 	}
 
 	if o.Graft != nil {
@@ -411,11 +390,6 @@ func prepare(src string, o Options, run *Profiled) (*Prepared, error) {
 			return nil, err
 		}
 	}
-	// Tree structure is final from here on (arc counters still mutate, but
-	// the shapes only capture arc endpoints), so the identity-keyed shape
-	// cache becomes safe to share across this preparation's runs. The
-	// profiling runs above predate the transforms and deliberately skip it.
-	p.Shapes = sim.NewShapeCache()
 	return p, nil
 }
 
@@ -423,9 +397,9 @@ func prepare(src string, o Options, run *Profiled) (*Prepared, error) {
 // prepared program, exactly as Lint does (lintCode, lintSchedules on a 5-FU
 // machine): translation-validate both compiled tiers (trees outside a
 // tier's repertoire run on the reference walker and are skipped), then
-// validate and audit a finite-machine list schedule. The first finding is
-// the error. Used by the Verify debug option and, through it, the
-// end-to-end differential fuzzer.
+// audit a finite-machine list schedule. The first finding is the error.
+// Used by the Verify debug option and, through it, the end-to-end
+// differential fuzzer.
 func verifyCompiled(prog *ir.Program, memLat int) error {
 	var o LintOptions
 	var rep LintReport
@@ -489,81 +463,25 @@ func Plans(p *Prepared, models []machine.Model) []*sim.Plan {
 	return plans
 }
 
-// MeasureOpt adjusts one measurement or replay run without touching
-// the preparation it runs against. The zero value changes nothing; the
-// degradation ladder (internal/exper) and the fault-injection harness are the
-// intended users.
-type MeasureOpt struct {
-	// Ctx overrides the preparation's context when non-nil.
-	Ctx context.Context
-	// MaxOps overrides the preparation's fuel budget when positive — the
-	// fuel-exhaustion fault shrinks one run's budget without touching the
-	// shared preparation.
-	MaxOps int64
-	// Exec overrides the preparation's execution backend when ExecSet — the
-	// bcode→tree retry rung sets it after a bytecode-side failure.
-	Exec    sim.ExecMode
-	ExecSet bool
-	// ChaosPanicAt, when positive, arms the run's injected-panic hook (see
-	// sim.Runner.ChaosPanicAt).
-	ChaosPanicAt int64
-	// ChaosPlans, when non-nil, mutates the freshly built pricing plans
-	// before the replay — the schedule-dropping fault uses it.
-	ChaosPlans func([]*sim.Plan)
-}
-
-func (o MeasureOpt) exec(p *Prepared) sim.ExecMode {
-	if o.ExecSet {
-		return o.Exec
-	}
-	return p.Exec
-}
-
-func (o MeasureOpt) ctx(p *Prepared) context.Context {
-	if o.Ctx != nil {
-		return o.Ctx
-	}
-	return p.Ctx
-}
-
-func (o MeasureOpt) maxOps(p *Prepared) int64 {
-	if o.MaxOps > 0 {
-		return o.MaxOps
-	}
-	return p.MaxOps
-}
-
 // Capture records an execution trace of the prepared program for replay
-// pricing, with one fresh interpretation validated against the profiling
-// output when there is one. A sweep replays NAIVE, STATIC and PERFECT from
-// their program's shared profiling run (Profiled.Trace) and derives SPEC's
-// trace from that run too (Derive), so it captures only when a derivation
-// declines and on the recapture rung, which replaces a trace that failed
-// its integrity check. Capture is also the oracle derived traces are tested
-// against.
+// pricing, with one fresh interpretation under p.Interp, validated against
+// the profiling output when there is one. A sweep replays NAIVE, STATIC and
+// PERFECT from their program's shared profiling run (Profiled.Trace) and
+// derives SPEC's trace from that run too (Derive), so it captures only
+// when a derivation declines and on the recapture rung, which replaces a
+// trace that failed its integrity check. Capture is also the oracle derived
+// traces are tested against.
 func Capture(p *Prepared) (*trace.Trace, error) {
-	_, tr, err := record(p, MeasureOpt{}, "capture run")
+	_, tr, err := record(p, "capture run")
 	return tr, err
 }
 
-// record interprets the prepared program once under opt's overrides,
-// recording its trace, and checks the output against the profiling run's.
-// Capture and MeasureWith share it; what names the run in errors.
-func record(p *Prepared, opt MeasureOpt, what string) (*sim.Result, *trace.Trace, error) {
-	rec := trace.NewRecorder()
-	r := &sim.Runner{
-		Prog:         p.Prog,
-		SemLat:       machine.Infinite(p.MemLat).LatencyFunc(),
-		Rec:          rec,
-		MaxOps:       opt.maxOps(p),
-		Ctx:          opt.ctx(p),
-		ChaosPanicAt: opt.ChaosPanicAt,
-		Exec:         opt.exec(p),
-		TierUp:       p.TierUp,
-		BCode:        p.BCode,
-		NCode:        p.NCode,
-		Shapes:       p.Shapes,
-	}
+// record interprets the prepared program once under p.Interp, recording
+// its trace, and checks the output against the profiling run's. Capture
+// and Measure share it; what names the run in errors.
+func record(p *Prepared, what string) (*sim.Result, *trace.Trace, error) {
+	r := p.runner(p.Prog, p.MemLat)
+	r.Rec, r.ChaosPanicAt = trace.NewRecorder(), p.ChaosPanicAt
 	res, err := r.Run()
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s %s: %w", p.Kind, what, err)
@@ -571,7 +489,7 @@ func record(p *Prepared, opt MeasureOpt, what string) (*sim.Result, *trace.Trace
 	if p.Output != "" && res.Output != p.Output {
 		return nil, nil, fmt.Errorf("%s %s output diverged from profiling run", p.Kind, what)
 	}
-	return res, rec.Finish(res.Ops, res.Committed), nil
+	return res, r.Rec.Finish(res.Ops, res.Committed), nil
 }
 
 // ReplayMeasure prices the prepared program under every model by replaying
@@ -585,23 +503,17 @@ func record(p *Prepared, opt MeasureOpt, what string) (*sim.Result, *trace.Trace
 // this mutually and with their source's profiling run (Profiled.Trace);
 // SPEC needs a trace of its own transformed program.
 func ReplayMeasure(p *Prepared, models []machine.Model, tr *trace.Trace) (*sim.Result, error) {
-	return ReplayMeasureWith(p, models, tr, MeasureOpt{})
+	return price(p, models, tr, "replay")
 }
 
-// ReplayMeasureWith is ReplayMeasure with per-run options (replay evaluates
-// no operand, so only ChaosPlans applies).
-func ReplayMeasureWith(p *Prepared, models []machine.Model, tr *trace.Trace, opt MeasureOpt) (*sim.Result, error) {
-	return replay(p, models, tr, opt, "replay")
-}
-
-// replay prices tr under models' plans, after opt.ChaosPlans; what names
-// the run in errors.
-func replay(p *Prepared, models []machine.Model, tr *trace.Trace, opt MeasureOpt, what string) (*sim.Result, error) {
+// price replays tr under models' plans, after p.ChaosPlans; what names the
+// run in errors.
+func price(p *Prepared, models []machine.Model, tr *trace.Trace, what string) (*sim.Result, error) {
 	plans := Plans(p, models)
-	if opt.ChaosPlans != nil {
-		opt.ChaosPlans(plans)
+	if p.ChaosPlans != nil {
+		p.ChaosPlans(plans)
 	}
-	rp := &sim.Replayer{Prog: p.Prog, Plans: plans, Shapes: p.Shapes}
+	rp := &sim.Replayer{Prog: p.Prog, Plans: plans}
 	res, err := rp.Replay(tr)
 	if err != nil {
 		return nil, fmt.Errorf("%s %s: %w", p.Kind, what, err)
@@ -609,23 +521,17 @@ func replay(p *Prepared, models []machine.Model, tr *trace.Trace, opt MeasureOpt
 	return res, nil
 }
 
-// Measure interprets the prepared program once, recording its trace, and
-// prices that trace under every model: Capture followed by ReplayMeasure,
-// with the run's Output and Exit kept. The returned Times slice parallels
+// Measure interprets the prepared program once under p.Interp, recording
+// its trace, and prices that trace under every model: Capture followed by
+// ReplayMeasure, with the run's Output and Exit kept. Failures of either
+// half are reported as the timed run's. The returned Times slice parallels
 // models.
 func Measure(p *Prepared, models []machine.Model) (*sim.Result, error) {
-	return MeasureWith(p, models, MeasureOpt{})
-}
-
-// MeasureWith is Measure with per-run options: the interpretation takes the
-// Ctx, MaxOps, Exec and ChaosPanicAt overrides, the replay ChaosPlans.
-// Failures of either half are reported as the timed run's.
-func MeasureWith(p *Prepared, models []machine.Model, opt MeasureOpt) (*sim.Result, error) {
-	run, tr, err := record(p, opt, "timed run")
+	run, tr, err := record(p, "timed run")
 	if err != nil {
 		return nil, err
 	}
-	res, err := replay(p, models, tr, opt, "timed run")
+	res, err := price(p, models, tr, "timed run")
 	if err != nil {
 		return nil, err
 	}

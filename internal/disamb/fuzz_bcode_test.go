@@ -45,8 +45,7 @@ func FuzzBytecodeVsTree(f *testing.F) {
 					Kind:   kind,
 					MemLat: 2,
 					SpD:    params,
-					MaxOps: 2_000_000,
-					Exec:   mode,
+					Interp: disamb.Interp{MaxOps: 2_000_000, Exec: mode},
 				})
 				if err != nil {
 					return nil, err

@@ -148,7 +148,7 @@ func FuzzDisamb(f *testing.F) {
 				MemLat: 2,
 				SpD:    params,
 				Verify: true,
-				MaxOps: 2_000_000,
+				Interp: disamb.Interp{MaxOps: 2_000_000},
 			})
 			if err != nil {
 				if strings.Contains(err.Error(), "verif") {

@@ -47,8 +47,7 @@ func FuzzNativeVsBCode(f *testing.F) {
 					Kind:   kind,
 					MemLat: 2,
 					SpD:    params,
-					MaxOps: 2_000_000,
-					Exec:   mode,
+					Interp: disamb.Interp{MaxOps: 2_000_000, Exec: mode},
 				})
 				if err != nil {
 					return nil, err

@@ -24,7 +24,7 @@ import (
 // trace histogram cross-validates the arc counters and the pairwise commit
 // exclusion, an arc-lattice comparison of every refined pipeline against
 // NAIVE, a removed-arc soundness audit for the non-speculative refinements,
-// and a list-schedule validation of every tree. Unlike the Options.Verify
+// and a list-schedule audit of every tree. Unlike the Options.Verify
 // debug hook (which fails the pipeline on the first violation), the lint
 // engine collects every finding into a report.
 
@@ -37,7 +37,7 @@ type LintOptions struct {
 	MemLats []int
 	// SpD overrides the transform parameters (nil = spd.DefaultParams()).
 	SpD *spd.Params
-	// NumFUs is the machine width used to build and validate schedules
+	// NumFUs is the machine width used to build and audit schedules
 	// (default 5, the width of the paper's Figure 6-2 machine).
 	NumFUs int
 	// Corrupt, when non-nil, mutates each prepared program before checking.
@@ -95,7 +95,7 @@ type LintStats struct {
 	Pairs       int // SpD original/duplicate pairs checked
 	ArcsChecked int // arcs cross-validated against a trace histogram
 	ArcsAudited int // base arcs audited for unsound removal
-	Scheds      int // list schedules built and validated
+	Scheds      int // list schedules built
 	Progs       int // compiled programs (bytecode + native) translation-validated
 	Audits      int // schedules replayed by the soundness auditor
 	Patterns    int // distinct trace commit patterns scanned
@@ -169,7 +169,8 @@ func Lint(src string, o LintOptions) (*LintReport, error) {
 				break
 			}
 			cell := fmt.Sprintf("%s/mem%d", kind, lat)
-			po := Options{Kind: kind, MemLat: lat, SpD: params, Exec: o.Exec, MaxOps: maxOps, BCode: o.BCode, NCode: o.NCode, Prog: prog.Clone()}
+			po := Options{Kind: kind, MemLat: lat, SpD: params, Prog: prog.Clone(),
+				Interp: Interp{Exec: o.Exec, MaxOps: maxOps, BCode: o.BCode, NCode: o.NCode}}
 			var p *Prepared
 			if !kind.ReadsProfile() {
 				p, err = PrepareFrom(nil, po)
@@ -198,25 +199,16 @@ func Lint(src string, o LintOptions) (*LintReport, error) {
 			}
 			rep.Stats.Cells++
 
-			var fs []verify.Finding
 			var pairs map[*ir.Tree][]verify.SpecPair
 			if kind == Spec && p.SpD != nil {
 				pairs = p.SpD.TreePairs()
 			}
-			fs = append(fs, verify.CheckProgram(p.Prog)...)
-			forEachTree(p.Prog, func(t *ir.Tree) {
-				rep.Stats.Trees++
-				fs = append(fs, verify.CheckSpecTree(t)...)
-				if pairs != nil {
-					fs = append(fs, verify.CheckSpecPairs(t, pairs[t])...)
-					rep.Stats.Pairs += len(pairs[t])
-				}
-			})
+			fs := lintStatic(p.Prog, pairs, &rep.Stats)
 
 			// The dynamic half interprets the program; only run it on a
 			// structurally sound cell.
 			if len(fs) == 0 {
-				dyn, err := lintDynamic(p, lat, o.ChaosPanicAt, pairs, rep)
+				dyn, err := lintDynamic(p, o.ChaosPanicAt, pairs, rep)
 				if err != nil {
 					switch cls := resilience.Classify(err); {
 					case cls == resilience.ClassFuel || cls == resilience.ClassDeadline:
@@ -276,6 +268,26 @@ func Lint(src string, o LintOptions) (*LintReport, error) {
 	return rep, nil
 }
 
+// lintStatic is the static half of the battery, shared with the
+// Options.Verify hook (verifyStage): the program-level structural checks,
+// then every tree's speculation-safety checks and, where pairs is non-nil,
+// the pair-precise mutual-exclusion check over SpD's recorded duplications.
+// st, when non-nil, counts the trees and pairs checked.
+func lintStatic(prog *ir.Program, pairs map[*ir.Tree][]verify.SpecPair, st *LintStats) []verify.Finding {
+	fs := verify.CheckProgram(prog)
+	forEachTree(prog, func(t *ir.Tree) {
+		fs = append(fs, verify.CheckSpecTree(t)...)
+		if pairs != nil {
+			fs = append(fs, verify.CheckSpecPairs(t, pairs[t])...)
+		}
+		if st != nil {
+			st.Trees++
+			st.Pairs += len(pairs[t])
+		}
+	})
+	return fs
+}
+
 // lintResult is the dynamic half's output for one cell.
 type lintResult struct {
 	findings []verify.Finding
@@ -283,11 +295,12 @@ type lintResult struct {
 }
 
 // lintDynamic re-profiles the prepared program with trace recording
-// piggybacked on the same interpretation, then cross-validates the arc
+// piggybacked on the same interpretation, under p.Interp with the
+// injected-panic hook armed at chaosAt, then cross-validates the arc
 // counters and the pairwise commit exclusion against the trace histogram.
 // Sharing one run makes the recomputed per-arc execution counts exact, so
 // any mismatch is a profiler or recorder bug, not sampling noise.
-func lintDynamic(p *Prepared, memLat int, chaosAt int64, pairs map[*ir.Tree][]verify.SpecPair, rep *LintReport) (*lintResult, error) {
+func lintDynamic(p *Prepared, chaosAt int64, pairs map[*ir.Tree][]verify.SpecPair, rep *LintReport) (*lintResult, error) {
 	// Preparation may have left profile counts on the arcs (SPEC and
 	// PERFECT profile before transforming); reset so the counters and the
 	// histogram describe the same run of the same (final) program.
@@ -296,22 +309,11 @@ func lintDynamic(p *Prepared, memLat int, chaosAt int64, pairs map[*ir.Tree][]ve
 			a.ExecCount, a.AliasCount = 0, 0
 		}
 	})
-	rec := trace.NewRecorder()
-	r := &sim.Runner{
-		Prog:         p.Prog,
-		SemLat:       machine.Infinite(memLat).LatencyFunc(),
-		Prof:         sim.NewProfile(),
-		Rec:          rec,
-		MaxOps:       p.MaxOps,
-		ChaosPanicAt: chaosAt,
-		Exec:         p.Exec,
-		BCode:        p.BCode,
-		NCode:        p.NCode,
-		Shapes:       p.Shapes,
-	}
+	r := p.runner(p.Prog, p.MemLat)
+	r.Prof, r.Rec, r.ChaosPanicAt = sim.NewProfile(), trace.NewRecorder(), chaosAt
 	res, err := func() (res *sim.Result, err error) {
 		// The lint interpretation is a cell boundary: contain crashes.
-		defer resilience.Recover(&err, "lint", p.Kind.String(), memLat, "lint")
+		defer resilience.Recover(&err, "lint", p.Kind.String(), p.MemLat, "lint")
 		return r.Run()
 	}()
 	if err != nil {
@@ -320,7 +322,7 @@ func lintDynamic(p *Prepared, memLat int, chaosAt int64, pairs map[*ir.Tree][]ve
 	if p.Output != "" && res.Output != p.Output {
 		return nil, fmt.Errorf("lint run output diverged from the preparation's profiling run")
 	}
-	h, err := rec.Finish(res.Ops, res.Committed).Hist()
+	h, err := r.Rec.Finish(res.Ops, res.Committed).Hist()
 	if err != nil {
 		return nil, fmt.Errorf("trace histogram: %w", err)
 	}
@@ -366,12 +368,14 @@ func lintCode(prog *ir.Program, o *LintOptions, rep *LintReport) []verify.Findin
 	return fs
 }
 
-// lintSchedules list-schedules every tree on an n-FU machine and validates
-// the result against the tree's dependence graph — the same construction
-// Plans uses for timed measurement, so a violation here means measured
-// cycle counts are untrustworthy. Every built schedule is additionally
-// replayed by the soundness auditor (verify.AuditSchedule), which also
-// recomputes the critical path the reported cycle count must attain.
+// lintSchedules list-schedules every tree on an n-FU machine — the same
+// construction Plans uses for timed measurement, so a violation here means
+// measured cycle counts are untrustworthy — and replays every schedule
+// through the soundness auditor (verify.AuditSchedule). The auditor checks
+// everything sched.Validate does (every op issued, dependence order, issue
+// width), each violation as its own finding, reports a schedule of the
+// wrong shape instead of indexing past it, and also checks completion
+// latencies and the critical path the reported cycle count must attain.
 func lintSchedules(prog *ir.Program, memLat, n int, o *LintOptions, rep *LintReport) []verify.Finding {
 	var fs []verify.Finding
 	lat := machine.Infinite(memLat).LatencyFunc()
@@ -382,14 +386,6 @@ func lintSchedules(prog *ir.Program, memLat, n int, o *LintOptions, rep *LintRep
 			o.CorruptSched(s)
 		}
 		rep.Stats.Scheds++
-		if err := sched.Validate(g, s, n); err != nil {
-			fs = append(fs, verify.Finding{
-				Check: "sched/invalid",
-				Func:  t.Fn.Name,
-				Tree:  fmt.Sprintf("T%d(%s)", t.ID, t.Name),
-				Msg:   err.Error(),
-			})
-		}
 		rep.Stats.Audits++
 		fs = append(fs, verify.AuditSchedule(g, s, n)...)
 	})

@@ -172,6 +172,18 @@ func TestLintReportsCompiledCorruption(t *testing.T) {
 		}
 		wantCheck(t, rep, "sched/comp-latency")
 	})
+
+	// A schedule shorter than its tree is a finding, never an index past
+	// the schedule's end.
+	t.Run("sched-truncated", func(t *testing.T) {
+		rep, err := Lint(src, LintOptions{MemLats: []int{2}, CorruptSched: func(s *sched.Schedule) {
+			s.Issue = s.Issue[:len(s.Issue)-1]
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantCheck(t, rep, "sched/shape")
+	})
 }
 
 // wantCheck asserts the report carries at least one finding with the check ID.

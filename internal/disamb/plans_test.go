@@ -48,13 +48,13 @@ func checkCachedSchedules(t *testing.T, c *sched.Cache, prog *ir.Program, memLat
 // under maxOps.
 func preparedPipelines(t testing.TB, prog *ir.Program, memLat int, params spd.Params, maxOps int64) []*disamb.Prepared {
 	t.Helper()
-	run, err := disamb.ProfileRun(prog, disamb.Options{MemLat: memLat, MaxOps: maxOps})
+	run, err := disamb.ProfileRun(prog, disamb.Options{MemLat: memLat, Interp: disamb.Interp{MaxOps: maxOps}})
 	if err != nil {
 		return nil
 	}
 	var out []*disamb.Prepared
 	for _, kind := range disamb.Kinds {
-		p, err := disamb.PrepareFrom(run, disamb.Options{Kind: kind, MemLat: memLat, SpD: params, MaxOps: maxOps, Prog: prog.Clone()})
+		p, err := disamb.PrepareFrom(run, disamb.Options{Kind: kind, MemLat: memLat, SpD: params, Interp: disamb.Interp{MaxOps: maxOps}, Prog: prog.Clone()})
 		if err != nil {
 			t.Fatalf("%s m%d: %v", kind, memLat, err)
 		}

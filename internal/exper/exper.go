@@ -60,7 +60,7 @@ type Runner struct {
 	// (disamb.Derive), captured by an interpretation only when the
 	// derivation declines or on the recapture rung, so no cell interprets.
 	// Without it, every cell interprets its own program and prices that
-	// run's trace (disamb.MeasureWith): the setting checks the sharing
+	// run's trace (disamb.Measure): the setting checks the sharing
 	// policy, not a second pricing algorithm. Reports are byte-identical
 	// either way at every Par setting; see TestTraceReplayEquivalence.
 	TraceReplay bool
@@ -388,16 +388,13 @@ func (r *Runner) profiled(b *bench.Benchmark) (*disamb.Profiled, error) {
 
 // options returns the settings every preparation and interpretation of the
 // runner shares: its SpD parameters, verifier, fuel and context, the given
-// backend under its tier-up threshold, its compiled-code caches and
-// counters, and its schedule cache.
+// backend under its tier-up threshold, its compiled-code caches and its
+// schedule cache.
 func (r *Runner) options(kind disamb.Kind, memLat int, mode sim.ExecMode) disamb.Options {
 	bcc, ncc := r.caches()
 	return disamb.Options{
-		Kind: kind, MemLat: memLat, SpD: r.Params,
-		Verify: r.Verify,
-		MaxOps: r.Fuel, Ctx: r.Ctx,
-		Exec: mode, TierUp: r.TierUp, ExecCounters: &r.bcodeCtrs,
-		BCode: bcc, NCode: ncc, Sched: r.schedules(),
+		Kind: kind, MemLat: memLat, SpD: r.Params, Verify: r.Verify, Sched: r.schedules(),
+		Interp: disamb.Interp{Exec: mode, TierUp: r.TierUp, MaxOps: r.Fuel, Ctx: r.Ctx, BCode: bcc, NCode: ncc},
 	}
 }
 

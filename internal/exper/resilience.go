@@ -91,9 +91,11 @@ func (r *Runner) measureCell(b *bench.Benchmark, kind disamb.Kind, cellLat, memL
 	if fault.Kind != resilience.FaultNone {
 		r.nInjected.Add(1)
 	}
-	opt := disamb.MeasureOpt{Ctx: r.Ctx}
 	if fault.Kind == resilience.FaultDropSchedule {
-		opt.ChaosPlans = func(plans []*sim.Plan) { dropMainSchedule(p.Prog, plans) }
+		// Every rung below prices through this copy's plans hook.
+		q := *p
+		q.ChaosPlans = func(plans []*sim.Plan) { dropMainSchedule(p.Prog, plans) }
+		p = &q
 	}
 
 	// Fuel and panic faults bite inside an interpretation, which the replay
@@ -101,10 +103,10 @@ func (r *Runner) measureCell(b *bench.Benchmark, kind disamb.Kind, cellLat, memL
 	// interpreting path so the failure (and its recovery) actually happens.
 	switch fault.Kind {
 	case resilience.FaultFuel, resilience.FaultPanic, resilience.FaultBCodePanic:
-		return r.interpMeasure(b, kind, cellLat, p, models, opt, fault)
+		return r.interpMeasure(b, kind, cellLat, p, models, fault)
 	}
 	if !r.TraceReplay {
-		return r.interpMeasure(b, kind, cellLat, p, models, opt, fault)
+		return r.interpMeasure(b, kind, cellLat, p, models, fault)
 	}
 
 	tr, err := r.traceFor(b, kind, memLat)
@@ -115,7 +117,7 @@ func (r *Runner) measureCell(b *bench.Benchmark, kind disamb.Kind, cellLat, memL
 		tr = tr.Clone()
 		tr.FlipByte(int(fault.N))
 	}
-	res, rerr := replayCell(b, kind, cellLat, p, models, tr, opt)
+	res, rerr := replayCell(b, kind, cellLat, p, models, tr)
 	if rerr == nil {
 		r.nReplayCells.Add(1)
 		return res, nil
@@ -132,7 +134,7 @@ func (r *Runner) measureCell(b *bench.Benchmark, kind disamb.Kind, cellLat, memL
 		if fault.Kind == resilience.FaultFlipTrace && fault.Times > 1 {
 			tr2.FlipByte(int(fault.N))
 		}
-		res, rerr = replayCell(b, kind, cellLat, p, models, tr2, opt)
+		res, rerr = replayCell(b, kind, cellLat, p, models, tr2)
 		if rerr == nil {
 			r.nReplayCells.Add(1)
 			return res, nil
@@ -146,15 +148,15 @@ func (r *Runner) measureCell(b *bench.Benchmark, kind disamb.Kind, cellLat, memL
 
 	// Rung: replay unusable → measure the cell from its own interpretation.
 	r.nInterpFallback.Add(1)
-	return r.interpMeasure(b, kind, cellLat, p, models, opt, fault)
+	return r.interpMeasure(b, kind, cellLat, p, models, fault)
 }
 
 // replayCell prices one cell by replaying tr. Building its plans schedules
 // the cell's trees, so a replay is a cell boundary too: a panic is recovered
 // into the cell's own CellError.
-func replayCell(b *bench.Benchmark, kind disamb.Kind, cellLat int, p *disamb.Prepared, models []machine.Model, tr *trace.Trace, opt disamb.MeasureOpt) (res *sim.Result, err error) {
+func replayCell(b *bench.Benchmark, kind disamb.Kind, cellLat int, p *disamb.Prepared, models []machine.Model, tr *trace.Trace) (res *sim.Result, err error) {
 	defer resilience.Recover(&err, b.Name, kind.String(), cellLat, "measure")
-	return disamb.ReplayMeasureWith(p, models, tr, opt)
+	return disamb.ReplayMeasure(p, models, tr)
 }
 
 // recaptureCell records a fresh trace for one cell, containing panics.
@@ -225,28 +227,29 @@ func (r *Runner) noteFallback(from sim.ExecMode) {
 }
 
 // interpMeasure measures one cell from a fresh recorded interpretation of
-// its program, priced from that run's own trace (disamb.MeasureWith),
+// its program, priced from that run's own trace (disamb.Measure),
 // applying the cell's injected fault and — for retryable compiled-engine
 // failures — walking the native → bytecode → tree ladder one rung per
-// failure.
-func (r *Runner) interpMeasure(b *bench.Benchmark, kind disamb.Kind, cellLat int, p *disamb.Prepared, models []machine.Model, opt disamb.MeasureOpt, fault resilience.Fault) (*sim.Result, error) {
+// failure. Each rung measures a shallow copy of p with the rung's backend
+// and the fault's fuel or panic setting.
+func (r *Runner) interpMeasure(b *bench.Benchmark, kind disamb.Kind, cellLat int, p *disamb.Prepared, models []machine.Model, fault resilience.Fault) (*sim.Result, error) {
 	attempt := func(mode sim.ExecMode) (res *sim.Result, err error) {
 		defer resilience.Recover(&err, b.Name, kind.String(), cellLat, "measure")
-		o := opt
-		o.Exec, o.ExecSet = mode, true
+		q := *p
+		q.Exec = mode
 		switch fault.Kind {
 		case resilience.FaultFuel:
-			o.MaxOps = fault.N
+			q.MaxOps = fault.N
 		case resilience.FaultPanic:
-			o.ChaosPanicAt = fault.N
+			q.ChaosPanicAt = fault.N
 		case resilience.FaultBCodePanic:
 			// The compiled-engine-only panic: the tree-walker rung runs
 			// unarmed, so this fault proves the ladder recovers the cell.
 			if mode != sim.ExecTree {
-				o.ChaosPanicAt = fault.N
+				q.ChaosPanicAt = fault.N
 			}
 		}
-		return disamb.MeasureWith(p, models, o)
+		return disamb.Measure(&q, models)
 	}
 	res, err := onLadder(r, p.Exec, attempt)
 	if err == nil {

@@ -207,6 +207,9 @@ type Runner struct {
 	argPool    [][]ir.Value
 	maxFrame   int // widest register frame in the program (see Run)
 	maxArgs    int // widest call-argument list in the program
+	// printHook is r.printVal, bound once per Runner: every compiled
+	// tree's engine views share it (newCtx).
+	printHook func(ir.Value, bool)
 }
 
 // treeShape is the schedule-independent skeleton of one tree, shared by
@@ -275,8 +278,9 @@ func shapeOf(t *ir.Tree) *treeShape {
 // ShapeCache shares treeShape skeletons across Runner and Replayer
 // instances. Building a shape is the dominant fixed cost of standing up a
 // run — O(ops × exits) block-reachability walks per tree — and it depends
-// only on tree structure, so repeated runs of the same prepared program
-// (measurement sweeps, chaos retries, benchmark iterations) can reuse it.
+// only on tree structure, so repeated runs of one program (benchmark
+// iterations) can reuse it. The evaluation runs each prepared program too
+// few times for one to pay, and shares none.
 //
 // Entries key on tree identity, not content, so a cache must only ever see
 // trees whose structure no longer changes: create it after op-level
@@ -415,14 +419,15 @@ func (r *Runner) newCtx(t *ir.Tree) *treeCtx {
 		}
 	}
 	if c.bc != nil || c.nc != nil {
-		// Both engine views share the bits, sample tables and print hook
-		// (one method value, one allocation), so a tree promoted from
-		// bytecode to native keeps them.
+		// Both engine views share the bits, sample tables and the Runner's
+		// print hook, so a tree promoted from bytecode to native keeps them.
+		if r.printHook == nil {
+			r.printHook = r.printVal
+		}
 		c.bits = make([]byte, c.bitBytes())
-		printHook := r.printVal
-		c.benv = bcode.Env{Mem: r.mem, Bits: c.bits, Print: printHook,
+		c.benv = bcode.Env{Mem: r.mem, Bits: c.bits, Print: r.printHook,
 			Committed: c.committed, Addrs: c.addrs, Olds: c.olds()}
-		c.nenv = ncode.Env{Mem: r.mem, Bits: c.bits, Print: printHook,
+		c.nenv = ncode.Env{Mem: r.mem, Bits: c.bits, Print: r.printHook,
 			Committed: c.committed, Addrs: c.addrs, Olds: c.olds()}
 	}
 	for _, op := range t.Ops {
