@@ -4,6 +4,8 @@ package cmd_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -285,6 +287,46 @@ func TestSpdbenchJSONSchema(t *testing.T) {
 	}
 	if got := paths("-store", filepath.Join(dir, "art"), "-inject", "seed=1,kinds=sio"); !slices.Equal(got, echoed) {
 		t.Errorf("-store/-inject key paths:\ngot  %v\nwant %v", got, echoed)
+	}
+}
+
+// storeNamesSum is the SHA-256 of the artifact file names a cold
+// spdbench -store run writes (DIR-relative, slash-separated, sorted, one per
+// line).
+const storeNamesSum = "00b89db7598f276176215ca1542c964a5663c1ff7f8f381a9cff9857996afea9"
+
+// TestSpdbenchStoreKeys pins the artifact keys. Keys name the files on
+// disk, so a change to how they are derived would silently cold-start every
+// existing store: a cold -store run must write the same 77 file names.
+func TestSpdbenchStoreKeys(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	dir := t.TempDir()
+	bin := build(t, dir, "cmd/spdbench")
+	art := filepath.Join(dir, "art")
+	if _, stderr, code := run(t, bin, "-store", art); code != 0 {
+		t.Fatalf("spdbench -store: exit %d\n%s", code, stderr)
+	}
+	var names []string
+	err := filepath.WalkDir(art, func(p string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, err := filepath.Rel(art, p)
+		names = append(names, filepath.ToSlash(rel))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(names)
+	if len(names) != 77 {
+		t.Fatalf("cold run wrote %d files, want 77: %v", len(names), names)
+	}
+	sum := sha256.Sum256([]byte(strings.Join(names, "\n") + "\n"))
+	if got := hex.EncodeToString(sum[:]); got != storeNamesSum {
+		t.Errorf("artifact file names hash to %s, want %s:\n%s", got, storeNamesSum, strings.Join(names, "\n"))
 	}
 }
 

@@ -150,3 +150,26 @@ func TestSuiteCleanOnRepo(t *testing.T) {
 		}
 	}
 }
+
+// TestLoaderHonorsBuildConstraints pins that the loader type-checks the
+// files go build would compile: a file excluded by its build constraint
+// must not redeclare the names of the file that replaces it.
+func TestLoaderHonorsBuildConstraints(t *testing.T) {
+	dir := t.TempDir()
+	for name, src := range map[string]string{
+		"go.mod":   "module fake\n\ngo 1.22\n",
+		"a.go":     "package fake\n\nfunc f() int { return 1 }\n",
+		"b_off.go": "//go:build never\n\npackage fake\n\nfunc f() int { return 2 }\n",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pkg, err := NewLoader(dir, "fake").Load("fake")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkg.Files) != 1 {
+		t.Fatalf("loaded %d files, want a.go alone", len(pkg.Files))
+	}
+}

@@ -3,6 +3,7 @@ package analyzers
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -137,8 +138,10 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 	return l.std.Import(path)
 }
 
-// parseDir parses every non-test Go file of one directory, in name order so
-// type-checking (and therefore diagnostics) is deterministic.
+// parseDir parses every non-test Go file of one directory that the host's
+// build would compile (build constraints and GOOS/GOARCH file-name
+// suffixes), in name order so type-checking (and therefore diagnostics) is
+// deterministic.
 func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -150,7 +153,13 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") {
 			continue
 		}
-		names = append(names, n)
+		ok, err := build.Default.MatchFile(dir, n)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			names = append(names, n)
+		}
 	}
 	sort.Strings(names)
 	var files []*ast.File

@@ -110,6 +110,7 @@ type Runner struct {
 
 	base   group[string, *ir.Program]
 	runs   group[string, *disamb.Profiled]
+	keys   group[keySource, store.KeyPrefix]
 	prep   group[prepKey, *prepCell]
 	meas   group[prepKey, *measCell]
 	traces group[prepKey, *trace.Trace]

@@ -34,10 +34,21 @@ func (r *Runner) storeOK() bool {
 	return r.Store != nil && !r.Verify && r.Inject == nil
 }
 
+// keySource names one benchmark source under one artifact kind: the shared
+// leading parts of that source's artifact keys.
+type keySource struct {
+	bench string
+	kind  store.Kind
+}
+
 // artifactKey derives the store key of one cell artifact. cellLat is the
 // cell's canonical latency (0 for the shared latency-insensitive cell);
-// lats lists the latencies a measurement cell prices (nil otherwise).
+// lats lists the latencies a measurement cell prices (nil otherwise). The
+// benchmark source is hashed once per Runner and kind (store.KeyPrefix).
 func (r *Runner) artifactKey(kind store.Kind, b *bench.Benchmark, dk disamb.Kind, cellLat int, lats []int) store.Key {
+	prefix, _ := r.keys.Do(keySource{b.Name, kind}, func() (store.KeyPrefix, error) {
+		return store.NewKeyPrefix(kind, []byte(b.Source)), nil
+	})
 	cfg := make([]byte, 0, 96)
 	cfg = binary.AppendVarint(cfg, int64(cellLat))
 	cfg = binary.AppendVarint(cfg, int64(r.Fuel))
@@ -56,7 +67,7 @@ func (r *Runner) artifactKey(kind store.Kind, b *bench.Benchmark, dk disamb.Kind
 	for _, lat := range lats {
 		cfg = binary.AppendVarint(cfg, int64(lat))
 	}
-	return store.NewKey(kind, []byte(b.Source), []byte(dk.String()), cfg)
+	return prefix.Key([]byte(dk.String()), cfg)
 }
 
 // Summary returns (computing and caching) the report-visible residue of one

@@ -65,6 +65,7 @@ func BenchmarkWarmSweep(b *testing.B) {
 	seed := exper.New()
 	seed.Store = s
 	_ = renderAll(b, seed)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w, err := store.Open(dir)

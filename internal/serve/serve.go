@@ -174,9 +174,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleReadyz is readiness: not draining, admission not saturated, and —
-// when a store is configured — a live write/read probe through it. A
-// not-ready daemon keeps serving in-flight work; the probe tells load
-// balancers to route new work elsewhere.
+// when a store is configured — a live write and disk read-back through it
+// (store.Probe). A not-ready daemon keeps serving in-flight work; the probe
+// tells load balancers to route new work elsewhere.
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	if s.draining.Load() {
@@ -190,15 +190,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	if st := s.cfg.Store; st != nil {
-		k := store.NewKey(store.KindPrep, []byte("serve/readyz-probe"))
-		if err := st.Put(k, []byte("probe")); err != nil {
+		if err := st.Probe(); err != nil {
 			w.WriteHeader(http.StatusServiceUnavailable)
 			_, _ = w.Write([]byte("store probe failed: " + err.Error() + "\n"))
-			return
-		}
-		if _, ok := st.Get(k); !ok {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			_, _ = w.Write([]byte("store probe readback missed\n"))
 			return
 		}
 	}

@@ -333,6 +333,28 @@ func TestReportMatchesBatch(t *testing.T) {
 	}
 }
 
+// TestReadyzReadsStoreFromDisk pins that /readyz reads its store probe
+// back from disk rather than from the memory front the probe's write
+// filled: with every disk read armed to fault once, the first /readyz is
+// not ready and the second, its fault spent, is.
+func TestReadyzReadsStoreFromDisk(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.ArmIOFaults(1, 1)
+	_, ts := newTestServer(t, Config{Store: st})
+	if status, _, body := get(t, ts.URL+"/readyz"); status != http.StatusServiceUnavailable {
+		t.Fatalf("readyz with the probe's disk read faulted: %d %q", status, body)
+	}
+	if status, _, body := get(t, ts.URL+"/readyz"); status != 200 || string(body) != "ready\n" {
+		t.Fatalf("readyz after the fault was spent: %d %q", status, body)
+	}
+	if s := st.Stats(); s.MemHits != 0 || s.IOShortReads+s.IOOpenErrors != 1 || s.Hits != 1 {
+		t.Errorf("store stats %+v; want one injected fault, then one disk hit", s)
+	}
+}
+
 // TestLifecycle pins the health endpoints and the drain ladder: /healthz is
 // unconditional liveness, /readyz flips to 503 when draining, Drain waits
 // for in-flight requests and new ones are rejected with 503 + Retry-After.

@@ -47,6 +47,7 @@ func BenchmarkStoreGet(b *testing.B) {
 				if !mem {
 					s.SetMemCap(0) // every Get reads and re-verifies from disk
 				}
+				b.ReportAllocs()
 				b.SetBytes(int64(size))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

@@ -39,14 +39,17 @@ import (
 	"bytes"
 	"container/list"
 	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash"
 	"hash/crc32"
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 )
 
@@ -85,14 +88,46 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 // of different part boundaries can collide.
 func NewKey(kind Kind, parts ...[]byte) Key {
 	h := sha256.New()
-	var buf [binary.MaxVarintLen64]byte
 	h.Write([]byte{byte(kind)})
+	writeParts(h, parts)
+	return Key(h.Sum(nil))
+}
+
+// KeyPrefix is NewKey's hash state after the kind and a first part. Keys
+// that share both (every artifact of one benchmark source) hash that part
+// once: NewKeyPrefix(kind, a).Key(b...) == NewKey(kind, a, b...).
+type KeyPrefix struct{ state []byte }
+
+// NewKeyPrefix hashes kind and first and saves the hash state.
+func NewKeyPrefix(kind Kind, first []byte) KeyPrefix {
+	h := sha256.New()
+	h.Write([]byte{byte(kind)})
+	writeParts(h, [][]byte{first})
+	state, err := h.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil {
+		panic("store: " + err.Error())
+	}
+	return KeyPrefix{state}
+}
+
+// Key derives the key of the prefix's kind and first part followed by parts.
+func (p KeyPrefix) Key(parts ...[]byte) Key {
+	h := sha256.New()
+	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(p.state); err != nil {
+		panic("store: Key on a KeyPrefix not made by NewKeyPrefix")
+	}
+	writeParts(h, parts)
+	return Key(h.Sum(nil))
+}
+
+// writeParts hashes each part behind its uvarint length.
+func writeParts(h hash.Hash, parts [][]byte) {
+	var buf [binary.MaxVarintLen64]byte
 	for _, p := range parts {
 		n := binary.PutUvarint(buf[:], uint64(len(p)))
 		h.Write(buf[:n])
 		h.Write(p)
 	}
-	return Key(h.Sum(nil))
 }
 
 // Integrity footer, byte-compatible with the internal/trace layout: magic,
@@ -145,7 +180,8 @@ const DefaultMemBytes = 64 << 20
 // are atomic renames; last writer wins with identical content, since keys
 // are content hashes over the artifact's inputs).
 type Store struct {
-	dir string
+	dir    string
+	prefix string // dir, cleaned, with a trailing separator: path's stem
 
 	mu       sync.Mutex
 	mem      map[Key]*list.Element
@@ -184,8 +220,13 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
+	prefix := filepath.Clean(dir)
+	if !os.IsPathSeparator(prefix[len(prefix)-1]) {
+		prefix += string(filepath.Separator)
+	}
 	return &Store{
 		dir:    dir,
+		prefix: prefix,
 		mem:    map[Key]*list.Element{},
 		order:  list.New(),
 		memCap: DefaultMemBytes,
@@ -247,25 +288,44 @@ func (s *Store) Stats() Stats {
 	return s.stats
 }
 
-// path returns the artifact file for key: DIR/<hex[:2]>/<hex>.spda.
+// readBufSize is the artifact reader's first buffer size (os.ReadFile's
+// minimum too): every artifact the suite writes fits in it.
+const readBufSize = 512
+
+// path returns the artifact file for key: DIR/<hex[:2]>/<hex>.spda, built
+// on the prefix Open cleaned once.
 func (s *Store) path(k Key) string {
-	name := k.String()
-	return filepath.Join(s.dir, name[:2], name+".spda")
+	var name [2 * sha256.Size]byte
+	hex.Encode(name[:], k[:])
+	var b strings.Builder
+	b.Grow(len(s.prefix) + 3 + len(name) + len(".spda"))
+	b.WriteString(s.prefix)
+	b.Write(name[:2])
+	b.WriteByte(filepath.Separator)
+	b.Write(name[:])
+	b.WriteString(".spda")
+	return b.String()
 }
 
 // Get returns the verified payload stored under key. A miss — nothing
 // stored, or a stored artifact that failed its integrity footer — returns
 // false; corrupt files are deleted so the caller's recompute-and-Put
 // repairs the store.
-func (s *Store) Get(k Key) ([]byte, bool) { return s.get(k, nil) }
+func (s *Store) Get(k Key) ([]byte, bool) { return s.get(k, nil, true) }
 
 // get is Get with an optional payload check (the typed decoders): a payload
 // that passes the footer but fails check is dropped like corruption. Either
-// way the Get counts exactly once, as a hit or as a miss.
-func (s *Store) get(k Key, check func([]byte) error) ([]byte, bool) {
-	payload, mem := s.recall(k)
+// way the Get counts exactly once, as a hit or as a miss. With front false
+// the memory front is neither read nor filled, so the payload comes from
+// disk (Probe).
+func (s *Store) get(k Key, check func([]byte) error, front bool) ([]byte, bool) {
+	var payload []byte
+	mem := false
+	if front {
+		payload, mem = s.recall(k)
+	}
 	if !mem {
-		data, err := os.ReadFile(s.path(k))
+		data, err := readFile(s.path(k))
 		if err != nil {
 			s.note(func(st *Stats) { st.Misses++ })
 			return nil, false
@@ -301,10 +361,38 @@ func (s *Store) get(k Key, check func([]byte) error) ([]byte, bool) {
 			st.BytesRead += int64(len(payload))
 		}
 	})
-	if !mem {
+	if front && !mem {
 		s.remember(k, payload)
 	}
 	return payload, true
+}
+
+// probeKey and probePayload are Probe's artifact. The key is the one spdd's
+// /readyz has always probed with, so a probed store holds one probe file.
+var (
+	probeKey     = NewKey(KindPrep, []byte("serve/readyz-probe"))
+	probePayload = []byte("probe")
+)
+
+// Probe checks that the store can persist and serve an artifact: it writes
+// a probe artifact and reads it back from disk, verifying the footer and
+// the bytes, without reading or filling the memory front. The write counts
+// as a Put and the read-back as a Get, and armed I/O faults (ArmIOFaults)
+// deal the read-back a fault like any other disk read.
+func (s *Store) Probe() error {
+	if _, err := s.write(probeKey, probePayload); err != nil {
+		return err
+	}
+	verify := func(p []byte) error {
+		if !bytes.Equal(p, probePayload) {
+			return ErrCorrupt
+		}
+		return nil
+	}
+	if _, ok := s.get(probeKey, verify, false); !ok {
+		return errors.New("store: probe artifact did not read back")
+	}
+	return nil
 }
 
 // recall returns the memory front's copy of key's payload, refreshing its
@@ -325,6 +413,17 @@ func (s *Store) recall(k Key) ([]byte, bool) {
 // and diagnostics; callers may ignore them — a failed Put only costs a
 // future recompute.
 func (s *Store) Put(k Key, payload []byte) error {
+	stored, err := s.write(k, payload)
+	if err != nil {
+		return err
+	}
+	s.remember(k, stored)
+	return nil
+}
+
+// write is Put without the memory front: it persists payload under key and
+// returns the sealed copy's payload bytes.
+func (s *Store) write(k Key, payload []byte) ([]byte, error) {
 	sealed := make([]byte, 0, len(payload)+footerSize)
 	sealed = append(sealed, payload...)
 	var foot [footerSize]byte
@@ -335,28 +434,27 @@ func (s *Store) Put(k Key, payload []byte) error {
 
 	path := s.path(k)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("store: %w", err)
+		return nil, fmt.Errorf("store: %w", err)
 	}
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
-		return fmt.Errorf("store: %w", err)
+		return nil, fmt.Errorf("store: %w", err)
 	}
 	_, werr := tmp.Write(sealed)
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("store: write %s: %w", k, errors.Join(werr, cerr))
+		return nil, fmt.Errorf("store: write %s: %w", k, errors.Join(werr, cerr))
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("store: %w", err)
+		return nil, fmt.Errorf("store: %w", err)
 	}
 	s.note(func(st *Stats) {
 		st.Puts++
 		st.BytesWritten += int64(len(payload))
 	})
-	s.remember(k, sealed[:len(payload):len(payload)])
-	return nil
+	return sealed[:len(payload):len(payload)], nil
 }
 
 // dropCorrupt removes key from disk and the memory front, counting the Get

@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -35,6 +37,36 @@ func TestKeyDerivation(t *testing.T) {
 	}
 	if got := len(base.String()); got != 64 {
 		t.Errorf("key string length = %d, want 64", got)
+	}
+}
+
+// TestKeyPrefixMatchesNewKey pins the prefix contract the runner's keys
+// rely on: resuming a saved (kind, first part) hash state derives exactly
+// NewKey's key, so a store written through either stays warm for the other.
+func TestKeyPrefixMatchesNewKey(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	part := func() []byte {
+		p := make([]byte, rng.IntN(4)*rng.IntN(200)) // a quarter of them empty
+		for i := range p {
+			p[i] = byte(rng.Uint32())
+		}
+		return p
+	}
+	for i := 0; i < 500; i++ {
+		kind := []Kind{KindPrep, KindMeas}[i%2]
+		first := part()
+		rest := make([][]byte, rng.IntN(4))
+		for j := range rest {
+			rest[j] = part()
+		}
+		prefix := NewKeyPrefix(kind, first)
+		want := NewKey(kind, append([][]byte{first}, rest...)...)
+		if got := prefix.Key(rest...); got != want {
+			t.Fatalf("case %d: prefix key %s, NewKey %s (first %d B, %d more parts)", i, got, want, len(first), len(rest))
+		}
+		if got := prefix.Key(rest...); got != want {
+			t.Fatalf("case %d: a second Key on the same prefix differs", i)
+		}
 	}
 }
 
@@ -211,6 +243,105 @@ func TestCorruptionBattery(t *testing.T) {
 				t.Fatalf("after repair Get = %+v, %v; want %+v", got, ok, prep)
 			}
 		})
+	}
+}
+
+// TestDiskReadEdges drives the artifact reader through Get with the memory
+// front off: payloads that fill its first buffer exactly, or miss it by one
+// byte either way, round-trip like empty and large ones; empty and truncated
+// files are corruption; a missing file or a directory at the artifact path
+// is a plain miss that deletes nothing.
+func TestDiskReadEdges(t *testing.T) {
+	s := openTemp(t)
+	s.SetMemCap(0)
+	// The file is the payload and its footer: cover both fitting the buffer.
+	sizes := []int{0, 1, 200 << 10}
+	for _, n := range []int{readBufSize, readBufSize - footerSize} {
+		sizes = append(sizes, n-1, n, n+1)
+	}
+	for _, n := range sizes {
+		k := NewKey(KindPrep, []byte(fmt.Sprint("size", n)))
+		want := make([]byte, n)
+		for i := range want {
+			want[i] = byte(i*7 + n)
+		}
+		if err := s.Put(k, want); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := s.Get(k)
+		if !ok || !bytes.Equal(got, want) {
+			t.Errorf("%d-byte payload: Get = %d bytes, %v", n, len(got), ok)
+		}
+	}
+	if st := s.Stats(); st.Hits != int64(len(sizes)) || st.MemHits != 0 || st.CorruptDropped != 0 {
+		t.Errorf("round trips: stats %+v; want %d disk hits", st, len(sizes))
+	}
+
+	for _, tc := range []struct {
+		name string
+		cut  func([]byte) []byte
+	}{
+		{"zero-length file", func(b []byte) []byte { return b[:0] }},
+		{"truncated file", func(b []byte) []byte { return b[:len(b)-1] }},
+	} {
+		k := NewKey(KindMeas, []byte(tc.name))
+		if err := s.Put(k, []byte("payload")); err != nil {
+			t.Fatal(err)
+		}
+		corruptOnDisk(t, s, k, tc.cut)
+		before := s.Stats()
+		if _, ok := s.Get(k); ok {
+			t.Errorf("%s served", tc.name)
+		}
+		after := s.Stats()
+		if after.CorruptDropped != before.CorruptDropped+1 || after.Misses != before.Misses+1 {
+			t.Errorf("%s: stats %+v -> %+v; want one corrupt drop and one miss", tc.name, before, after)
+		}
+		if _, err := os.Stat(s.path(k)); !os.IsNotExist(err) {
+			t.Errorf("%s not deleted (err=%v)", tc.name, err)
+		}
+	}
+
+	plainMiss := func(name string, k Key) {
+		t.Helper()
+		before := s.Stats()
+		if _, ok := s.Get(k); ok {
+			t.Errorf("%s: hit", name)
+		}
+		after := s.Stats()
+		if after.Misses != before.Misses+1 || after.CorruptDropped != before.CorruptDropped {
+			t.Errorf("%s: stats %+v -> %+v; want one plain miss", name, before, after)
+		}
+	}
+	plainMiss("missing file", NewKey(KindPrep, []byte("absent")))
+	k := NewKey(KindPrep, []byte("dir"))
+	if err := os.MkdirAll(s.path(k), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	plainMiss("directory", k)
+	if fi, err := os.Stat(s.path(k)); err != nil || !fi.IsDir() {
+		t.Errorf("directory at the artifact path removed (err=%v)", err)
+	}
+}
+
+// TestProbeReadsDisk pins that Probe goes around the memory front: each
+// probe is a Put and a disk hit, and the front stays empty. (serve's
+// TestReadyzReadsStoreFromDisk drives a faulted probe.)
+func TestProbeReadsDisk(t *testing.T) {
+	s := openTemp(t)
+	for i := 0; i < 2; i++ {
+		if err := s.Probe(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.Puts != 2 || st.Hits != 2 || st.MemHits != 0 || st.BytesRead != 2*int64(len(probePayload)) {
+		t.Errorf("stats %+v; want 2 puts and 2 disk hits", st)
+	}
+	s.mu.Lock()
+	resident := len(s.mem)
+	s.mu.Unlock()
+	if resident != 0 {
+		t.Errorf("probe filled the memory front with %d entries", resident)
 	}
 }
 
