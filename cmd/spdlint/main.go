@@ -20,7 +20,8 @@
 //	-fuel N       dynamic-op budget per lint interpretation; a cell that
 //	              exhausts it (a nonterminating example, say) is skipped
 //	              with a notice, not failed
-//	-v            per-program checker statistics
+//	-v            per-program checker statistics, with the interpretations
+//	              run (cells whose programs run identically share one)
 //	-corrupt KIND seed a violation before checking (debug: proves the
 //	              checkers catch it): seq | arc | bmask (flip a commit
 //	              guard's polarity in the compiled bytecode; layer 4 must
@@ -150,8 +151,8 @@ func main() {
 			failed++
 		} else if *verbose {
 			st := rep.Stats
-			fmt.Printf("%s: ok (%d cells, %d trees, %d pairs, %d arcs checked, %d audited, %d schedules, %d progs validated, %d schedules audited, %d patterns, %d skipped)\n",
-				tg.name, st.Cells, st.Trees, st.Pairs, st.ArcsChecked, st.ArcsAudited, st.Scheds, st.Progs, st.Audits, st.Patterns, st.Skipped)
+			fmt.Printf("%s: ok (%d cells, %d trees, %d pairs, %d arcs checked, %d audited, %d schedules, %d progs validated, %d schedules audited, %d patterns, %d skipped, %d interpretations)\n",
+				tg.name, st.Cells, st.Trees, st.Pairs, st.ArcsChecked, st.ArcsAudited, st.Scheds, st.Progs, st.Audits, st.Patterns, st.Skipped, st.Interps)
 		}
 	}
 	if failed > 0 {

@@ -25,9 +25,10 @@ import (
 // dynamic half. On each, the run's exact op count as fuel succeeds and one
 // op less fails with resilience.ErrFuelExhausted (Lint skips the starved
 // cell instead), an already-cancelled context fails with
-// resilience.ErrDeadline, and every backend produces the same result,
-// compiling through exactly the caches it should. Lint's options carry no
-// context and no tier-up threshold, so it skips those settings.
+// resilience.ErrDeadline (Lint skips the cell too), and every backend
+// produces the same result, compiling through exactly the caches it
+// should. Lint's options carry no tier-up threshold, so it skips that
+// setting.
 func TestEveryInterpretationHonorsInterp(t *testing.T) {
 	const memLat = 2
 	src := bench.ByName("fft").Source
@@ -74,7 +75,7 @@ func TestEveryInterpretationHonorsInterp(t *testing.T) {
 	entries := []struct {
 		name string
 		ops  int64 // the entry's interpretation's dynamic op count
-		lint bool  // the entry takes no Ctx and no TierUp
+		lint bool  // the entry takes no TierUp
 		// run interprets under in and renders what the run produced.
 		run func(in disamb.Interp) (string, error)
 	}{
@@ -102,17 +103,16 @@ func TestEveryInterpretationHonorsInterp(t *testing.T) {
 			return fmt.Sprintf("%+v", *res), nil
 		}},
 		{name: "Lint", ops: run.Trace.Ops, lint: true, run: func(in disamb.Interp) (string, error) {
-			rep, err := disamb.Lint(src, disamb.LintOptions{MemLats: []int{memLat}, Exec: in.Exec, MaxOps: in.MaxOps, BCode: in.BCode, NCode: in.NCode})
+			rep, err := disamb.Lint(src, disamb.LintOptions{MemLats: []int{memLat}, Exec: in.Exec, MaxOps: in.MaxOps, Ctx: in.Ctx, BCode: in.BCode, NCode: in.NCode})
 			if err != nil {
 				return "", err
 			}
-			// Lint skips a starved cell rather than failing: NAIVE's
-			// dynamic half runs the profiled program's ops.
-			starved := fmt.Sprintf("NAIVE/mem%d: dynamic checks skipped [fuel]", memLat)
-			for _, s := range rep.Skips {
-				if strings.HasPrefix(s, starved) {
-					return "", fmt.Errorf("%s: %w", s, resilience.ErrFuelExhausted)
-				}
+			// Lint skips a starved or cancelled cell rather than failing:
+			// NAIVE's dynamic half runs the profiled program's ops, and
+			// it is the first cell to interpret.
+			var ce *resilience.CellError
+			if errors.As(rep.SkipErr(), &ce) && ce.Cell() == fmt.Sprintf("lint/NAIVE/m%d", memLat) {
+				return "", ce
 			}
 			return fmt.Sprintf("%+v %v", rep.Stats, rep.Findings), nil
 		}},
@@ -135,12 +135,10 @@ func TestEveryInterpretationHonorsInterp(t *testing.T) {
 			if _, err := e.run(disamb.Interp{MaxOps: e.ops - 1}); !errors.Is(err, resilience.ErrFuelExhausted) {
 				t.Errorf("fuel %d: err = %v, want ErrFuelExhausted", e.ops-1, err)
 			}
-			if !e.lint {
-				ctx, cancel := context.WithCancel(context.Background())
-				cancel()
-				if _, err := e.run(disamb.Interp{Ctx: ctx}); !errors.Is(err, resilience.ErrDeadline) {
-					t.Errorf("cancelled context: err = %v, want ErrDeadline", err)
-				}
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if _, err := e.run(disamb.Interp{Ctx: ctx}); !errors.Is(err, resilience.ErrDeadline) {
+				t.Errorf("cancelled context: err = %v, want ErrDeadline", err)
 			}
 			var want string
 			for i, b := range backends {

@@ -11,11 +11,24 @@ import (
 	"specdis/internal/sched"
 )
 
+// suiteLintInterps pins each suite program's lint interpretations at
+// memory latencies {2, 6}: the profiling run, which NAIVE, STATIC and
+// PERFECT reuse, plus one run per distinct SPEC program. SpD changes
+// nothing in the programs at 1, builds one program for both latencies in
+// the programs at 2, and a different one per latency in smooft.
+var suiteLintInterps = map[string]int{
+	"queen": 1, "bubble": 1, "intmm": 1, "towers": 1,
+	"adi": 2, "bcuint": 2, "boolmin": 2, "fft": 2, "moment": 2, "perm": 2, "quick": 2, "solvde": 2, "tree": 2,
+	"smooft": 3,
+}
+
 // TestLintAllBenchmarksClean is the golden lint suite: every benchmark
 // program, prepared under all four disambiguators at both of the paper's
 // memory latencies, passes every static and dynamic verifier with zero
 // findings. The stats assertions pin that the run actually exercised each
-// checker class — a clean report with nothing checked would be vacuous.
+// checker class — a clean report with nothing checked would be vacuous —
+// and that the suite interprets 25 times, down from the 84 of one run per
+// cell plus the profiling run.
 func TestLintAllBenchmarksClean(t *testing.T) {
 	var mu sync.Mutex
 	var total LintStats
@@ -33,7 +46,11 @@ func TestLintAllBenchmarksClean(t *testing.T) {
 			if rep.Stats.Cells == 0 || rep.Stats.Trees == 0 || rep.Stats.Scheds == 0 {
 				t.Errorf("vacuous lint run: %+v", rep.Stats)
 			}
+			if got, want := rep.Stats.Interps, suiteLintInterps[b.Name]; got != want {
+				t.Errorf("%d interpretations, want %d", got, want)
+			}
 			mu.Lock()
+			total.Interps += rep.Stats.Interps
 			total.Pairs += rep.Stats.Pairs
 			total.ArcsChecked += rep.Stats.ArcsChecked
 			total.ArcsAudited += rep.Stats.ArcsAudited
@@ -50,6 +67,9 @@ func TestLintAllBenchmarksClean(t *testing.T) {
 		}
 		if total.Patterns == 0 {
 			t.Errorf("no trace commit patterns scanned across the whole suite")
+		}
+		if total.Interps != 25 || len(suiteLintInterps) != len(bench.Everything()) {
+			t.Errorf("%d interpretations over %d programs, want 25 over %d", total.Interps, len(bench.Everything()), len(suiteLintInterps))
 		}
 	})
 }

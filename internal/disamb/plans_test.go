@@ -10,7 +10,9 @@ import (
 	"specdis/internal/ir"
 	"specdis/internal/machine"
 	"specdis/internal/sched"
+	"specdis/internal/sim"
 	"specdis/internal/spd"
+	"specdis/internal/trace"
 )
 
 // planWidths are the widths Plans schedules one latency's graphs at: the
@@ -115,22 +117,25 @@ func TestCachedSchedulesMatchFromGraph(t *testing.T) {
 	t.Logf("%d graphs of %d programs: %+v", graphs, programs, st)
 }
 
+// cellModels returns a measurement cell's machine models at the memory
+// latencies lats: the infinite machine and 1–8 FUs at each.
+func cellModels(lats ...int) []machine.Model {
+	var ms []machine.Model
+	for _, lat := range lats {
+		ms = append(ms, machine.Infinite(lat))
+		for w := 1; w <= 8; w++ {
+			ms = append(ms, machine.New(w, lat))
+		}
+	}
+	return ms
+}
+
 // BenchmarkPlans times Plans over every measurement cell of the suite, as
 // one cold evaluation builds them: NAIVE, STATIC and PERFECT under both
 // latencies' 18 models, and SPEC under each latency's 9. The programs are
 // prepared outside the timer; each iteration shares one fresh schedule
 // cache across its cells, as a runner does.
 func BenchmarkPlans(b *testing.B) {
-	models := func(lats ...int) []machine.Model {
-		var ms []machine.Model
-		for _, lat := range lats {
-			ms = append(ms, machine.Infinite(lat))
-			for w := 1; w <= 8; w++ {
-				ms = append(ms, machine.New(w, lat))
-			}
-		}
-		return ms
-	}
 	type cell struct {
 		p      *disamb.Prepared
 		models []machine.Model
@@ -145,9 +150,9 @@ func BenchmarkPlans(b *testing.B) {
 			for _, p := range preparedPipelines(b, prog, memLat, spd.DefaultParams(), 0) {
 				switch {
 				case p.Kind == disamb.Spec:
-					cells = append(cells, cell{p, models(memLat)})
+					cells = append(cells, cell{p, cellModels(memLat)})
 				case memLat == 2: // one merged cell for both latencies
-					cells = append(cells, cell{p, models(2, 6)})
+					cells = append(cells, cell{p, cellModels(2, 6)})
 				}
 			}
 		}
@@ -159,6 +164,60 @@ func BenchmarkPlans(b *testing.B) {
 		for _, cl := range cells {
 			cl.p.Sched = c
 			disamb.Plans(cl.p, cl.models)
+		}
+	}
+}
+
+// BenchmarkReplay times the Replay calls of every measurement cell of the
+// suite, as one cold evaluation makes them: NAIVE, STATIC and PERFECT
+// replay their program's profiling run under both latencies' 18 models, and
+// SPEC its derived trace under each latency's 9. Preparations, traces and
+// plans are built outside the timer.
+func BenchmarkReplay(b *testing.B) {
+	type cell struct {
+		rp *sim.Replayer
+		tr *trace.Trace
+	}
+	var cells []cell
+	for _, bm := range bench.All() {
+		prog, err := compile.Compile(bm.Source)
+		if err != nil {
+			b.Fatal(err)
+		}
+		run, err := disamb.ProfileRun(prog, disamb.Options{MemLat: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, memLat := range []int{2, 6} {
+			for _, kind := range disamb.Kinds {
+				if kind != disamb.Spec && memLat != 2 {
+					continue // one merged cell for both latencies
+				}
+				p, err := disamb.PrepareFrom(run, disamb.Options{Kind: kind, MemLat: memLat, SpD: spd.DefaultParams(), Prog: prog.Clone()})
+				if err != nil {
+					b.Fatal(err)
+				}
+				tr, models := run.Trace, cellModels(2, 6)
+				if kind == disamb.Spec {
+					if tr, err = disamb.Derive(p, run); err != nil {
+						b.Fatal(err)
+					}
+					models = cellModels(memLat)
+				}
+				cells = append(cells, cell{&sim.Replayer{Prog: p.Prog, Plans: disamb.Plans(p, models)}, tr})
+			}
+		}
+	}
+	if len(cells) != 55 {
+		b.Fatalf("%d measurement cells, want 55", len(cells))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, c := range cells {
+			if _, err := c.rp.Replay(c.tr); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -423,23 +423,38 @@ func (s *Server) evaluate(ctx context.Context, p *evalPlan) (result *EvalResult,
 		Grafts:        sum.Grafts,
 	}
 	if p.lint {
-		rep, lerr := disamb.Lint(p.bench.Source, disamb.LintOptions{
-			Exec:   p.exec,
-			MaxOps: p.fuel,
-			BCode:  s.bc,
-			NCode:  s.nc,
-		})
-		if lerr != nil {
-			return nil, stats, lerr
-		}
-		clean := rep.Clean()
-		result.LintClean = &clean
-		result.Findings = make([]Finding, 0, len(rep.Findings))
-		for _, fd := range rep.Findings {
-			result.Findings = append(result.Findings, Finding{Check: fd.Check, Func: fd.Func, Tree: fd.Tree, Msg: fd.Msg})
+		if err := s.lint(ctx, p, result); err != nil {
+			return nil, stats, err
 		}
 	}
 	return result, stats, nil
+}
+
+// lint runs the verifier battery over the request's program under its
+// tier, fuel and deadline, adding the findings to result. A lint cell that
+// ran out of fuel or time fails the request with that cell's typed error:
+// a battery with a skipped cell is not clean.
+func (s *Server) lint(ctx context.Context, p *evalPlan, result *EvalResult) error {
+	rep, err := disamb.Lint(p.bench.Source, disamb.LintOptions{
+		Exec:   p.exec,
+		MaxOps: p.fuel,
+		Ctx:    ctx,
+		BCode:  s.bc,
+		NCode:  s.nc,
+	})
+	if err != nil {
+		return err
+	}
+	if err := rep.SkipErr(); err != nil {
+		return err
+	}
+	clean := rep.Clean()
+	result.LintClean = &clean
+	result.Findings = make([]Finding, 0, len(rep.Findings))
+	for _, fd := range rep.Findings {
+		result.Findings = append(result.Findings, Finding{Check: fd.Check, Func: fd.Func, Tree: fd.Tree, Msg: fd.Msg})
+	}
+	return nil
 }
 
 // runner builds one request's private engine over the shared service state:

@@ -276,6 +276,51 @@ func TestEvalLint(t *testing.T) {
 	}
 }
 
+// TestEvalLintHonorsFuel pins that a lint request whose budget cannot
+// carry every lint cell fails typed instead of answering lint_clean: fft's
+// base program runs 49,574 ops, so the NAIVE cell measures under 60,000,
+// but its SPEC programs run 71,644 and both SPEC lint cells are skipped.
+func TestEvalLintHonorsFuel(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	status, _, resp := postEval(t, ts.URL, EvalRequest{Bench: "fft", Pipeline: "NAIVE", MemLat: 2, Lint: true, Fuel: 60_000})
+	if status != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d (%+v), want 422", status, resp.Error)
+	}
+	if resp.Error == nil || resp.Error.Class != "fuel" || resp.Error.Cell != "lint/SPEC/m2" {
+		t.Fatalf("error %+v, want class fuel naming lint cell lint/SPEC/m2", resp.Error)
+	}
+	// Without lint the same budget measures the cell.
+	if status, _, resp := postEval(t, ts.URL, EvalRequest{Bench: "fft", Pipeline: "NAIVE", MemLat: 2, Fuel: 60_000}); status != http.StatusOK {
+		t.Fatalf("without lint: status %d (%+v)", status, resp.Error)
+	}
+}
+
+// TestLintHonorsDeadline pins that the request's context reaches every
+// lint interpretation: an expired context fails the lint step with a 504
+// deadline naming the first lint cell, with no wall-clock race (the
+// context is expired before the battery starts).
+func TestLintHonorsDeadline(t *testing.T) {
+	s := New(Config{})
+	p, apiErr := s.plan(&EvalRequest{Bench: "queen", Pipeline: "NAIVE", MemLat: 2, Lint: true})
+	if apiErr != nil {
+		t.Fatal(apiErr)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res := &EvalResult{}
+	err := s.lint(ctx, p, res)
+	if err == nil {
+		t.Fatal("lint under an expired context succeeded")
+	}
+	e := errorFor(err)
+	if e.Status != http.StatusGatewayTimeout || e.Class != "deadline" || e.Cell != "lint/NAIVE/m2" {
+		t.Fatalf("error %+v, want 504 deadline naming lint cell lint/NAIVE/m2", e)
+	}
+	if res.LintClean != nil {
+		t.Fatalf("lint_clean set on a failed battery")
+	}
+}
+
 // TestReportMatchesBatch pins the service's core determinism claim: the
 // /v1/report document is byte-identical to the in-process renderers —
 // the same bytes spdbench writes to stdout.
