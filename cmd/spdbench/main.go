@@ -41,7 +41,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"runtime/debug"
@@ -57,48 +56,9 @@ import (
 	"specdis/internal/store"
 )
 
-// experiment is one report of the evaluation.
-type experiment struct {
-	name string
-	// extra reports (the §7 extensions, the dynamic overhead) run only
-	// when -only names them, and end without a blank line.
-	extra bool
-	// timed reports compute cells; their wall time goes to the JSON.
-	timed bool
-	run   func(r *exper.Runner, out io.Writer) error
-}
-
-// experiments are the reports in print order, and the names -only accepts.
-// The four computed reports stream: each row prints the moment its cells
-// resolve, while later cells are still warming on the worker queue.
-var experiments = []experiment{
-	{name: "table61", run: func(_ *exper.Runner, out io.Writer) error { exper.RenderTable61(out); return nil }},
-	{name: "table62", run: func(r *exper.Runner, out io.Writer) error { exper.RenderTable62(out, r.Benchmarks); return nil }},
-	{name: "table63", timed: true, run: (*exper.Runner).StreamTable63},
-	{name: "fig62", timed: true, run: (*exper.Runner).StreamFigure62},
-	{name: "fig63", timed: true, run: (*exper.Runner).StreamFigure63},
-	{name: "fig64", timed: true, run: (*exper.Runner).StreamFigure64},
-	{name: "ext", extra: true, timed: true, run: func(r *exper.Runner, out io.Writer) error {
-		grows, err := r.ExtGrafting(6, 5)
-		if err != nil {
-			return err
-		}
-		crows, err := r.ExtCombined(6)
-		if err != nil {
-			return err
-		}
-		exper.RenderExtensions(out, grows, crows)
-		return nil
-	}},
-	{name: "overhead", extra: true, timed: true, run: func(r *exper.Runner, out io.Writer) error {
-		rows, err := r.DynamicOverhead(2)
-		if err != nil {
-			return err
-		}
-		exper.RenderOverhead(out, rows)
-		return nil
-	}},
-}
+// untimed are the reports that compute no cells; every other report's wall
+// time goes to the JSON's wall_ms.
+var untimed = map[string]bool{"table61": true, "table62": true}
 
 // defaultFuel is the default per-interpretation dynamic-op budget: ten times
 // the full evaluation's pinned sim_ops total (46,553,404), so no legitimate
@@ -151,8 +111,8 @@ func run() int {
 		debug.SetGCPercent(400)
 	}
 	var names []string
-	for _, e := range experiments {
-		names = append(names, e.name)
+	for _, e := range exper.Reports {
+		names = append(names, e.Name)
 	}
 	only := flag.String("only", "", "run a single experiment: "+strings.Join(names, "|"))
 	benchName := flag.String("bench", "", "restrict to one benchmark")
@@ -267,21 +227,22 @@ func run() int {
 	out := os.Stdout
 	report := benchReport{WallMS: map[string]float64{}, Par: *par}
 	start := time.Now()
-	for _, e := range experiments {
-		if *only != e.name && (*only != "" || e.extra) {
+	for _, e := range exper.Reports {
+		if *only != e.Name && (*only != "" || e.Extra) {
 			continue
 		}
 		t0 := time.Now()
-		if err := e.run(r, out); err != nil {
+		if err := e.Render(r, out); err != nil {
 			// Cell failures are recorded in the rows, never returned; an
 			// error here is infrastructure (a benchmark fails to compile).
 			log.Fatal(err)
 		}
-		if !e.extra {
+		// Extra reports end without a blank line.
+		if !e.Extra {
 			fmt.Fprintln(out)
 		}
-		if e.timed {
-			report.WallMS[e.name] = float64(time.Since(t0).Microseconds()) / 1000
+		if !untimed[e.Name] {
+			report.WallMS[e.Name] = float64(time.Since(t0).Microseconds()) / 1000
 		}
 	}
 

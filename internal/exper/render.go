@@ -9,6 +9,48 @@ import (
 	"specdis/internal/machine"
 )
 
+// Report is one report of the evaluation, under the name spdbench's -only
+// and spdd's /v1/report?only= select it by.
+type Report struct {
+	Name string
+	// Extra marks the reports beyond the paper's six sections (the §7
+	// extensions, the dynamic overhead): spdbench runs them only when -only
+	// names them, and /v1/report never does.
+	Extra  bool
+	Render func(r *Runner, w io.Writer) error
+}
+
+// Reports are the evaluation's reports in print order: the six sections of
+// §6, then the extras.
+var Reports = []Report{
+	{Name: "table61", Render: func(_ *Runner, w io.Writer) error { RenderTable61(w); return nil }},
+	{Name: "table62", Render: func(r *Runner, w io.Writer) error { RenderTable62(w, r.Benchmarks); return nil }},
+	{Name: "table63", Render: (*Runner).StreamTable63},
+	{Name: "fig62", Render: (*Runner).StreamFigure62},
+	{Name: "fig63", Render: (*Runner).StreamFigure63},
+	{Name: "fig64", Render: (*Runner).StreamFigure64},
+	{Name: "ext", Extra: true, Render: func(r *Runner, w io.Writer) error {
+		grows, err := r.ExtGrafting(6, 5)
+		if err != nil {
+			return err
+		}
+		crows, err := r.ExtCombined(6)
+		if err != nil {
+			return err
+		}
+		RenderExtensions(w, grows, crows)
+		return nil
+	}},
+	{Name: "overhead", Extra: true, Render: func(r *Runner, w io.Writer) error {
+		rows, err := r.DynamicOverhead(2)
+		if err != nil {
+			return err
+		}
+		RenderOverhead(w, rows)
+		return nil
+	}},
+}
+
 // Each computed report is a header printer and a row printer, driven by a
 // streaming renderer on the Runner (StreamX) that prints each row the
 // moment its cells resolve, while later cells are still computing on the

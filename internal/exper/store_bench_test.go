@@ -37,7 +37,7 @@ func BenchmarkColdVsWarmCell(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			w, err := store.Open(dir) // fresh handle: no in-memory front
+			w, err := store.Open(dir) // a fresh handle, as a new run opens it
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -167,10 +167,7 @@ func TestServeStoreIOFaults(t *testing.T) {
 	}
 	// Mirror cmd/spdd's wiring: a sio-only plan never reaches Config.Inject
 	// (which would bypass the store per cell); it arms on the store itself.
-	// Disabling the memory front forces every warm read through the disk
-	// path, where the armed faults live.
 	st.ArmIOFaults(plan.Seed, plan.Rate)
-	st.SetMemCap(0)
 	s, ts := newTestServer(t, Config{Store: st})
 
 	req := EvalRequest{Bench: "quick", Pipeline: "SPEC", MemLat: 2}

@@ -397,8 +397,10 @@ func writeEvalResponse(w http.ResponseWriter, result json.RawMessage, stats *Eva
 // assembly code here from killing the daemon.
 func (s *Server) evaluate(ctx context.Context, p *evalPlan) (result *EvalResult, stats exper.Stats, err error) {
 	r := s.runner(ctx, p.exec, p.fuel, p.bench)
+	var lintFail exper.Resilience // the lint step's budget failure, if any
 	defer func() {
 		stats = r.Stats()
+		stats.Resilience.Add(lintFail)
 		resilience.Recover(&err, p.bench.Name, p.kind.String(), p.memLat, "serve")
 	}()
 
@@ -424,10 +426,24 @@ func (s *Server) evaluate(ctx context.Context, p *evalPlan) (result *EvalResult,
 	}
 	if p.lint {
 		if err := s.lint(ctx, p, result); err != nil {
+			lintFail = budgetFailure(err)
 			return nil, stats, err
 		}
 	}
 	return result, stats, nil
+}
+
+// budgetFailure counts a failed lint step the way a runner counts a failed
+// cell: a fuel or deadline failure is one cell failure of its class. Other
+// errors (the source does not compile) count nothing.
+func budgetFailure(err error) exper.Resilience {
+	switch resilience.Classify(err) {
+	case resilience.ClassFuel:
+		return exper.Resilience{CellFailures: 1, FuelExhausted: 1}
+	case resilience.ClassDeadline:
+		return exper.Resilience{CellFailures: 1, DeadlineExceeded: 1}
+	}
+	return exper.Resilience{}
 }
 
 // lint runs the verifier battery over the request's program under its

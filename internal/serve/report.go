@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"strings"
 
 	"specdis/internal/bench"
 	"specdis/internal/exper"
@@ -48,11 +49,22 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		}
 		benches = []*bench.Benchmark{b}
 	}
+	// The sections are exper's reports that are not extras, in print order.
 	only := q.Get("only")
-	switch only {
-	case "", "table61", "table62", "table63", "fig62", "fig63", "fig64":
-	default:
-		writeError(w, badRequest(fmt.Sprintf("unknown section %q (want table61, table62, table63, fig62, fig63 or fig64)", only)))
+	var sections []exper.Report
+	var names []string
+	for _, rep := range exper.Reports {
+		if rep.Extra {
+			continue
+		}
+		names = append(names, rep.Name)
+		if only == "" || only == rep.Name {
+			sections = append(sections, rep)
+		}
+	}
+	if len(sections) == 0 {
+		last := len(names) - 1
+		writeError(w, badRequest(fmt.Sprintf("unknown section %q (want %s or %s)", only, strings.Join(names[:last], ", "), names[last])))
 		return
 	}
 	exec := s.exec
@@ -81,35 +93,13 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	eng := s.runner(ctx, exec, s.cfg.FuelCap, benches...)
 
 	var buf bytes.Buffer
-	want := func(name string) bool { return only == "" || only == name }
-	render := func(name string, fn func() error) error {
-		if !want(name) {
-			return nil
-		}
-		if err := fn(); err != nil {
-			return err
+	var err error
+	for _, rep := range sections {
+		if err = rep.Render(eng, &buf); err != nil {
+			break
 		}
 		fmt.Fprintln(&buf)
-		return nil
 	}
-	err := func() error {
-		if err := render("table61", func() error { exper.RenderTable61(&buf); return nil }); err != nil {
-			return err
-		}
-		if err := render("table62", func() error { exper.RenderTable62(&buf, eng.Benchmarks); return nil }); err != nil {
-			return err
-		}
-		if err := render("table63", func() error { return eng.StreamTable63(&buf) }); err != nil {
-			return err
-		}
-		if err := render("fig62", func() error { return eng.StreamFigure62(&buf) }); err != nil {
-			return err
-		}
-		if err := render("fig63", func() error { return eng.StreamFigure63(&buf) }); err != nil {
-			return err
-		}
-		return render("fig64", func() error { return eng.StreamFigure64(&buf) })
-	}()
 	s.met.absorb(eng.Stats())
 	if err != nil {
 		s.met.evalErrors.Add(1)

@@ -281,13 +281,17 @@ func TestEvalLint(t *testing.T) {
 // base program runs 49,574 ops, so the NAIVE cell measures under 60,000,
 // but its SPEC programs run 71,644 and both SPEC lint cells are skipped.
 func TestEvalLintHonorsFuel(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{})
 	status, _, resp := postEval(t, ts.URL, EvalRequest{Bench: "fft", Pipeline: "NAIVE", MemLat: 2, Lint: true, Fuel: 60_000})
 	if status != http.StatusUnprocessableEntity {
 		t.Fatalf("status %d (%+v), want 422", status, resp.Error)
 	}
 	if resp.Error == nil || resp.Error.Class != "fuel" || resp.Error.Cell != "lint/SPEC/m2" {
 		t.Fatalf("error %+v, want class fuel naming lint cell lint/SPEC/m2", resp.Error)
+	}
+	// The failed lint step counts like a failed runner cell.
+	if d := s.Snapshot().Degradation; d.CellFailures != 1 || d.FuelExhausted != 1 {
+		t.Fatalf("degradation %+v, want cell_failures 1 and fuel_exhausted 1", d.Resilience)
 	}
 	// Without lint the same budget measures the cell.
 	if status, _, resp := postEval(t, ts.URL, EvalRequest{Bench: "fft", Pipeline: "NAIVE", MemLat: 2, Fuel: 60_000}); status != http.StatusOK {
@@ -318,6 +322,42 @@ func TestLintHonorsDeadline(t *testing.T) {
 	}
 	if res.LintClean != nil {
 		t.Fatalf("lint_clean set on a failed battery")
+	}
+}
+
+// TestLintDeadlineIsCounted pins that a lint step failing on its deadline
+// counts in the request's degradation stats like a runner cell of that
+// class. A warm store serves the cell without reading the context, so under
+// an already-expired context only the lint step fails: no wall-clock race.
+func TestLintDeadlineIsCounted(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Store: st})
+	req := EvalRequest{Bench: "queen", Pipeline: "NAIVE", MemLat: 2}
+	p, apiErr := s.plan(&req)
+	if apiErr != nil {
+		t.Fatal(apiErr)
+	}
+	if _, _, err := s.evaluate(context.Background(), p); err != nil {
+		t.Fatal(err)
+	}
+	req.Lint = true
+	if p, apiErr = s.plan(&req); apiErr != nil {
+		t.Fatal(apiErr)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, stats, err := s.evaluate(ctx, p)
+	if e := errorFor(err); e.Class != "deadline" || e.Cell != "lint/NAIVE/m2" {
+		t.Fatalf("error %+v, want deadline naming lint cell lint/NAIVE/m2", e)
+	}
+	if want := (exper.Resilience{CellFailures: 1, DeadlineExceeded: 1}); stats.Resilience != want {
+		t.Fatalf("stats %+v, want %+v", stats.Resilience, want)
+	}
+	if sst := st.Stats(); sst.Hits != 2 {
+		t.Fatalf("store %+v, want the cell served warm (2 hits)", sst)
 	}
 }
 
@@ -367,8 +407,19 @@ func TestReportMatchesBatch(t *testing.T) {
 	}
 
 	// Bad parameters are typed 400s.
-	if status, _, _ = get(t, ts.URL+"/v1/report?only=fig99"); status != http.StatusBadRequest {
-		t.Fatalf("only=fig99: status %d", status)
+	// The extras spdbench runs under -only are not sections of the report.
+	for _, only := range []string{"fig99", "ext", "overhead"} {
+		status, _, body := get(t, ts.URL+"/v1/report?only="+only)
+		var e struct {
+			Error apiError `json:"error"`
+		}
+		if err := json.Unmarshal(body, &e); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("unknown section %q (want table61, table62, table63, fig62, fig63 or fig64)", only)
+		if status != http.StatusBadRequest || e.Error.Msg != want {
+			t.Fatalf("only=%s: status %d, message %q; want 400, %q", only, status, e.Error.Msg, want)
+		}
 	}
 	if status, _, _ = get(t, ts.URL+"/v1/report?bench=nope"); status != http.StatusBadRequest {
 		t.Fatalf("bench=nope: status %d", status)
@@ -379,9 +430,8 @@ func TestReportMatchesBatch(t *testing.T) {
 }
 
 // TestReadyzReadsStoreFromDisk pins that /readyz reads its store probe
-// back from disk rather than from the memory front the probe's write
-// filled: with every disk read armed to fault once, the first /readyz is
-// not ready and the second, its fault spent, is.
+// back from disk: with every disk read armed to fault once, the first
+// /readyz is not ready and the second, its fault spent, is.
 func TestReadyzReadsStoreFromDisk(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
@@ -395,7 +445,7 @@ func TestReadyzReadsStoreFromDisk(t *testing.T) {
 	if status, _, body := get(t, ts.URL+"/readyz"); status != 200 || string(body) != "ready\n" {
 		t.Fatalf("readyz after the fault was spent: %d %q", status, body)
 	}
-	if s := st.Stats(); s.MemHits != 0 || s.IOShortReads+s.IOOpenErrors != 1 || s.Hits != 1 {
+	if s := st.Stats(); s.IOShortReads+s.IOOpenErrors != 1 || s.Hits != 1 || s.BytesRead == 0 {
 		t.Errorf("store stats %+v; want one injected fault, then one disk hit", s)
 	}
 }
@@ -653,8 +703,8 @@ func TestStatsAndMetricsSchema(t *testing.T) {
 		prefixed("server.", "admission_rejections", "dedup_hits", "drain_rejections", "draining",
 			"eval_errors", "evals", "inflight", "queue_depth", "reports", "requests"),
 	)
-	wantStore := prefixed("store.", "bytes_read", "bytes_written", "corrupt_dropped", "evictions", "hits",
-		"io_open_errors", "io_short_reads", "mem_hits", "misses", "puts")
+	wantStore := prefixed("store.", "bytes_read", "bytes_written", "corrupt_dropped", "hits",
+		"io_open_errors", "io_short_reads", "misses", "puts")
 	sort.Strings(wantStats)
 	sort.Strings(wantMetrics)
 

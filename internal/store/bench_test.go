@@ -33,29 +33,23 @@ func BenchmarkStorePut(b *testing.B) {
 
 func BenchmarkStoreGet(b *testing.B) {
 	for _, size := range benchSizes {
-		for _, mem := range []bool{true, false} {
-			name := fmt.Sprintf("size=%d/mem=%v", size, mem)
-			b.Run(name, func(b *testing.B) {
-				s, err := Open(b.TempDir())
-				if err != nil {
-					b.Fatal(err)
+		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
+			s, err := Open(b.TempDir())
+			if err != nil {
+				b.Fatal(err)
+			}
+			k := NewKey(KindPrep, []byte("bench"))
+			if err := s.Put(k, make([]byte, size)); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.SetBytes(int64(size))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, ok := s.Get(k); !ok {
+					b.Fatal("miss")
 				}
-				k := NewKey(KindPrep, []byte("bench"))
-				if err := s.Put(k, make([]byte, size)); err != nil {
-					b.Fatal(err)
-				}
-				if !mem {
-					s.SetMemCap(0) // every Get reads and re-verifies from disk
-				}
-				b.ReportAllocs()
-				b.SetBytes(int64(size))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, ok := s.Get(k); !ok {
-						b.Fatal("miss")
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }

@@ -37,7 +37,6 @@ package store
 
 import (
 	"bytes"
-	"container/list"
 	"crypto/sha256"
 	"encoding"
 	"encoding/binary"
@@ -145,20 +144,20 @@ var ErrCorrupt = errors.New("store: corrupt artifact")
 // the schema of the store section of spdbench's BENCH_spdbench.json and of
 // spdd's /metrics.
 type Stats struct {
-	// Hits counts Gets served (from the memory front or disk); Misses the
-	// Gets that found nothing usable. Hits + Misses == Gets.
+	// Hits counts Gets served; Misses the Gets that found nothing usable.
+	// Hits + Misses == Gets. Every hit reads its artifact from disk.
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
-	// MemHits is the subset of Hits served from the in-memory LRU front
-	// without touching disk.
-	MemHits int64 `json:"mem_hits"`
+	// MemHits is always 0: the store keeps no copy in memory. The field
+	// stays only because perfbench's eval-warm workload still reads it, and
+	// perfbench changes only together with the benchmark; it is not part of
+	// the JSON schema.
+	MemHits int64 `json:"-"`
 	// Puts counts artifacts written; BytesWritten their total payload bytes
 	// (excluding footers). BytesRead totals payload bytes read from disk.
 	Puts         int64 `json:"puts"`
 	BytesRead    int64 `json:"bytes_read"`
 	BytesWritten int64 `json:"bytes_written"`
-	// Evictions counts entries dropped from the memory front on capacity.
-	Evictions int64 `json:"evictions"`
 	// CorruptDropped counts on-disk artifacts deleted because they failed
 	// the footer check or their typed decoder; each one cost its caller a
 	// recompute and was repaired by the subsequent Put.
@@ -172,24 +171,17 @@ type Stats struct {
 	IOOpenErrors int64 `json:"io_open_errors"`
 }
 
-// DefaultMemBytes is the default capacity of the in-memory LRU front.
-const DefaultMemBytes = 64 << 20
-
-// Store is a persistent artifact store with an in-memory LRU front.
+// Store is a persistent artifact store. Every Get reads, verifies and
+// decodes the artifact file; nothing is kept in memory.
 // Safe for concurrent use; multiple processes may share a directory (writes
 // are atomic renames; last writer wins with identical content, since keys
 // are content hashes over the artifact's inputs).
 type Store struct {
-	dir    string
-	prefix string // dir, cleaned, with a trailing separator: path's stem
+	prefix string // the root directory, cleaned, with a trailing separator: path's stem
 
-	mu       sync.Mutex
-	mem      map[Key]*list.Element
-	order    *list.List // front = most recent
-	memBytes int64
-	memCap   int64
-	stats    Stats
-	io       *ioFaults
+	mu    sync.Mutex
+	stats Stats
+	io    *ioFaults
 }
 
 // ioFaults is the armed store-level fault injector (ArmIOFaults): seeded,
@@ -210,11 +202,6 @@ const (
 	ioFaultOpen              // transient open error: a plain miss, file left intact
 )
 
-type memEntry struct {
-	key     Key
-	payload []byte
-}
-
 // Open opens (creating if needed) the store rooted at dir.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -224,30 +211,12 @@ func Open(dir string) (*Store, error) {
 	if !os.IsPathSeparator(prefix[len(prefix)-1]) {
 		prefix += string(filepath.Separator)
 	}
-	return &Store{
-		dir:    dir,
-		prefix: prefix,
-		mem:    map[Key]*list.Element{},
-		order:  list.New(),
-		memCap: DefaultMemBytes,
-	}, nil
-}
-
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
-// SetMemCap bounds the in-memory LRU front to n payload bytes (0 disables
-// the front entirely; every hit reads disk).
-func (s *Store) SetMemCap(n int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.memCap = n
-	s.evictLocked()
+	return &Store{prefix: prefix}, nil
 }
 
 // ArmIOFaults arms seeded I/O fault injection on the store's disk reads —
 // the persistent-rung counterpart of the per-cell fault plan
-// (resilience.FaultStoreIO). Each key's first faultable disk read is dealt,
+// (resilience.FaultStoreIO). Each key's first read that finds a file is dealt,
 // deterministically from (seed, key), either nothing, a short read (the
 // payload is truncated before the footer check, so it surfaces exactly like
 // on-disk corruption and exercises drop→recompute→repair), or a transient
@@ -311,59 +280,40 @@ func (s *Store) path(k Key) string {
 // stored, or a stored artifact that failed its integrity footer — returns
 // false; corrupt files are deleted so the caller's recompute-and-Put
 // repairs the store.
-func (s *Store) Get(k Key) ([]byte, bool) { return s.get(k, nil, true) }
+func (s *Store) Get(k Key) ([]byte, bool) { return s.get(k, nil) }
 
 // get is Get with an optional payload check (the typed decoders): a payload
 // that passes the footer but fails check is dropped like corruption. Either
-// way the Get counts exactly once, as a hit or as a miss. With front false
-// the memory front is neither read nor filled, so the payload comes from
-// disk (Probe).
-func (s *Store) get(k Key, check func([]byte) error, front bool) ([]byte, bool) {
-	var payload []byte
-	mem := false
-	if front {
-		payload, mem = s.recall(k)
+// way the Get counts exactly once, as a hit or as a miss.
+func (s *Store) get(k Key, check func([]byte) error) ([]byte, bool) {
+	data, err := readFile(s.path(k))
+	if err != nil {
+		s.note(func(st *Stats) { st.Misses++ })
+		return nil, false
 	}
-	if !mem {
-		data, err := readFile(s.path(k))
-		if err != nil {
-			s.note(func(st *Stats) { st.Misses++ })
-			return nil, false
-		}
-		// Armed I/O faults (ArmIOFaults) fire here, once per key, on a read
-		// that actually found a file — a short read degrades into the
-		// corruption path below, a transient open error into a plain miss.
-		switch s.ioFaultFor(k) {
-		case ioFaultOpen:
-			s.note(func(st *Stats) {
-				st.Misses++
-				st.IOOpenErrors++
-			})
-			return nil, false
-		case ioFaultShort:
-			s.note(func(st *Stats) { st.IOShortReads++ })
-			data = data[:len(data)/2]
-		}
-		if payload, err = checkFooter(data); err != nil {
-			s.dropCorrupt(k)
-			return nil, false
-		}
+	// Armed I/O faults (ArmIOFaults) fire here, once per key, on a read that
+	// actually found a file — a short read degrades into the corruption path
+	// below, a transient open error into a plain miss.
+	switch s.ioFaultFor(k) {
+	case ioFaultOpen:
+		s.note(func(st *Stats) {
+			st.Misses++
+			st.IOOpenErrors++
+		})
+		return nil, false
+	case ioFaultShort:
+		s.note(func(st *Stats) { st.IOShortReads++ })
+		data = data[:len(data)/2]
 	}
-	if check != nil && check(payload) != nil {
+	payload, err := checkFooter(data)
+	if err != nil || (check != nil && check(payload) != nil) {
 		s.dropCorrupt(k)
 		return nil, false
 	}
 	s.note(func(st *Stats) {
 		st.Hits++
-		if mem {
-			st.MemHits++
-		} else {
-			st.BytesRead += int64(len(payload))
-		}
+		st.BytesRead += int64(len(payload))
 	})
-	if front && !mem {
-		s.remember(k, payload)
-	}
 	return payload, true
 }
 
@@ -375,12 +325,11 @@ var (
 )
 
 // Probe checks that the store can persist and serve an artifact: it writes
-// a probe artifact and reads it back from disk, verifying the footer and
-// the bytes, without reading or filling the memory front. The write counts
-// as a Put and the read-back as a Get, and armed I/O faults (ArmIOFaults)
-// deal the read-back a fault like any other disk read.
+// a probe artifact and reads it back, verifying the footer and the bytes.
+// The write counts as a Put and the read-back as a Get, and armed I/O
+// faults (ArmIOFaults) deal the read-back a fault like any other read.
 func (s *Store) Probe() error {
-	if _, err := s.write(probeKey, probePayload); err != nil {
+	if err := s.Put(probeKey, probePayload); err != nil {
 		return err
 	}
 	verify := func(p []byte) error {
@@ -389,23 +338,10 @@ func (s *Store) Probe() error {
 		}
 		return nil
 	}
-	if _, ok := s.get(probeKey, verify, false); !ok {
+	if _, ok := s.get(probeKey, verify); !ok {
 		return errors.New("store: probe artifact did not read back")
 	}
 	return nil
-}
-
-// recall returns the memory front's copy of key's payload, refreshing its
-// LRU position.
-func (s *Store) recall(k Key) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.mem[k]
-	if !ok {
-		return nil, false
-	}
-	s.order.MoveToFront(el)
-	return el.Value.(*memEntry).payload, true
 }
 
 // Put stores payload under key, sealing it with the integrity footer and
@@ -413,17 +349,6 @@ func (s *Store) recall(k Key) ([]byte, bool) {
 // and diagnostics; callers may ignore them — a failed Put only costs a
 // future recompute.
 func (s *Store) Put(k Key, payload []byte) error {
-	stored, err := s.write(k, payload)
-	if err != nil {
-		return err
-	}
-	s.remember(k, stored)
-	return nil
-}
-
-// write is Put without the memory front: it persists payload under key and
-// returns the sealed copy's payload bytes.
-func (s *Store) write(k Key, payload []byte) ([]byte, error) {
 	sealed := make([]byte, 0, len(payload)+footerSize)
 	sealed = append(sealed, payload...)
 	var foot [footerSize]byte
@@ -434,73 +359,37 @@ func (s *Store) write(k Key, payload []byte) ([]byte, error) {
 
 	path := s.path(k)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+		return fmt.Errorf("store: %w", err)
 	}
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+		return fmt.Errorf("store: %w", err)
 	}
 	_, werr := tmp.Write(sealed)
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		os.Remove(tmp.Name())
-		return nil, fmt.Errorf("store: write %s: %w", k, errors.Join(werr, cerr))
+		return fmt.Errorf("store: write %s: %w", k, errors.Join(werr, cerr))
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		os.Remove(tmp.Name())
-		return nil, fmt.Errorf("store: %w", err)
+		return fmt.Errorf("store: %w", err)
 	}
 	s.note(func(st *Stats) {
 		st.Puts++
 		st.BytesWritten += int64(len(payload))
 	})
-	return sealed[:len(payload):len(payload)], nil
+	return nil
 }
 
-// dropCorrupt removes key from disk and the memory front, counting the Get
-// that led here as a miss and the artifact as corruption-dropped.
+// dropCorrupt removes key from disk, counting the Get that led here as a
+// miss and the artifact as corruption-dropped.
 func (s *Store) dropCorrupt(k Key) {
 	os.Remove(s.path(k))
-	s.mu.Lock()
-	if el, ok := s.mem[k]; ok {
-		s.memBytes -= int64(len(el.Value.(*memEntry).payload))
-		s.order.Remove(el)
-		delete(s.mem, k)
-	}
-	s.stats.Misses++
-	s.stats.CorruptDropped++
-	s.mu.Unlock()
-}
-
-// remember inserts a payload into the memory front, evicting LRU entries
-// over capacity.
-func (s *Store) remember(k Key, payload []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.memCap <= 0 || int64(len(payload)) > s.memCap {
-		return
-	}
-	if el, ok := s.mem[k]; ok {
-		s.order.MoveToFront(el)
-		return
-	}
-	s.mem[k] = s.order.PushFront(&memEntry{key: k, payload: payload})
-	s.memBytes += int64(len(payload))
-	s.evictLocked()
-}
-
-func (s *Store) evictLocked() {
-	for s.memBytes > s.memCap {
-		el := s.order.Back()
-		if el == nil {
-			return
-		}
-		e := el.Value.(*memEntry)
-		s.order.Remove(el)
-		delete(s.mem, e.key)
-		s.memBytes -= int64(len(e.payload))
-		s.stats.Evictions++
-	}
+	s.note(func(st *Stats) {
+		st.Misses++
+		st.CorruptDropped++
+	})
 }
 
 // note applies a stats mutation under the lock.

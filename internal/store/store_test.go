@@ -111,47 +111,56 @@ func TestPersistsAcrossOpens(t *testing.T) {
 	if !ok || string(got) != "data" {
 		t.Fatalf("second open Get = %q, %v", got, ok)
 	}
-	if st := s2.Stats(); st.MemHits != 0 || st.BytesRead != 4 {
+	if st := s2.Stats(); st.Hits != 1 || st.BytesRead != 4 {
 		t.Errorf("expected a disk hit: %+v", st)
 	}
 }
 
-func TestMemFrontLRU(t *testing.T) {
+// TestGetAfterPutReadsDisk pins the store's one read path: a Get right
+// after a Put of the same key on the same Store reads the file the Put
+// wrote, so it counts as a disk hit and an armed I/O fault fires on it.
+func TestGetAfterPutReadsDisk(t *testing.T) {
 	s := openTemp(t)
-	s.SetMemCap(8) // two 4-byte payloads
-	keys := []Key{NewKey(KindPrep, []byte("a")), NewKey(KindPrep, []byte("b")), NewKey(KindPrep, []byte("c"))}
-	for _, k := range keys {
-		if err := s.Put(k, []byte("1234")); err != nil {
-			t.Fatal(err)
-		}
+	k := NewKey(KindMeas, []byte("fresh"))
+	want := []byte("just written")
+	if err := s.Put(k, want); err != nil {
+		t.Fatal(err)
 	}
-	// a was evicted by c's insert; b and c are resident.
-	if st := s.Stats(); st.Evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", st.Evictions)
+	got, ok := s.Get(k)
+	if !ok || !bytes.Equal(got, want) {
+		t.Fatalf("Get after Put = %q, %v; want %q, true", got, ok, want)
 	}
-	if _, ok := s.Get(keys[2]); !ok {
-		t.Fatal("miss on resident key")
+	if st := s.Stats(); st.Hits != 1 || st.BytesRead != int64(len(want)) {
+		t.Errorf("stats %+v; want 1 hit reading %d bytes from disk", st, len(want))
 	}
-	if st := s.Stats(); st.MemHits != 1 {
-		t.Errorf("MemHits = %d, want 1", st.MemHits)
+
+	k = NewKey(KindMeas, []byte("faulted"))
+	if err := s.Put(k, want); err != nil {
+		t.Fatal(err)
 	}
-	// The evicted key still hits — from disk.
-	if _, ok := s.Get(keys[0]); !ok {
-		t.Fatal("evicted key must still hit from disk")
+	s.ArmIOFaults(7, 1) // rate 1: the key's first read is dealt a fault
+	before := s.Stats()
+	if got, ok := s.Get(k); ok {
+		t.Fatalf("Get after Put with a fault armed served %q", got)
 	}
-	if st := s.Stats(); st.MemHits != 1 || st.Hits != 2 {
-		t.Errorf("after disk hit: %+v", st)
+	after := s.Stats()
+	if faults := after.IOShortReads + after.IOOpenErrors - before.IOShortReads - before.IOOpenErrors; faults != 1 {
+		t.Errorf("stats %+v -> %+v; want one injected fault", before, after)
 	}
 }
 
 func TestNoTempFilesLeftBehind(t *testing.T) {
-	s := openTemp(t)
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := byte(0); i < 10; i++ {
 		if err := s.Put(NewKey(KindPrep, []byte{i}), bytes.Repeat([]byte{i}, 100)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	err := filepath.WalkDir(s.Dir(), func(p string, d os.DirEntry, err error) error {
+	err = filepath.WalkDir(dir, func(p string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -208,8 +217,6 @@ func TestCorruptionBattery(t *testing.T) {
 			if err := s.Put(k, fresh); err != nil {
 				t.Fatal(err)
 			}
-			s.SetMemCap(0) // force the next Get through the disk path
-			s.SetMemCap(DefaultMemBytes)
 		}},
 		{"wrong kind byte", func(t *testing.T, s *Store, k Key) {
 			if err := s.Put(k, EncodeMeas(&MeasCell{Ops: 1})); err != nil {
@@ -222,9 +229,6 @@ func TestCorruptionBattery(t *testing.T) {
 			s := openTemp(t)
 			k := NewKey(KindPrep, []byte("cell"))
 			PutPrep(s, k, prep)
-			// Drop the memory front so corruption on disk is observed.
-			s.SetMemCap(0)
-			s.SetMemCap(DefaultMemBytes)
 			tc.corrupt(t, s, k)
 
 			if got, ok := GetPrep(s, k); ok {
@@ -246,14 +250,13 @@ func TestCorruptionBattery(t *testing.T) {
 	}
 }
 
-// TestDiskReadEdges drives the artifact reader through Get with the memory
-// front off: payloads that fill its first buffer exactly, or miss it by one
-// byte either way, round-trip like empty and large ones; empty and truncated
-// files are corruption; a missing file or a directory at the artifact path
-// is a plain miss that deletes nothing.
+// TestDiskReadEdges drives the artifact reader through Get: payloads that
+// fill its first buffer exactly, or miss it by one byte either way,
+// round-trip like empty and large ones; empty and truncated files are
+// corruption; a missing file or a directory at the artifact path is a plain
+// miss that deletes nothing.
 func TestDiskReadEdges(t *testing.T) {
 	s := openTemp(t)
-	s.SetMemCap(0)
 	// The file is the payload and its footer: cover both fitting the buffer.
 	sizes := []int{0, 1, 200 << 10}
 	for _, n := range []int{readBufSize, readBufSize - footerSize} {
@@ -273,7 +276,7 @@ func TestDiskReadEdges(t *testing.T) {
 			t.Errorf("%d-byte payload: Get = %d bytes, %v", n, len(got), ok)
 		}
 	}
-	if st := s.Stats(); st.Hits != int64(len(sizes)) || st.MemHits != 0 || st.CorruptDropped != 0 {
+	if st := s.Stats(); st.Hits != int64(len(sizes)) || st.CorruptDropped != 0 {
 		t.Errorf("round trips: stats %+v; want %d disk hits", st, len(sizes))
 	}
 
@@ -324,8 +327,7 @@ func TestDiskReadEdges(t *testing.T) {
 	}
 }
 
-// TestProbeReadsDisk pins that Probe goes around the memory front: each
-// probe is a Put and a disk hit, and the front stays empty. (serve's
+// TestProbeReadsDisk pins that each probe is a Put and a disk hit. (serve's
 // TestReadyzReadsStoreFromDisk drives a faulted probe.)
 func TestProbeReadsDisk(t *testing.T) {
 	s := openTemp(t)
@@ -334,14 +336,8 @@ func TestProbeReadsDisk(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := s.Stats(); st.Puts != 2 || st.Hits != 2 || st.MemHits != 0 || st.BytesRead != 2*int64(len(probePayload)) {
+	if st := s.Stats(); st.Puts != 2 || st.Hits != 2 || st.BytesRead != 2*int64(len(probePayload)) {
 		t.Errorf("stats %+v; want 2 puts and 2 disk hits", st)
-	}
-	s.mu.Lock()
-	resident := len(s.mem)
-	s.mu.Unlock()
-	if resident != 0 {
-		t.Errorf("probe filled the memory front with %d entries", resident)
 	}
 }
 
@@ -353,7 +349,6 @@ func TestProbeReadsDisk(t *testing.T) {
 // serve the full verified payload.
 func TestIOFaultInjection(t *testing.T) {
 	s := openTemp(t)
-	s.SetMemCap(0) // every Get reads disk: faults are reachable
 	payloads := map[Key][]byte{}
 	for i := byte(0); i < 8; i++ {
 		k := NewKey(KindMeas, []byte{i})
@@ -405,20 +400,16 @@ func TestIOFaultInjection(t *testing.T) {
 	}
 }
 
-// TestIOFaultKeepsMemFrontClean pins the LRU-front purity invariant: a
-// truncated disk read must never be remembered by the in-memory front — only
-// footer-verified payloads enter it, so the repair rung starts from a clean
-// cache.
-func TestIOFaultKeepsMemFrontClean(t *testing.T) {
+// TestShortReadRepairs drives one injected short read through the repair
+// rung: the truncated read is a miss that drops the file, the recompute's
+// Put repairs it, and the next Get serves the full payload.
+func TestShortReadRepairs(t *testing.T) {
 	s := openTemp(t)
 	k := NewKey(KindMeas, []byte("hot"))
 	want := bytes.Repeat([]byte{0xAB}, 128)
 	if err := s.Put(k, want); err != nil {
 		t.Fatal(err)
 	}
-	// Drop the Put's resident copy so the next Get takes the disk path.
-	s.SetMemCap(0)
-	s.SetMemCap(DefaultMemBytes)
 	// Find a seed that deals this key a short read (the deal consumes the
 	// injector's once-per-key budget, so re-arm before the real Get).
 	var seed uint64
@@ -429,22 +420,15 @@ func TestIOFaultKeepsMemFrontClean(t *testing.T) {
 	if _, ok := s.Get(k); ok {
 		t.Fatal("short read served a payload")
 	}
-	s.mu.Lock()
-	_, resident := s.mem[k]
-	s.mu.Unlock()
-	if resident {
-		t.Fatal("truncated payload poisoned the LRU front")
+	if st := s.Stats(); st.IOShortReads != 1 || st.CorruptDropped != 1 || st.Misses != 1 {
+		t.Fatalf("stats %+v; want one short read dropped as corruption", st)
 	}
-	// Repair and verify the front holds the full payload again.
 	if err := s.Put(k, want); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := s.Get(k)
 	if !ok || !bytes.Equal(got, want) {
 		t.Fatalf("after repair Get = %d bytes, %v", len(got), ok)
-	}
-	if st := s.Stats(); st.MemHits == 0 {
-		t.Errorf("repaired payload not resident in the front: %+v", st)
 	}
 }
 
@@ -454,7 +438,6 @@ func TestIOFaultKeepsMemFrontClean(t *testing.T) {
 // torn write.
 func TestConcurrentWriters(t *testing.T) {
 	s := openTemp(t)
-	s.SetMemCap(0) // every Get reads disk: exercises the racy path
 	const keys = 8
 	payload := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, 1024) }
 	var wg sync.WaitGroup
@@ -520,8 +503,6 @@ func TestTypedGetDropsUndecodable(t *testing.T) {
 	if err := s.Put(k, []byte{byte(KindMeas), 1, 0xFF}); err != nil { // garbage body
 		t.Fatal(err)
 	}
-	s.SetMemCap(0)
-	s.SetMemCap(DefaultMemBytes)
 	if _, ok := GetMeas(s, k); ok {
 		t.Fatal("undecodable artifact served")
 	}

@@ -40,6 +40,6 @@ func getTyped[T any](s *Store, k Key, decode func([]byte) (*T, error)) (*T, bool
 	_, ok := s.get(k, func(payload []byte) (err error) {
 		v, err = decode(payload)
 		return err
-	}, true)
+	})
 	return v, ok
 }
