@@ -165,13 +165,8 @@ func run() int {
 		if err != nil {
 			log.Fatal(err)
 		}
-		// The store-level sio kind arms on the artifact store below; only a
-		// plan that deals per-cell faults goes to the runner (a non-nil
-		// Inject also bypasses the store, which would leave sio nothing to
-		// fault).
-		if len(plan.CellKinds()) > 0 || plan.Cells != nil {
-			r.Inject = plan
-		}
+		// The store-level sio kind arms on the artifact store below.
+		r.Inject = plan.CellPlan()
 	}
 	if *storeDir != "" {
 		s, err := store.Open(*storeDir)

@@ -34,7 +34,6 @@ func run() int {
 	log.SetFlags(0)
 	log.SetPrefix("spdd: ")
 	addr := flag.String("addr", "127.0.0.1:8462", "listen address")
-	par := flag.Int("par", 0, "per-request evaluation worker-pool width (0 = 1; requests are each other's parallelism)")
 	maxInflight := flag.Int("max-inflight", serve.DefaultMaxInflight, "maximum concurrently running evaluations")
 	maxQueue := flag.Int("max-queue", serve.DefaultMaxQueue, "maximum requests queued for an evaluation slot; beyond it 429 + Retry-After")
 	maxSourceBytes := flag.Int("max-source-bytes", serve.DefaultMaxSourceBytes, "maximum submitted MiniC source size; beyond it 413")
@@ -48,7 +47,6 @@ func run() int {
 	flag.Parse()
 
 	cfg := serve.Config{
-		Par:            *par,
 		MaxInflight:    *maxInflight,
 		MaxQueue:       *maxQueue,
 		MaxSourceBytes: *maxSourceBytes,
@@ -70,13 +68,8 @@ func run() int {
 			log.Print(err)
 			return 2
 		}
-		// Mirror spdbench: only a plan that deals per-cell faults reaches the
-		// engines (a non-nil Inject also bypasses the store per cell, which
-		// would leave a store-level sio plan nothing to fault); the sio kind
-		// arms on the store below.
-		if len(plan.CellKinds()) > 0 || plan.Cells != nil {
-			cfg.Inject = plan
-		}
+		// The sio kind arms on the store below.
+		cfg.Inject = plan.CellPlan()
 	}
 	if *storeDir != "" {
 		s, err := store.Open(*storeDir)

@@ -107,6 +107,17 @@ func (p *FaultPlan) CellKinds() []FaultKind {
 	return kinds
 }
 
+// CellPlan returns the plan to thread into the evaluation runners: p when
+// it deals per-cell faults (a kind besides FaultStoreIO, or Cells), nil
+// otherwise. A runner with a non-nil plan bypasses the artifact store per
+// cell, which would leave a store-level kind nothing to fault.
+func (p *FaultPlan) CellPlan() *FaultPlan {
+	if p == nil || (len(p.CellKinds()) == 0 && p.Cells == nil) {
+		return nil
+	}
+	return p
+}
+
 // StoreIO reports whether the plan names the store I/O fault kind.
 func (p *FaultPlan) StoreIO() bool {
 	if p == nil {

@@ -210,3 +210,23 @@ func TestStoreIOKind(t *testing.T) {
 		}
 	}
 }
+
+func TestCellPlan(t *testing.T) {
+	// Only a plan that deals per-cell faults reaches the runners.
+	mixed, _ := ParsePlan("seed=5,kinds=bpanic+sio")
+	sioOnly, _ := ParsePlan("seed=5,rate=1,kinds=sio")
+	cells := &FaultPlan{Cells: map[string]Fault{"fft/SPEC/m2": {Kind: FaultPanic}}}
+	for _, tc := range []struct {
+		name       string
+		plan, want *FaultPlan
+	}{
+		{"nil", nil, nil},
+		{"sio only", sioOnly, nil},
+		{"cell kinds and sio", mixed, mixed},
+		{"explicit cells", cells, cells},
+	} {
+		if got := tc.plan.CellPlan(); got != tc.want {
+			t.Errorf("%s: CellPlan() = %p, want %p", tc.name, got, tc.want)
+		}
+	}
+}

@@ -31,9 +31,10 @@ import (
 	"specdis/internal/store"
 )
 
-// soakCells are the eight concurrent clients' distinct cells. Distinct on
-// purpose: identical concurrent requests would dedup into one flight and
-// the pinned per-cell fault counts would stop being additive.
+// soakCells are the eight concurrent clients' cells: eight benchmarks over
+// all four pipelines and both latencies. Each request computes on its own
+// engine, so the pinned per-cell fault counts add up over clients and
+// rounds.
 var soakCells = []EvalRequest{
 	{Bench: "perm", Pipeline: "SPEC", MemLat: 2},
 	{Bench: "queen", Pipeline: "SPEC", MemLat: 6},

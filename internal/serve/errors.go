@@ -38,6 +38,11 @@ func badRequest(msg string) *apiError {
 	return &apiError{Status: http.StatusBadRequest, Class: "bad-request", Msg: msg}
 }
 
+// tooLarge is a 413 with the given message.
+func tooLarge(msg string) *apiError {
+	return &apiError{Status: http.StatusRequestEntityTooLarge, Class: "too-large", Msg: msg}
+}
+
 // errorFor maps an evaluation error onto its API shape. Engine failures
 // arrive as resilience.CellErrors and map by class — budget classes are the
 // client's fault (422/504), everything else is the server's (500). A plain

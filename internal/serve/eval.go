@@ -15,10 +15,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"specdis/internal/bench"
@@ -96,13 +97,15 @@ type EvalResult struct {
 
 // EvalStats is the run-dependent half: what this request actually cost and
 // which degradation rungs it took, as its engine's exper.Resilience
-// section. Deduplicated followers carry the leader's engine stats with
-// Deduped set.
+// section.
 type EvalStats struct {
 	ElapsedMS float64 `json:"elapsed_ms"`
 	Exec      string  `json:"exec"`
 	Fuel      int64   `json:"fuel"`
-	Deduped   bool    `json:"deduped,omitempty"`
+	// Deduped is always false: every request computes its own result. The
+	// field stays, out of the JSON, only because perfbench/servewl.go reads
+	// it; drop it with that read (ROADMAP item 2).
+	Deduped bool `json:"-"`
 	exper.Resilience
 }
 
@@ -117,17 +120,6 @@ type evalPlan struct {
 	lint     bool
 }
 
-// key returns the single-flight identity: two requests with equal keys
-// compute the identical deterministic result. The bench name is part of that
-// result, so a suite benchmark and the same text submitted as source never
-// share a flight. The deadline is excluded — it bounds the computation, it
-// doesn't change it.
-func (p *evalPlan) key() string {
-	h := sha256.Sum256([]byte(p.bench.Source))
-	return fmt.Sprintf("%s|%s|%s|%d|%s|%d|%t",
-		p.bench.Name, hex.EncodeToString(h[:8]), p.kind, p.memLat, p.exec, p.fuel, p.lint)
-}
-
 // plan validates the request against the server's limits.
 func (s *Server) plan(req *EvalRequest) (*evalPlan, *apiError) {
 	p := &evalPlan{memLat: req.MemLat, lint: req.Lint}
@@ -138,10 +130,7 @@ func (s *Server) plan(req *EvalRequest) (*evalPlan, *apiError) {
 		return nil, badRequest("source and bench are mutually exclusive")
 	case req.Source != "":
 		if len(req.Source) > s.cfg.MaxSourceBytes {
-			return nil, &apiError{
-				Status: http.StatusRequestEntityTooLarge, Class: "too-large",
-				Msg: fmt.Sprintf("source is %d bytes; the limit is %d", len(req.Source), s.cfg.MaxSourceBytes),
-			}
+			return nil, tooLarge(fmt.Sprintf("source is %d bytes; the limit is %d", len(req.Source), s.cfg.MaxSourceBytes))
 		}
 		// A synthetic per-request benchmark: the name is content-derived so
 		// cell names — what fault plans and failure reports key on — are
@@ -202,80 +191,6 @@ func (s *Server) plan(req *EvalRequest) (*evalPlan, *apiError) {
 	return p, nil
 }
 
-// flight is one in-flight deduplicated computation: a leader computes,
-// followers wait on done and share the deterministic result. waiters is
-// refcounted so a computation every client abandoned is cancelled instead
-// of burning a slot for nobody.
-type flight struct {
-	done    chan struct{}
-	result  json.RawMessage // deterministic EvalResult bytes
-	stats   EvalStats       // the leader's engine stats
-	err     *apiError
-	cancel  context.CancelFunc
-	waiters int
-}
-
-type flightGroup struct {
-	mu sync.Mutex
-	m  map[string]*flight
-}
-
-// join returns the flight for key, creating it (leader = true) on first
-// call. Every caller must later leave it.
-func (g *flightGroup) join(key string) (*flight, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.m == nil {
-		g.m = map[string]*flight{}
-	}
-	if f, ok := g.m[key]; ok {
-		f.waiters++
-		return f, false
-	}
-	f := &flight{done: make(chan struct{}), waiters: 1}
-	g.m[key] = f
-	return f, true
-}
-
-// leave drops one waiter; when the last waiter abandons a still-running
-// flight, its computation context is cancelled (the engines fail the
-// remaining cells typed and the scheduler skips what never started) and the
-// flight is unregistered, so a later identical request leads a fresh
-// computation instead of inheriting the dying one's cancellation error.
-func (g *flightGroup) leave(key string, f *flight) {
-	g.mu.Lock()
-	f.waiters--
-	abandoned := f.waiters == 0 && !f.finished()
-	if abandoned && g.m[key] == f {
-		delete(g.m, key)
-	}
-	g.mu.Unlock()
-	if abandoned && f.cancel != nil {
-		f.cancel()
-	}
-}
-
-// finish publishes the outcome and removes the flight from the group. The
-// identity check keeps an abandoned flight's late finish from unregistering
-// a successor that reused its key.
-func (g *flightGroup) finish(key string, f *flight) {
-	g.mu.Lock()
-	if g.m[key] == f {
-		delete(g.m, key)
-	}
-	g.mu.Unlock()
-	close(f.done)
-}
-
-func (f *flight) finished() bool {
-	select {
-	case <-f.done:
-		return true
-	default:
-		return false
-	}
-}
-
 // handleEval serves POST /v1/eval.
 func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	s.met.requests.Add(1)
@@ -287,9 +202,16 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	s.met.evals.Add(1)
 
 	var req EvalRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, int64(s.cfg.MaxSourceBytes)+4096)).Decode(&req); err != nil {
+	// Room for a source at the limit in its worst-case JSON encoding, six
+	// bytes per source byte (\u003c), and for the other fields.
+	limit := min(int64(s.cfg.MaxSourceBytes), math.MaxInt64/8)*6 + 4096
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(&req); err != nil {
 		s.met.evalErrors.Add(1)
-		writeError(w, badRequest("bad request body: "+err.Error()))
+		apiErr := badRequest("bad request body: " + err.Error())
+		if errors.As(err, new(*http.MaxBytesError)) {
+			apiErr = tooLarge(fmt.Sprintf("request body is over %d bytes; the source limit is %d", limit, s.cfg.MaxSourceBytes))
+		}
+		writeError(w, apiErr)
 		return
 	}
 	p, apiErr := s.plan(&req)
@@ -299,110 +221,55 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Propagate the request's deadline budget into everything that follows:
-	// admission queueing, the engine's interpretations, and the scheduler.
+	// The request's own context, bounded by its deadline budget, governs
+	// everything that follows: admission queueing, the engine's
+	// interpretations and the lint step. A client that disconnects cancels
+	// it like an expired deadline, so abandoned work frees its slot.
 	ctx, cancel := context.WithTimeout(r.Context(), p.deadline)
 	defer cancel()
-
-	key := p.key()
-	f, leader := s.flights.join(key)
-	defer s.flights.leave(key, f)
-	if !leader {
-		// Identical request already in flight: wait for its result instead
-		// of computing it twice.
-		s.met.dedupHits.Add(1)
-		select {
-		case <-f.done:
-		case <-ctx.Done():
-			s.met.evalErrors.Add(1)
-			writeError(w, &apiError{
-				Status: http.StatusGatewayTimeout, Class: "deadline",
-				Msg: "request deadline expired waiting for an identical in-flight evaluation",
-			})
-			return
-		}
-		if f.err != nil {
-			s.met.evalErrors.Add(1)
-			writeError(w, f.err)
-			return
-		}
-		st := f.stats
-		st.Deduped = true
-		writeEvalResponse(w, f.result, &st)
-		return
-	}
-
-	// Leader: take an evaluation slot (bounded admission) and compute on a
-	// context detached from this client — followers that joined the flight
-	// may outlive the leader's connection; the waiter refcount cancels the
-	// computation when the last one leaves.
 	if apiErr := s.adm.acquire(ctx); apiErr != nil {
 		if apiErr.Status == http.StatusTooManyRequests {
 			s.met.admissionRejections.Add(1)
 		}
 		s.met.evalErrors.Add(1)
-		f.err = apiErr
-		s.flights.finish(key, f)
 		writeError(w, apiErr)
 		return
 	}
 	defer s.adm.release()
 
-	cctx, ccancel := context.WithTimeout(context.Background(), p.deadline)
-	defer ccancel()
-	f.cancel = ccancel
-
 	start := time.Now()
-	result, stats, err := s.evaluate(cctx, p)
+	result, stats, err := s.evaluate(ctx, p)
 	elapsed := time.Since(start)
 	s.met.absorb(stats)
 	if err != nil {
 		s.met.evalErrors.Add(1)
-		f.err = errorFor(err)
-		s.flights.finish(key, f)
-		writeError(w, f.err)
+		writeError(w, errorFor(err))
 		return
 	}
-	raw, merr := json.Marshal(result)
-	if merr != nil {
-		s.met.evalErrors.Add(1)
-		f.err = &apiError{Status: http.StatusInternalServerError, Class: "internal", Msg: merr.Error()}
-		s.flights.finish(key, f)
-		writeError(w, f.err)
-		return
-	}
-	f.result = raw
-	f.stats = EvalStats{
+	w.Header().Set("Content-Type", "application/json")
+	_ = json.NewEncoder(w).Encode(struct {
+		Result *EvalResult `json:"result"`
+		Stats  *EvalStats  `json:"stats"`
+	}{result, &EvalStats{
 		ElapsedMS:  float64(elapsed.Microseconds()) / 1000,
 		Exec:       p.exec.String(),
 		Fuel:       p.fuel,
 		Resilience: stats.Resilience,
-	}
-	s.flights.finish(key, f)
-	writeEvalResponse(w, f.result, &f.stats)
-}
-
-func writeEvalResponse(w http.ResponseWriter, result json.RawMessage, stats *EvalStats) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(struct {
-		Result json.RawMessage `json:"result"`
-		Stats  *EvalStats      `json:"stats"`
-	}{result, stats})
+	}})
 }
 
 // evaluate runs one cell on a private, budgeted engine wired to the shared
-// service state. Panics anywhere inside the engines are recovered at the
-// cell boundaries (resilience.Recover) and walk the degradation ladder; the
-// outer recover is the last-resort boundary that keeps a bug in the
-// assembly code here from killing the daemon.
+// service state. Panics inside the engines are recovered at the cell
+// boundaries (resilience.Recover) and walk the degradation ladder; the
+// outer recover is the last resort: a panic that escaped them, or a bug in
+// the assembly code here, fails the request as a panic of its cell.
 func (s *Server) evaluate(ctx context.Context, p *evalPlan) (result *EvalResult, stats exper.Stats, err error) {
 	r := s.runner(ctx, p.exec, p.fuel, p.bench)
-	var lintFail exper.Resilience // the lint step's budget failure, if any
 	defer func() {
 		stats = r.Stats()
-		stats.Resilience.Add(lintFail)
-		resilience.Recover(&err, p.bench.Name, p.kind.String(), p.memLat, "serve")
+		stats.Resilience.Add(unregistered(err))
 	}()
+	defer resilience.Recover(&err, p.bench.Name, p.kind.String(), p.memLat, serveStage)
 
 	m, err := r.Measure(p.bench, p.kind, p.memLat)
 	if err != nil {
@@ -426,24 +293,35 @@ func (s *Server) evaluate(ctx context.Context, p *evalPlan) (result *EvalResult,
 	}
 	if p.lint {
 		if err := s.lint(ctx, p, result); err != nil {
-			lintFail = budgetFailure(err)
 			return nil, stats, err
 		}
 	}
 	return result, stats, nil
 }
 
-// budgetFailure counts a failed lint step the way a runner counts a failed
-// cell: a fuel or deadline failure is one cell failure of its class. Other
-// errors (the source does not compile) count nothing.
-func budgetFailure(err error) exper.Resilience {
-	switch resilience.Classify(err) {
-	case resilience.ClassFuel:
-		return exper.Resilience{CellFailures: 1, FuelExhausted: 1}
-	case resilience.ClassDeadline:
-		return exper.Resilience{CellFailures: 1, DeadlineExceeded: 1}
+// serveStage is the stage of a panic recovered at a request's boundary
+// rather than at one of its engine's cell boundaries.
+const serveStage = "serve"
+
+// unregistered counts a failure the request's runner never registered, a
+// lint cell out of budget or a panic recovered at the request's boundary,
+// as a runner counts a failed cell: one cell failure of its class. The
+// runner counts its own cells; a source that does not compile is no cell.
+func unregistered(err error) exper.Resilience {
+	var ce *resilience.CellError
+	if !errors.As(err, &ce) || (ce.Stage != "lint" && ce.Stage != serveStage) {
+		return exper.Resilience{}
 	}
-	return exper.Resilience{}
+	out := exper.Resilience{CellFailures: 1}
+	switch ce.Class {
+	case resilience.ClassPanic:
+		out.CellPanics = 1
+	case resilience.ClassFuel:
+		out.FuelExhausted = 1
+	case resilience.ClassDeadline:
+		out.DeadlineExceeded = 1
+	}
+	return out
 }
 
 // lint runs the verifier battery over the request's program under its
@@ -477,7 +355,9 @@ func (s *Server) lint(ctx context.Context, p *evalPlan, result *EvalResult) erro
 // shared caches and store, private counters and failure registry.
 func (s *Server) runner(ctx context.Context, exec sim.ExecMode, fuel int64, benches ...*bench.Benchmark) *exper.Runner {
 	r := exper.New()
-	r.Par = s.cfg.Par
+	// Requests are each other's parallelism. A pool of one also runs every
+	// cell on the request's goroutine, inside its last-resort recover.
+	r.Par = 1
 	r.Benchmarks = benches
 	r.Exec = exec
 	r.Fuel = fuel

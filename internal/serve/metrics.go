@@ -25,7 +25,6 @@ type metrics struct {
 	evals               atomic.Int64
 	reports             atomic.Int64
 	evalErrors          atomic.Int64
-	dedupHits           atomic.Int64
 	admissionRejections atomic.Int64
 	drainRejections     atomic.Int64
 
@@ -51,12 +50,15 @@ type Metrics struct {
 		Evals               int64 `json:"evals"`
 		Reports             int64 `json:"reports"`
 		EvalErrors          int64 `json:"eval_errors"`
-		DedupHits           int64 `json:"dedup_hits"`
 		AdmissionRejections int64 `json:"admission_rejections"`
 		DrainRejections     int64 `json:"drain_rejections"`
 		Inflight            int64 `json:"inflight"`
 		QueueDepth          int64 `json:"queue_depth"`
 		Draining            bool  `json:"draining"`
+		// DedupHits is always 0: every request computes its own result.
+		// The field stays, out of the JSON, only because perfbench/servewl.go
+		// reads it; drop it with that read (ROADMAP item 2).
+		DedupHits int64 `json:"-"`
 	} `json:"server"`
 	// Degradation is the running total of every request's exper.Resilience
 	// counters, plus the shared caches' tier-ups.
@@ -82,7 +84,6 @@ func (s *Server) Snapshot() *Metrics {
 	out.Server.Evals = s.met.evals.Load()
 	out.Server.Reports = s.met.reports.Load()
 	out.Server.EvalErrors = s.met.evalErrors.Load()
-	out.Server.DedupHits = s.met.dedupHits.Load()
 	out.Server.AdmissionRejections = s.met.admissionRejections.Load()
 	out.Server.DrainRejections = s.met.drainRejections.Load()
 	out.Server.Inflight = s.adm.Inflight()

@@ -21,6 +21,7 @@ import (
 
 	"specdis/internal/bench"
 	"specdis/internal/exper"
+	"specdis/internal/resilience"
 	"specdis/internal/sim"
 )
 
@@ -95,12 +96,14 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	var buf bytes.Buffer
 	var err error
 	for _, rep := range sections {
-		if err = rep.Render(eng, &buf); err != nil {
+		if err = render(eng, rep, &buf); err != nil {
 			break
 		}
 		fmt.Fprintln(&buf)
 	}
-	s.met.absorb(eng.Stats())
+	st := eng.Stats()
+	st.Resilience.Add(unregistered(err))
+	s.met.absorb(st)
 	if err != nil {
 		s.met.evalErrors.Add(1)
 		writeError(w, errorFor(err))
@@ -108,4 +111,12 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	_, _ = w.Write(buf.Bytes())
+}
+
+// render writes one section under the report's last-resort recover, as in
+// evaluate: a panic that escaped the engine's cell boundaries fails the
+// report as a panic of the section, named report/SECTION/m0.
+func render(eng *exper.Runner, rep exper.Report, buf *bytes.Buffer) (err error) {
+	defer resilience.Recover(&err, "report", rep.Name, 0, serveStage)
+	return rep.Render(eng, buf)
 }

@@ -9,9 +9,10 @@
 //   - per-request panic isolation on the existing resilience rungs (native →
 //     bcode → tree, replay → recapture → interp): a poisoned request
 //     degrades and is recorded, never crashes the process;
+//   - one computation per request, on the request's own context: a
+//     disconnect or an expired deadline cancels it and frees its slot;
 //   - shared, size-bounded service state — one persistent artifact store and
-//     one bcode/ncode compiled-code cache pair serve every request — with
-//     single-flight dedup of identical in-flight requests;
+//     one bcode/ncode compiled-code cache pair serve every request;
 //   - lifecycle endpoints (/healthz, /readyz, /metrics) and graceful drain.
 //
 // Endpoints: POST /v1/eval (one cell: source-or-benchmark × pipeline ×
@@ -49,10 +50,6 @@ const (
 // Config configures a Server. The zero value serves with the defaults above,
 // the native execution tier, no store, and no fault injection.
 type Config struct {
-	// Par is each request's evaluation worker-pool width (exper.Runner.Par);
-	// 0 means 1 — requests are each other's parallelism, so per-request
-	// pools stay narrow by default.
-	Par int
 	// MaxInflight bounds concurrently running evaluations; MaxQueue bounds
 	// requests waiting for a slot. Beyond both: 429 + Retry-After.
 	MaxInflight, MaxQueue int
@@ -81,14 +78,11 @@ type Config struct {
 	// Inject is the seeded fault-injection plan threaded into every
 	// request's engine (chaos mode; nil in production). Store-level sio
 	// faults are armed by the caller on Store directly — see
-	// resilience.FaultPlan.CellKinds.
+	// resilience.FaultPlan.CellPlan.
 	Inject *resilience.FaultPlan
 }
 
 func (c Config) withDefaults() Config {
-	if c.Par <= 0 {
-		c.Par = 1
-	}
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = DefaultMaxInflight
 	}
@@ -130,8 +124,7 @@ type Server struct {
 	bc   *bcode.Cache
 	nc   *ncode.Cache
 
-	flights flightGroup
-	met     metrics
+	met metrics
 
 	draining atomic.Bool
 	reqWG    sync.WaitGroup

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -17,6 +18,7 @@ import (
 	"specdis/internal/bench"
 	"specdis/internal/disamb"
 	"specdis/internal/exper"
+	"specdis/internal/resilience"
 	"specdis/internal/store"
 )
 
@@ -200,6 +202,9 @@ func TestEvalValidation(t *testing.T) {
 		{"negative fuel", EvalRequest{Bench: "perm", Pipeline: "SPEC", MemLat: 2, Fuel: -1}, 400, "bad-request"},
 		{"negative deadline", EvalRequest{Bench: "perm", Pipeline: "SPEC", MemLat: 2, DeadlineMS: -1}, 400, "bad-request"},
 		{"oversized source", EvalRequest{Source: strings.Repeat("x", 300), Pipeline: "SPEC", MemLat: 2}, 413, "too-large"},
+		// Bodies past the read bound are still too large, not malformed.
+		{"5,000-byte source", EvalRequest{Source: strings.Repeat("x", 5_000), Pipeline: "SPEC", MemLat: 2}, 413, "too-large"},
+		{"100,000-byte source", EvalRequest{Source: strings.Repeat("x", 100_000), Pipeline: "SPEC", MemLat: 2}, 413, "too-large"},
 		{"uncompilable source", EvalRequest{Source: "int main( {", Pipeline: "SPEC", MemLat: 2}, 422, "invalid-source"},
 	}
 	for _, tc := range cases {
@@ -218,6 +223,16 @@ func TestEvalValidation(t *testing.T) {
 		t.Errorf("lower-case pipeline: status %d (%+v)", status, resp.Error)
 	}
 }
+
+// loopSource never terminates: only a budget or a cancellation stops it.
+const loopSource = `
+void main() {
+	int i = 0;
+	while (1) {
+		i = i + 1;
+	}
+}
+`
 
 // TestEvalBudgets pins the budget taxonomy: a starved fuel budget is the
 // client's fault (422, class fuel, cell-attributed), a starved deadline a
@@ -239,20 +254,118 @@ func TestEvalBudgets(t *testing.T) {
 	// A nonterminating program makes the deadline test deterministic: only
 	// the wall-clock budget can stop it (the fuel cap would take far
 	// longer), so the response must be a typed 504 — never a hang.
-	const loop = `
-void main() {
-	int i = 0;
-	while (1) {
-		i = i + 1;
-	}
-}
-`
-	status, _, resp = postEval(t, ts.URL, EvalRequest{Source: loop, Pipeline: "NAIVE", MemLat: 2, DeadlineMS: 100})
+	status, _, resp = postEval(t, ts.URL, EvalRequest{Source: loopSource, Pipeline: "NAIVE", MemLat: 2, DeadlineMS: 100})
 	if status != http.StatusGatewayTimeout {
 		t.Fatalf("nonterminating program: status %d (%+v)", status, resp.Error)
 	}
 	if resp.Error == nil || resp.Error.Class != "deadline" {
 		t.Fatalf("nonterminating program: error %+v, want class deadline", resp.Error)
+	}
+}
+
+// TestEvalSourceLimitIsSourceBytes pins that -max-source-bytes bounds the
+// source, not its JSON encoding: a source within the limit whose escapes
+// (newlines, and "<" as \u003c) take more than 4 KiB beyond it evaluates.
+func TestEvalSourceLimitIsSourceBytes(t *testing.T) {
+	const limit = 8192
+	_, ts := newTestServer(t, Config{MaxSourceBytes: limit})
+	src := "void main() {\n\tint i = 0;\n\tif (i < 1) {\n\t\ti = 1;\n\t}\n" +
+		strings.Repeat("\n", 8_000) + "}\n"
+	if len(src) > limit {
+		t.Fatalf("source is %d bytes, over the %d limit", len(src), limit)
+	}
+	status, _, resp := postEval(t, ts.URL, EvalRequest{Source: src, Pipeline: "NAIVE", MemLat: 2})
+	if status != http.StatusOK {
+		t.Fatalf("%d-byte source under a %d-byte limit: status %d (%+v)", len(src), limit, status, resp.Error)
+	}
+}
+
+// TestAbandonedRequestFreesSlot pins one computation per request, on the
+// request's own context: a client that gives up on a nonterminating
+// program cancels its computation, which frees the only admission slot
+// long before the fuel cap or the deadline would, and is counted once.
+func TestAbandonedRequestFreesSlot(t *testing.T) {
+	s, ts := newTestServer(t, Config{MaxInflight: 1, DeadlineCap: 20 * time.Second})
+	body, err := json.Marshal(EvalRequest{Source: loopSource, Pipeline: "NAIVE", MemLat: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/eval", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		done <- err
+	}()
+	for s.adm.Inflight() == 0 {
+		select {
+		case err := <-done:
+			t.Fatalf("request finished before it held the slot: %v", err)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	cancel()
+	if err := <-done; err == nil {
+		t.Fatal("cancelled request answered")
+	}
+	gaveUp := time.Now()
+	for s.adm.Inflight() != 0 {
+		if time.Since(gaveUp) > 2*time.Second {
+			t.Fatalf("slot still held %v after the client gave up", time.Since(gaveUp))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	m := s.Snapshot()
+	if m.Server.Evals != 1 || m.Server.EvalErrors != 1 || m.Degradation.DeadlineExceeded != 1 {
+		t.Fatalf("server %+v, degradation %+v; want the request counted once as a deadline failure", m.Server, m.Degradation.Resilience)
+	}
+}
+
+// TestRecoverEscapedPanic pins the last-resort recover of /v1/eval and
+// /v1/report. A flip fault at offset math.MinInt64 panics in the runner's
+// own frame, outside every cell boundary: Trace.FlipByte negates the
+// offset, which overflows. ParsePlan never deals such an offset, so only a
+// test plan reaches this. Each request answers a typed 500 panic naming its
+// cell and counts one cell failure and one cell panic.
+func TestRecoverEscapedPanic(t *testing.T) {
+	plan := &resilience.FaultPlan{Cells: map[string]resilience.Fault{
+		"perm/NAIVE/m0": {Kind: resilience.FaultFlipTrace, N: math.MinInt64},
+	}}
+	s, ts := newTestServer(t, Config{Inject: plan})
+	for i, tc := range []struct{ method, path, body, cell string }{
+		{http.MethodPost, "/v1/eval", `{"bench":"perm","pipeline":"NAIVE","mem_lat":2}`, "perm/NAIVE/m2"},
+		{http.MethodGet, "/v1/report?bench=perm&only=fig62", "", "report/fig62/m0"},
+	} {
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.path, err)
+		}
+		var out evalResp
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: decode response: %v", tc.path, err)
+		}
+		if resp.StatusCode != http.StatusInternalServerError || out.Error == nil ||
+			out.Error.Class != "panic" || out.Error.Cell != tc.cell {
+			t.Fatalf("%s: status %d, error %+v; want 500 panic naming %s", tc.path, resp.StatusCode, out.Error, tc.cell)
+		}
+		n := int64(i + 1)
+		if m := s.Snapshot(); m.Server.EvalErrors != n || m.Degradation.CellFailures != n || m.Degradation.CellPanics != n {
+			t.Fatalf("%s: server %+v, degradation %+v; want %d of eval_errors, cell_failures and cell_panics",
+				tc.path, m.Server, m.Degradation.Resilience, n)
+		}
 	}
 }
 
@@ -533,75 +646,6 @@ func TestDrainTimeout(t *testing.T) {
 	}
 }
 
-// TestFlightGroup pins single-flight semantics at the unit level: one
-// leader per key, followers share the flight, and the computation is
-// cancelled exactly when the last waiter abandons an unfinished flight.
-func TestFlightGroup(t *testing.T) {
-	var g flightGroup
-	f, leader := g.join("k")
-	if !leader {
-		t.Fatal("first join is not leader")
-	}
-	f2, leader2 := g.join("k")
-	if leader2 || f2 != f {
-		t.Fatal("second join did not share the leader's flight")
-	}
-	cancelled := false
-	f.cancel = func() { cancelled = true }
-
-	g.leave("k", f2)
-	if cancelled {
-		t.Fatal("cancelled with the leader still waiting")
-	}
-	g.leave("k", f)
-	if !cancelled {
-		t.Fatal("last waiter left an unfinished flight without cancelling it")
-	}
-
-	// A fresh join after abandonment is a new leader.
-	f3, leader3 := g.join("k")
-	if !leader3 {
-		t.Fatal("post-abandonment join did not lead")
-	}
-	g.finish("k", f3)
-	if !f3.finished() {
-		t.Fatal("finish did not close done")
-	}
-	g.leave("k", f3) // leaving a finished flight must not cancel anything
-
-	// Different keys never share flights.
-	fa, _ := g.join("a")
-	fb, _ := g.join("b")
-	if fa == fb {
-		t.Fatal("distinct keys shared a flight")
-	}
-}
-
-// TestDedupKeyIncludesBenchName pins that the single-flight key covers every
-// input of the deterministic result, the bench name included: a suite
-// benchmark and the same text submitted as source price identically but
-// answer under different names, so they must never share a flight.
-func TestDedupKeyIncludesBenchName(t *testing.T) {
-	s := New(Config{})
-	plan := func(req EvalRequest) *evalPlan {
-		t.Helper()
-		p, apiErr := s.plan(&req)
-		if apiErr != nil {
-			t.Fatalf("plan(%+v): %v", req, apiErr)
-		}
-		return p
-	}
-	src := bench.ByName("fft").Source
-	byName := plan(EvalRequest{Bench: "fft", Pipeline: "SPEC", MemLat: 2})
-	bySrc := plan(EvalRequest{Source: src, Pipeline: "SPEC", MemLat: 2})
-	if byName.key() == bySrc.key() {
-		t.Fatalf("bench %q and source %q share the flight key %q", byName.bench.Name, bySrc.bench.Name, byName.key())
-	}
-	if again := plan(EvalRequest{Source: src, Pipeline: "SPEC", MemLat: 2}); again.key() != bySrc.key() {
-		t.Fatalf("identical source requests got different keys: %q vs %q", again.key(), bySrc.key())
-	}
-}
-
 // TestMetricsCountTierUps checks /metrics reports adaptive-tiering
 // promotions, which happen in the shared compiled-code caches rather than in
 // any request's private engine.
@@ -616,45 +660,61 @@ func TestMetricsCountTierUps(t *testing.T) {
 	}
 }
 
-// TestDedupSharesResult exercises the HTTP dedup path: identical concurrent
-// requests produce byte-identical results, and at least one response in a
-// saturated burst is served from the shared flight.
-func TestDedupSharesResult(t *testing.T) {
+// TestIdenticalRequestsEachCompute pins one computation per request:
+// identical concurrent requests queued on one slot each compute and answer
+// the same result bytes, and no response is marked as shared.
+func TestIdenticalRequestsEachCompute(t *testing.T) {
 	s, ts := newTestServer(t, Config{MaxInflight: 1})
 	const n = 6
+	body, err := json.Marshal(EvalRequest{Bench: "fft", Pipeline: "SPEC", MemLat: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	type reply struct {
 		status int
-		resp   *evalResp
+		body   []byte
+		err    error
 	}
 	replies := make(chan reply, n)
 	for i := 0; i < n; i++ {
 		go func() {
-			status, _, resp := postEval(t, ts.URL, EvalRequest{Bench: "fft", Pipeline: "SPEC", MemLat: 2})
-			replies <- reply{status, resp}
+			resp, err := http.Post(ts.URL+"/v1/eval", "application/json", bytes.NewReader(body))
+			if err != nil {
+				replies <- reply{err: err}
+				return
+			}
+			defer resp.Body.Close()
+			b, err := io.ReadAll(resp.Body)
+			replies <- reply{resp.StatusCode, b, err}
 		}()
 	}
 	var first json.RawMessage
 	for i := 0; i < n; i++ {
 		r := <-replies
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		var resp struct {
+			Result json.RawMessage            `json:"result"`
+			Stats  map[string]json.RawMessage `json:"stats"`
+		}
+		if err := json.Unmarshal(r.body, &resp); err != nil {
+			t.Fatal(err)
+		}
 		if r.status != http.StatusOK {
-			t.Fatalf("status %d (%+v)", r.status, r.resp.Error)
+			t.Fatalf("status %d: %s", r.status, r.body)
+		}
+		if _, ok := resp.Stats["deduped"]; ok {
+			t.Fatalf("stats carry deduped: %s", r.body)
 		}
 		if first == nil {
-			first = r.resp.Result
-		} else if !bytes.Equal(first, r.resp.Result) {
-			t.Fatalf("deduplicated results differ:\n%s\n%s", first, r.resp.Result)
+			first = resp.Result
+		} else if !bytes.Equal(first, resp.Result) {
+			t.Fatalf("identical requests answered different results:\n%s\n%s", first, resp.Result)
 		}
 	}
-	m := s.Snapshot()
-	if m.Server.Evals != n {
-		t.Fatalf("evals %d, want %d", m.Server.Evals, n)
-	}
-	if m.Server.DedupHits+m.Server.EvalErrors == 0 && m.Server.Evals == n {
-		// All six could in principle run back to back without overlapping;
-		// with MaxInflight=1 and simultaneous dispatch that is vanishingly
-		// unlikely, but don't fail the build on a scheduling fluke — the
-		// deterministic dedup contract is TestFlightGroup's job.
-		t.Log("no dedup observed (scheduling fluke); flight semantics covered by TestFlightGroup")
+	if m := s.Snapshot(); m.Server.Evals != n || m.Server.EvalErrors != 0 {
+		t.Fatalf("server %+v, want %d evals and no errors", m.Server, n)
 	}
 }
 
@@ -695,12 +755,11 @@ func TestStatsAndMetricsSchema(t *testing.T) {
 		}
 		return out
 	}
-	// A leader's stats; a deduplicated follower's add "deduped".
 	wantStats := append([]string{"elapsed_ms", "exec", "fuel"}, degradation...)
 	wantMetrics := slices.Concat(
 		prefixed("cache.", "bcode_len", "compiled", "evictions", "hits", "ncode_len"),
 		prefixed("degradation.", append(slices.Clone(degradation), "tier_ups")...),
-		prefixed("server.", "admission_rejections", "dedup_hits", "drain_rejections", "draining",
+		prefixed("server.", "admission_rejections", "drain_rejections", "draining",
 			"eval_errors", "evals", "inflight", "queue_depth", "reports", "requests"),
 	)
 	wantStore := prefixed("store.", "bytes_read", "bytes_written", "corrupt_dropped", "hits",

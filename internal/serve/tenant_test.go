@@ -29,8 +29,8 @@ func TestMixedTenantsSharedState(t *testing.T) {
 	s, ts := newTestServer(t, Config{Store: st, CacheLimit: 64, MaxInflight: 4})
 
 	// Eight tenants, each with its own cell — distinct benchmarks,
-	// pipelines, latencies and tiers, so no two tenants' requests dedup
-	// into one flight.
+	// pipelines, latencies and tiers — competing for the shared caches and
+	// store.
 	tenants := []EvalRequest{
 		{Bench: "perm", Pipeline: "SPEC", MemLat: 2},
 		{Bench: "queen", Pipeline: "SPEC", MemLat: 6, Exec: "bcode"},
@@ -113,8 +113,7 @@ func TestMixedTenantsSharedState(t *testing.T) {
 // TestTenantBudgetIsolation pins that one tenant's starved budget cannot
 // poison a neighbor's identical cell: a fuel-starved SPEC evaluation fails
 // typed while a concurrent full-budget evaluation of the same benchmark
-// succeeds with clean stats. Distinct fuel budgets key distinct flights, so
-// the two never dedup into one computation.
+// succeeds with clean stats.
 func TestTenantBudgetIsolation(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxInflight: 2})
 	var wg sync.WaitGroup
